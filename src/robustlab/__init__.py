@@ -1,9 +1,10 @@
 """Desk-scale adversarial-robustness laboratory.
 
-Minimal float64 autodiff, small MLP classifiers, synthetic 2-d datasets,
-the PGD attack family with logit scaling and per-example survival counts,
-four training regimes (ERM, AT, FAT, GAIRAT-style reweighting), and the
-evaluation protocols that expose reweighting-induced gradient masking.
+Small MLP classifiers with a fused float64 loss-and-gradient pass,
+synthetic 2-d datasets, the PGD attack family with logit scaling and
+per-example survival counts, four training regimes (ERM, AT, FAT,
+GAIRAT-style reweighting), and the evaluation protocols that expose
+reweighting-induced gradient masking.
 """
 
 from .attacks import (
@@ -65,16 +66,13 @@ from .model import (
     save_checkpoint,
 )
 from .tensor import (
-    Gradient,
-    Tape,
+    LossAndGrad,
     Tensor,
     activation,
-    backward,
     linear,
+    mlp_loss_and_grad,
     scaled_softmax,
     scaled_softmax_cross_entropy,
-    sum_all,
-    weighted_mean,
 )
 from .training import (
     EpochRecord,

@@ -15,8 +15,8 @@ import numpy as np
 
 from .datasets import DomainBox
 from .errors import CapabilityError, ContractError, ParameterError, ParseError, ShapeError
-from .model import MlpParams, forward_logits, predict
-from .tensor import Tape, Tensor, backward, scaled_softmax_cross_entropy, sum_all
+from .model import MlpParams, predict
+from .tensor import Tensor, mlp_loss_and_grad
 
 
 @dataclass(frozen=True)
@@ -176,6 +176,18 @@ class _PgdRun(NamedTuple):
     kappa: np.ndarray
     first_traj: np.ndarray | None
 
+    def early_stopped(self, slack_steps: int) -> np.ndarray:
+        """Friendly-search points; needs a run that kept its first trajectory."""
+        wrong = ~self.trace[:, 0, :]
+        flipped = wrong.any(axis=1)
+        t_first = wrong.argmax(axis=1)
+        chosen = np.minimum(t_first + int(slack_steps), self.trace.shape[2] - 1)
+        out = self.best_x.copy()
+        idx = np.nonzero(flipped)[0]
+        if idx.size:
+            out[idx] = self.first_traj[chosen[idx], idx]
+        return out
+
 
 def _run_pgd(
     model: MlpParams,
@@ -210,13 +222,9 @@ def _run_pgd(
         for t in range(T + 1):
             if traj is not None and r == 0:
                 traj[t] = x
-            tape = Tape()
-            xt = Tensor._wrap(x)
-            tape.watch(xt)
-            logits = forward_logits(model, xt, tape)
-            losses = scaled_softmax_cross_entropy(logits, y, config.alpha, tape)
-            trace[:, r, t] = np.argmax(logits.data, axis=1) == y
-            lvals = losses.data
+            step = mlp_loss_and_grad(model, x, y, config.alpha, wrt=("input",) if t < T else ())
+            trace[:, r, t] = np.argmax(step.logits, axis=1) == y
+            lvals = step.losses
             # Strict > keeps the earliest (restart-major, then iteration)
             # max-loss iterate on ties.
             better = lvals > best_loss
@@ -225,8 +233,7 @@ def _run_pgd(
                 best_x[better] = x[better]
             if t == T:
                 break
-            grad = backward(tape, sum_all(losses, tape)).wrt(xt).data
-            x = _project(x + config.step_size * np.sign(grad), x0d, eps, dom)
+            x = _project(x + config.step_size * np.sign(step.input_grad), x0d, eps, dom)
 
     # kappa counts from the natural point regardless of random starts, then
     # follows the first restart's iterates.
@@ -299,17 +306,8 @@ def friendly_adversarial_search(
     """
     if int(slack_steps) < 0:
         raise ParameterError(f"slack_steps must be >= 0, got {slack_steps}")
-    yv = np.asarray(y)
-    run = _run_pgd(model, x0, yv, config, domain, seed, keep_first_trajectory=True)
-    wrong = ~run.trace[:, 0, :]
-    flipped = wrong.any(axis=1)
-    t_first = wrong.argmax(axis=1)
-    chosen = np.minimum(t_first + int(slack_steps), config.steps)
-    out = run.best_x.copy()
-    idx = np.nonzero(flipped)[0]
-    if idx.size:
-        out[idx] = run.first_traj[chosen[idx], idx]
-    return Tensor._wrap(out)
+    run = _run_pgd(model, x0, np.asarray(y), config, domain, seed, keep_first_trajectory=True)
+    return Tensor._wrap(run.early_stopped(slack_steps))
 
 
 def pgd_plus_verdict(

@@ -55,7 +55,10 @@ def _load_ini(path: str | None) -> configparser.ConfigParser:
     if path:
         if not Path(path).exists():
             raise ConfigError(f"config file not found: {path}")
-        ini.read(path)
+        try:
+            ini.read(path)
+        except configparser.Error as e:
+            raise ConfigError(f"bad config file {path}: {e}") from None
     return ini
 
 
@@ -64,12 +67,9 @@ def _resolve(args_value, ini: configparser.ConfigParser, section: str, key: str,
     if args_value is not None:
         return args_value
     if ini.has_option(section, key):
-        raw = ini.get(section, key)
         try:
-            if cast is bool:
-                return raw.strip().lower() == "true"
-            return cast(raw)
-        except ValueError as e:
+            return cast(ini.get(section, key))
+        except (ValueError, configparser.Error) as e:
             raise ConfigError(f"bad value for [{section}] {key}: {e}") from None
     return default
 
@@ -79,17 +79,28 @@ def _print_resolved(pairs: dict[str, object]) -> None:
         print(f"# {key} = {value}")
 
 
+def _numbers(text: str, sep: str, what: str) -> list[float]:
+    """Floats separated by `sep`; a malformed one is a ParameterError."""
+    try:
+        return [float(v) for v in text.split(sep)]
+    except ValueError:
+        raise ParameterError(f"{what} must be numbers separated by {sep!r}, got {text!r}") from None
+
+
 def _parse_alpha_grid(text: str) -> tuple[float, ...]:
     """Either 'lo:hi:count' (log-spaced) or a comma list of scales."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ParameterError(f"alpha grid must be lo:hi:count, got {text!r}")
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        try:
+            lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        except ValueError:
+            raise ParameterError(f"alpha grid must be lo:hi:count with an integer count, got {text!r}") from None
         if lo <= 0 or hi <= lo or count < 1:
             raise ParameterError(f"bad alpha grid bounds {text!r}")
         return tuple(float(a) for a in np.logspace(np.log10(lo), np.log10(hi), count))
-    return tuple(float(a) for a in text.split(","))
+    return tuple(_numbers(text, ",", "alpha grid"))
 
 
 def _attack_from_args(args, ini) -> tuple[str, AttackConfig]:
@@ -131,11 +142,11 @@ def cmd_gen_data(args) -> int:
         ds = gen_two_moons(n, noise, seed)
     elif kind == "blobs":
         centers_text = _resolve(args.centers, ini, "data", "centers", "0.25:0.25;0.75:0.75")
-        centers = [[float(v) for v in c.split(":")] for c in centers_text.split(";")]
+        centers = [_numbers(c, ":", "blob center coordinates") for c in centers_text.split(";")]
         ds = gen_gaussian_blobs(n, centers, noise, seed)
     elif kind == "rings":
         radii_text = _resolve(args.radii, ini, "data", "radii", "0.5:1.0")
-        r = tuple(float(v) for v in radii_text.split(":"))
+        r = tuple(_numbers(radii_text, ":", "radii"))
         if len(r) != 2:
             raise ConfigError(f"radii must be inner:outer, got {radii_text!r}")
         ds = gen_rings(n, r, noise, seed)
@@ -172,7 +183,11 @@ def cmd_train(args) -> int:
     omega_lambda = _resolve(args.omega_lambda, ini, "train", "omega_lambda", 0.0, float)
     fat_slack = _resolve(args.fat_slack, ini, "train", "fat_slack", 0, int)
 
-    layer_sizes = (dataset.dim, *(int(h) for h in hidden.split(",") if h), dataset.num_classes)
+    try:
+        widths = tuple(int(h) for h in hidden.split(",") if h)
+    except ValueError:
+        raise ParameterError(f"hidden must be comma-separated layer widths, got {hidden!r}") from None
+    layer_sizes = (dataset.dim, *widths, dataset.num_classes)
     model_config = MlpConfig(layer_sizes=layer_sizes, activation=act, init_seed=seed)
     inner = None
     if method != "erm":

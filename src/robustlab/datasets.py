@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError, ParseError, SchemaError, ShapeError
-from .model import FLOAT_FMT
+from .model import FLOAT_FMT, write_text_atomic
 from .tensor import Tensor
 
 
@@ -270,7 +270,7 @@ def save_csv(dataset: Dataset, path) -> None:
     pts, labs = dataset.points.data, dataset.labels
     for row, lab in zip(pts, labs):
         lines.append(",".join([_fmt(v) for v in row] + [str(int(lab))]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_csv(path) -> Dataset:

@@ -16,7 +16,7 @@ import numpy as np
 from .attacks import AttackConfig, pgd_attack, pgd_plus_verdict
 from .datasets import Dataset
 from .errors import ParameterError, ParseError, SchemaError
-from .model import MlpParams, predict
+from .model import MlpParams, predict, write_text_atomic
 
 VERDICTS = ("best_iterate", "all_iterates")
 DEFAULT_ALPHA_GRID = tuple(float(a) for a in np.logspace(-2.0, 2.0, 9))
@@ -202,7 +202,7 @@ def write_report(report: EvalReport, path) -> None:
     lines.append(REPORT_HEADER)
     for row in report.rows:
         lines.append(f"{row.attack},{_fmt(row.alpha)},{_fmt(row.robust_accuracy)},{row.n}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 _RESERVED_KEYS = (

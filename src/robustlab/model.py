@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+import os
+import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping
@@ -9,7 +11,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import ParameterError, ParseError, SchemaError, ShapeError
-from .tensor import ACTIVATION_KINDS, Tape, Tensor, activation, linear
+from .tensor import ACTIVATION_KINDS, Tensor, mlp_forward
 
 CHECKPOINT_HEADER = "MLPCKPT v1"
 FLOAT_FMT = ".17g"  # 17 significant digits round-trip float64 exactly
@@ -96,19 +98,9 @@ def init_params(config: MlpConfig) -> MlpParams:
     return MlpParams(config=config, weights=tuple(weights), biases=tuple(biases))
 
 
-def forward_logits(params: MlpParams, x: Tensor, tape: Tape | None = None) -> Tensor:
-    """Logits before any softmax; taped when a tape is supplied."""
-    if x.ndim != 2 or x.shape[1] != params.config.input_dim:
-        raise ShapeError(
-            f"input shape {x.shape} does not match model input dim {params.config.input_dim}"
-        )
-    h = x
-    last = params.config.num_layers - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = linear(h, w, b, tape)
-        if i != last:
-            h = activation(h, params.config.activation, tape)
-    return h
+def forward_logits(params: MlpParams, x: Tensor) -> Tensor:
+    """Logits before any softmax."""
+    return Tensor._wrap(mlp_forward(params, x.data)[-1])
 
 
 def predict(params: MlpParams, x: Tensor) -> np.ndarray:
@@ -140,6 +132,25 @@ def _format_values(arr: np.ndarray) -> str:
     return " ".join(format(v, FLOAT_FMT) for v in arr.reshape(-1))
 
 
+def write_text_atomic(path, text: str) -> None:
+    """Write UTF-8 `text` to `path` so that `path` never holds a partial file.
+
+    The text goes to a fresh file in the same directory, which then replaces
+    `path` in one `os.replace`. If anything fails first, `path` keeps its
+    previous content (or stays absent) and the temporary file is removed.
+    Every file writer of the package goes through here.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(params: MlpParams, metadata: Mapping[str, object], path) -> None:
     """Write the text checkpoint format; round-trips float64 bit-exactly."""
     cfg = params.config
@@ -161,7 +172,7 @@ def save_checkpoint(params: MlpParams, metadata: Mapping[str, object], path) -> 
     for name, tensor in tensors.items():
         shape = "x".join(str(s) for s in tensor.shape)
         lines.append(f"{name} {shape} {_format_values(tensor.data)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def _parse_config_line(text: str, lineno: int, offset: int) -> MlpConfig:

@@ -1,17 +1,22 @@
-"""Dense float64 tensors with tape-based reverse-mode differentiation.
+"""Dense float64 tensors and one fused MLP loss-and-gradient pass.
 
-Forward ops optionally record themselves on a Tape; `backward` replays the
-tape once in reverse order and returns gradients for watched leaves. Scope
-is deliberately the minimum an MLP robustness lab needs: affine layers,
-relu/tanh, a scale-aware softmax cross-entropy, and two reductions.
+`Tensor` is the validated boundary for user data. The forward ops (affine
+layers, relu/tanh, a scale-aware softmax and cross-entropy) work on single
+tensors. `mlp_loss_and_grad` runs a whole MLP on raw arrays: one forward
+pass, the alpha-scaled cross-entropy with a sum or weighted-mean reduction,
+and one reverse pass that computes only the gradients asked for. Scope is
+deliberately the minimum an MLP robustness lab needs.
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Collection, NamedTuple
 
 import numpy as np
 
 from .errors import ContractError, ParameterError, ShapeError
+
+if TYPE_CHECKING:
+    from .model import MlpParams
 
 ACTIVATION_KINDS = ("relu", "tanh")
 
@@ -75,58 +80,22 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-class Tape:
-    """Wengert list: primitive ops recorded in forward order.
-
-    Backward replays the records exactly once, in reverse. A tape is
-    single-threaded; use one tape per worker.
-    """
-
-    __slots__ = ("_records", "_watched")
-
-    def __init__(self) -> None:
-        self._records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
-        self._watched: dict[int, Tensor] = {}
-
-    def watch(self, tensor: Tensor) -> Tensor:
-        """Mark a leaf whose gradient `backward` should report."""
-        self._watched[id(tensor)] = tensor
-        return tensor
-
-    def _record(self, output: Tensor, inputs: tuple[Tensor, ...], vjp: Callable) -> None:
-        self._records.append((output, inputs, vjp))
-
-    def __len__(self) -> int:
-        return len(self._records)
+def _affine(xd: np.ndarray, wd: np.ndarray, bd: np.ndarray) -> np.ndarray:
+    # einsum (not BLAS matmul) keeps each output row's summation order
+    # independent of batch size, so batch results are bit-identical to
+    # per-example results.
+    return np.einsum("ij,jk->ik", xd, wd) + bd
 
 
-class Gradient:
-    """Gradients of one scalar loss with respect to watched leaves."""
-
-    __slots__ = ("_grads",)
-
-    def __init__(self, grads: dict[int, Tensor]) -> None:
-        self._grads = grads
-
-    @classmethod
-    def from_pairs(cls, pairs: Sequence[tuple[Tensor, np.ndarray]]) -> "Gradient":
-        """Build a Gradient from explicit (leaf, gradient-array) pairs."""
-        grads = {}
-        for leaf, arr in pairs:
-            g = np.asarray(arr, dtype=np.float64)
-            if g.shape != leaf.shape:
-                raise ShapeError(f"gradient shape {g.shape} does not match leaf shape {leaf.shape}")
-            grads[id(leaf)] = Tensor._wrap(g.copy())
-        return cls(grads)
-
-    def wrt(self, leaf: Tensor) -> Tensor:
-        try:
-            return self._grads[id(leaf)]
-        except KeyError:
-            raise ContractError("gradient requested for a tensor that was not watched on the tape") from None
+def _activate(h: np.ndarray, kind: str) -> np.ndarray:
+    if kind == "relu":
+        return np.maximum(h, 0.0)
+    if kind == "tanh":
+        return np.tanh(h)
+    raise ParameterError(f"unknown activation kind {kind!r}; expected one of {ACTIVATION_KINDS}")
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor, tape: Tape | None = None) -> Tensor:
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map: rows of `x` times `weight`, plus `bias`."""
     xd, wd, bd = x.data, weight.data, bias.data
     if xd.ndim != 2 or wd.ndim != 2 or bd.ndim != 1:
@@ -137,33 +106,12 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor, tape: Tape | None = None) ->
         raise ShapeError(
             f"linear shapes do not conform: input {xd.shape} x weight {wd.shape} + bias {bd.shape}"
         )
-    # einsum (not BLAS matmul) keeps each output row's summation order
-    # independent of batch size, so batch results are bit-identical to
-    # per-example results.
-    out = Tensor._wrap(np.einsum("ij,jk->ik", xd, wd) + bd)
-    if tape is not None:
-        def vjp(g: np.ndarray):
-            return g @ wd.T, xd.T @ g, g.sum(axis=0)
-
-        tape._record(out, (x, weight, bias), vjp)
-    return out
+    return Tensor._wrap(_affine(xd, wd, bd))
 
 
-def activation(x: Tensor, kind: str, tape: Tape | None = None) -> Tensor:
-    """Elementwise relu or tanh. relu uses subgradient 0 at exactly 0."""
-    if kind == "relu":
-        out = Tensor._wrap(np.maximum(x.data, 0.0))
-        if tape is not None:
-            mask = x.data > 0.0
-            tape._record(out, (x,), lambda g: (g * mask,))
-    elif kind == "tanh":
-        out = Tensor._wrap(np.tanh(x.data))
-        if tape is not None:
-            od = out.data
-            tape._record(out, (x,), lambda g: (g * (1.0 - od * od),))
-    else:
-        raise ParameterError(f"unknown activation kind {kind!r}; expected one of {ACTIVATION_KINDS}")
-    return out
+def activation(x: Tensor, kind: str) -> Tensor:
+    """Elementwise relu or tanh."""
+    return Tensor._wrap(_activate(x.data, kind))
 
 
 def _check_alpha(alpha: float) -> float:
@@ -189,7 +137,7 @@ def _log_softmax(logits: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def scaled_softmax(logits: Tensor, alpha: float = 1.0) -> Tensor:
-    """Row-wise softmax of `alpha * logits`. Forward only (never taped)."""
+    """Row-wise softmax of `alpha * logits`."""
     a = _check_alpha(alpha)
     ld = _check_logits(logits)
     return Tensor._wrap(np.exp(_log_softmax(ld, a)))
@@ -206,78 +154,114 @@ def _check_labels(labels, n: int, num_classes: int) -> np.ndarray:
     return lab.astype(np.int64, copy=False)
 
 
-def scaled_softmax_cross_entropy(
-    logits: Tensor, labels, alpha: float = 1.0, tape: Tape | None = None
-) -> Tensor:
-    """Per-example loss -log softmax(alpha * logits)[label].
-
-    Returns a length-n tensor; reduce it with `sum_all` or `weighted_mean`
-    before calling `backward`.
-    """
-    a = _check_alpha(alpha)
-    ld = _check_logits(logits)
+def _cross_entropy(ld: np.ndarray, labels, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log-probabilities, validated labels and per-example losses."""
     n, num_classes = ld.shape
     lab = _check_labels(labels, n, num_classes)
     logp = _log_softmax(ld, a)
-    rows = np.arange(n)
-    losses = Tensor._wrap(-logp[rows, lab])
-    if tape is not None:
-        probs = np.exp(logp)
-
-        def vjp(g: np.ndarray):
-            d = probs.copy()
-            d[rows, lab] -= 1.0
-            return (a * d * g[:, None],)
-
-        tape._record(losses, (logits,), vjp)
-    return losses
+    return logp, lab, -logp[np.arange(n), lab]
 
 
-def sum_all(x: Tensor, tape: Tape | None = None) -> Tensor:
-    """Sum of all elements, as a scalar tensor."""
-    out = Tensor._wrap(np.asarray(x.data.sum()))
-    if tape is not None:
-        shape = x.data.shape
-        tape._record(out, (x,), lambda g: (np.full(shape, float(g)),))
-    return out
+def scaled_softmax_cross_entropy(logits: Tensor, labels, alpha: float = 1.0) -> Tensor:
+    """Per-example loss -log softmax(alpha * logits)[label], as a length-n tensor."""
+    a = _check_alpha(alpha)
+    return Tensor._wrap(_cross_entropy(_check_logits(logits), labels, a)[2])
 
 
-def weighted_mean(x: Tensor, weights, tape: Tape | None = None) -> Tensor:
-    """(1/n) * sum_i weights[i] * x[i]; the weights are constants."""
-    xd = x.data
-    w = np.asarray(weights.data if isinstance(weights, Tensor) else weights, dtype=np.float64)
-    if xd.ndim != 1 or w.shape != xd.shape:
-        raise ShapeError(f"weighted_mean needs matching 1-d vectors, got {xd.shape} and {w.shape}")
-    n = xd.shape[0]
-    if n == 0:
-        raise ShapeError("weighted_mean of an empty vector")
-    out = Tensor._wrap(np.asarray((w * xd).sum() / n))
-    if tape is not None:
-        tape._record(out, (x,), lambda g: (float(g) * w / n,))
-    return out
+def mlp_forward(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
+    """Every layer's input, then the logits: [x, h_1, ..., h_{L-1}, logits].
 
-
-def backward(tape: Tape, loss: Tensor) -> Gradient:
-    """Replay the tape once in reverse; gradients for all watched leaves.
-
-    Leaves that the loss does not reach get zero gradients of matching
-    shape. The replay is a plain reversed loop over the recorded ops, so
-    two runs over identical forward passes are bit-identical.
+    The one forward pass of the package: `model.forward_logits` keeps the
+    last entry and `mlp_loss_and_grad` reads them all on its reverse pass.
     """
-    if loss.data.size != 1:
-        raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    partial: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for out, inputs, vjp in reversed(tape._records):
-        g = partial.get(id(out))
-        if g is None:
-            continue
-        for tensor, contrib in zip(inputs, vjp(g)):
-            if contrib is None:
-                continue
-            prev = partial.get(id(tensor))
-            partial[id(tensor)] = contrib if prev is None else prev + contrib
-    grads: dict[int, Tensor] = {}
-    for key, leaf in tape._watched.items():
-        g = partial.get(key)
-        grads[key] = Tensor._wrap(g if g is not None else np.zeros_like(leaf.data))
-    return Gradient(grads)
+    if x.ndim != 2 or x.shape[1] != params.config.input_dim:
+        raise ShapeError(
+            f"input shape {x.shape} does not match model input dim {params.config.input_dim}"
+        )
+    kind = params.config.activation
+    last = params.config.num_layers - 1
+    hs = [x]
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        h = _affine(hs[-1], w.data, b.data)
+        hs.append(h if i == last else _activate(h, kind))
+    return hs
+
+
+GRAD_TARGETS = ("input", "params")
+
+
+class LossAndGrad(NamedTuple):
+    """One fused pass: gradients that were not asked for are None.
+
+    param_grads follows `MlpParams.leaves()` order: w0, b0, w1, b1, ...
+    """
+
+    logits: np.ndarray
+    losses: np.ndarray
+    loss: float
+    input_grad: np.ndarray | None
+    param_grads: tuple[np.ndarray, ...] | None
+
+
+def mlp_loss_and_grad(
+    params: MlpParams,
+    x: np.ndarray,
+    labels,
+    alpha: float = 1.0,
+    weights=None,
+    wrt: Collection[str] = ("params",),
+) -> LossAndGrad:
+    """Loss of an MLP on a batch and its gradients, in one pass each way.
+
+    The per-example losses are -log softmax(alpha * logits)[label] on the
+    logits of `x` (a float64 (n, d) array). They are reduced by their sum,
+    or, given per-example `weights` (constants), by
+    (1/n) * sum_i weights[i] * losses[i]. `wrt` names the gradients of that
+    reduced loss to compute, from GRAD_TARGETS: "input" (d loss / d x) and
+    "params". relu takes subgradient 0 at exactly 0. The reverse pass is a
+    fixed sequence of numpy kernels, so identical inputs give bit-identical
+    gradients.
+    """
+    unknown = set(wrt).difference(GRAD_TARGETS)
+    if unknown:
+        raise ContractError(f"cannot differentiate w.r.t. {sorted(unknown)}; expected some of {GRAD_TARGETS}")
+    a = _check_alpha(alpha)
+    hs = mlp_forward(params, x)
+    logits = hs[-1]
+    logp, lab, losses = _cross_entropy(logits, labels, a)
+    n = losses.shape[0]
+    if weights is None:
+        loss, upstream = float(losses.sum()), None
+    else:
+        w = np.asarray(weights, dtype=np.float64)
+        if w.shape != losses.shape:
+            raise ShapeError(f"weights must be a length-{n} vector, got shape {w.shape}")
+        if n == 0:
+            raise ShapeError("weighted mean of an empty batch")
+        loss, upstream = float((w * losses).sum() / n), w / n
+    want_input, want_params = "input" in wrt, "params" in wrt
+    if not (want_input or want_params):
+        return LossAndGrad(logits, losses, loss, None, None)
+
+    # The reverse pass uses BLAS @, so unlike the einsum forward pass its
+    # input gradients are not batch-invariant in the last bits.
+    g = np.exp(logp)
+    g[np.arange(n), lab] -= 1.0
+    g = a * g if upstream is None else a * g * upstream[:, None]
+    kind = params.config.activation
+    param_grads = [None] * (2 * params.config.num_layers)
+    for i in range(params.config.num_layers - 1, -1, -1):
+        if want_params:
+            param_grads[2 * i] = hs[i].T @ g
+            param_grads[2 * i + 1] = g.sum(axis=0)
+        if i == 0 and not want_input:
+            break
+        g = g @ params.weights[i].data.T
+        if i:
+            h = hs[i]  # the activation's output: relu > 0 exactly where its input is
+            g = g * (h > 0.0) if kind == "relu" else g * (1.0 - h * h)
+    return LossAndGrad(
+        logits, losses, loss,
+        g if want_input else None,
+        tuple(param_grads) if want_params else None,
+    )

@@ -10,16 +10,15 @@ bit-identical to plain adversarial training.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .attacks import AttackConfig, friendly_adversarial_search, pgd_attack
+from .attacks import AttackConfig, _run_pgd
 from .datasets import Dataset
 from .errors import ConfigError, ContractError, ParameterError, ShapeError
-from .model import MlpConfig, MlpParams, forward_logits, init_params, predict
-from .tensor import Gradient, Tape, Tensor, backward, scaled_softmax_cross_entropy, weighted_mean
+from .model import MlpConfig, MlpParams, init_params, predict, write_text_atomic
+from .tensor import Tensor, mlp_loss_and_grad
 
 TRAIN_METHODS = ("erm", "at", "fat", "gairat")
 
@@ -109,20 +108,27 @@ def compute_weights(kappa, steps: int, omega_lambda: float) -> WeightAssignment:
     return WeightAssignment(raw * (k.size / total))
 
 
-def sgd_step(params: MlpParams, grads: Gradient, learning_rate: float) -> MlpParams:
-    """theta <- theta - lr * g, elementwise; returns fresh params."""
+def sgd_step(params: MlpParams, grads: Sequence[np.ndarray], learning_rate: float) -> MlpParams:
+    """theta <- theta - lr * g, elementwise; returns fresh params.
+
+    `grads` holds one array per parameter, in `params.leaves()` order
+    (w0, b0, w1, b1, ...), as `mlp_loss_and_grad` returns them.
+    """
     lr = float(learning_rate)
     if not (np.isfinite(lr) and lr > 0):
         raise ParameterError(f"learning_rate must be > 0, got {learning_rate}")
+    n_leaves = 2 * params.config.num_layers
+    if len(grads) != n_leaves:
+        raise ContractError(f"expected {n_leaves} gradient arrays (w0, b0, ...), got {len(grads)}")
     new_w, new_b = [], []
-    for w, b in zip(params.weights, params.biases):
-        gw, gb = grads.wrt(w), grads.wrt(b)
+    for w, b, gw, gb in zip(params.weights, params.biases, grads[0::2], grads[1::2]):
+        gw, gb = np.asarray(gw, dtype=np.float64), np.asarray(gb, dtype=np.float64)
         if gw.shape != w.shape or gb.shape != b.shape:
             raise ShapeError(
                 f"gradient shapes {gw.shape}/{gb.shape} do not match parameter shapes {w.shape}/{b.shape}"
             )
-        new_w.append(Tensor._wrap(w.data - lr * gw.data))
-        new_b.append(Tensor._wrap(b.data - lr * gb.data))
+        new_w.append(Tensor._wrap(w.data - lr * gw))
+        new_b.append(Tensor._wrap(b.data - lr * gb))
     return MlpParams(config=params.config, weights=tuple(new_w), biases=tuple(new_b))
 
 
@@ -160,7 +166,7 @@ def write_history(history: TrainHistory, path, comments: dict[str, str] | None =
             hist = rec.kappa_hist or ()
             row += [str(hist[i]) if i < len(hist) else "0" for i in range(hist_width)]
         lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def _batches(n: int, batch_size: int, perm: np.ndarray) -> Iterable[np.ndarray]:
@@ -176,6 +182,7 @@ def train(model_config: MlpConfig, dataset: Dataset, config: TrainConfig) -> tup
     weights (uniform except after the reweighted method's bootstrap
     period), then descend the weighted mean cross-entropy. Deterministic
     per seed: batch order and attack seeds all derive from one generator.
+    A non-finite batch loss raises ConfigError naming epoch and batch.
     """
     if dataset.dim != model_config.input_dim:
         raise ConfigError(
@@ -203,52 +210,38 @@ def train(model_config: MlpConfig, dataset: Dataset, config: TrainConfig) -> tup
         perm = rng.permutation(n)
         losses = []
         kappa_counts = np.zeros(inner.steps + 1, dtype=np.int64) if config.method == "gairat" else None
-        for idx in _batches(n, config.batch_size, perm):
-            xb = Tensor._wrap(points[idx].copy())
+        for batch, idx in enumerate(_batches(n, config.batch_size, perm)):
             yb = labels[idx]
             kappa = None
             if config.method == "erm":
-                x_train = xb
+                x_train = points[idx]
             else:
-                attack_seed = int(rng.integers(0, 2**63))
-                if config.method == "fat":
-                    x_train = friendly_adversarial_search(
-                        params, xb, yb, inner, config.fat_slack,
-                        domain=dataset.domain, seed=attack_seed,
-                    )
-                else:
-                    result = pgd_attack(
-                        params, xb, yb, inner, domain=dataset.domain, seed=attack_seed
-                    )
-                    kappa = result.kappa
-                    x_train = result.adversarial
-                    if config.method == "gairat" and config.gairat_crafting == "fat":
-                        # Same seed replays the same trajectory, so kappa
-                        # stays consistent with the early-stopped points.
-                        x_train = friendly_adversarial_search(
-                            params, xb, yb, inner, config.fat_slack,
-                            domain=dataset.domain, seed=attack_seed,
-                        )
-            if (
-                config.method == "gairat"
-                and epoch >= config.burn_in_epochs
-                and kappa is not None
-            ):
+                # One PGD run per batch: kappa, the max-loss points and the
+                # early-stopped points all come from the same trajectory.
+                early_stop = config.method == "fat" or (
+                    config.method == "gairat" and config.gairat_crafting == "fat"
+                )
+                run = _run_pgd(
+                    params, Tensor._wrap(points[idx]), yb, inner, dataset.domain,
+                    int(rng.integers(0, 2**63)), keep_first_trajectory=early_stop,
+                )
+                x_train = run.early_stopped(config.fat_slack) if early_stop else run.best_x
+                kappa = run.kappa
+            if config.method == "gairat" and epoch >= config.burn_in_epochs:
                 omega = compute_weights(kappa, inner.steps, config.omega_lambda).omega
             else:
                 omega = np.ones(len(yb))
-            if kappa_counts is not None and kappa is not None:
+            if kappa_counts is not None:
                 kappa_counts += np.bincount(kappa, minlength=inner.steps + 1)
 
-            tape = Tape()
-            for leaf in params.leaves():
-                tape.watch(leaf)
-            logits = forward_logits(params, x_train, tape)
-            ce = scaled_softmax_cross_entropy(logits, yb, 1.0, tape)
-            loss = weighted_mean(ce, omega, tape)
-            grads = backward(tape, loss)
-            params = sgd_step(params, grads, config.learning_rate)
-            losses.append(loss.item())
+            step = mlp_loss_and_grad(params, x_train, yb, 1.0, weights=omega)
+            if not np.isfinite(step.loss):
+                raise ConfigError(
+                    f"training diverged: non-finite loss {step.loss} at epoch {epoch}, batch {batch} "
+                    f"(learning_rate {config.learning_rate})"
+                )
+            params = sgd_step(params, step.param_grads, config.learning_rate)
+            losses.append(step.loss)
 
         nat_acc = float(np.mean(predict(params, dataset.points) == labels))
         history.append(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from robustlab.model import MlpConfig, MlpParams, forward_logits
-from robustlab.tensor import Tape, Tensor, backward, scaled_softmax_cross_entropy, sum_all
+from robustlab.tensor import Tensor, mlp_loss_and_grad, scaled_softmax_cross_entropy
 
 
 def make_params(config: MlpConfig, weights, biases) -> MlpParams:
@@ -33,19 +33,55 @@ def linear_model(weight, bias, activation="relu") -> MlpParams:
 
 def total_loss(params: MlpParams, x: Tensor, y: np.ndarray, alpha: float) -> float:
     logits = forward_logits(params, x)
-    return sum_all(scaled_softmax_cross_entropy(logits, y, alpha)).item()
+    return float(scaled_softmax_cross_entropy(logits, y, alpha).data.sum())
 
 
 def analytic_grads(params: MlpParams, x: Tensor, y: np.ndarray, alpha: float):
-    """Tape gradients of the summed loss w.r.t. every parameter and the input."""
-    tape = Tape()
-    for leaf in params.leaves():
-        tape.watch(leaf)
-    tape.watch(x)
-    logits = forward_logits(params, x, tape)
-    loss = sum_all(scaled_softmax_cross_entropy(logits, y, alpha, tape), tape)
-    grads = backward(tape, loss)
-    return [grads.wrt(leaf).data for leaf in params.leaves()] + [grads.wrt(x).data]
+    """Fused-pass gradients of the summed loss w.r.t. every parameter and the input."""
+    res = mlp_loss_and_grad(params, x.data, y, alpha, wrt=("params", "input"))
+    return list(res.param_grads) + [res.input_grad]
+
+
+def per_op_grads(params: MlpParams, x: np.ndarray, y: np.ndarray, alpha: float, weights=None):
+    """Reference reverse pass: one vector-Jacobian product per op, replayed in reverse.
+
+    Each op of linear -> activation -> ... -> scaled cross-entropy ->
+    reduction records its own VJP closure, as a general tape does. Returns
+    the parameter gradients (leaves() order), then the input gradient.
+    """
+    vjps = []  # (op kind, layer index, VJP closure) in forward order
+    h = x
+    last = params.config.num_layers - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        xd, wd = h, w.data
+        h = np.einsum("ij,jk->ik", xd, wd) + b.data
+        vjps.append(("linear", i, lambda g, xd=xd, wd=wd: (g @ wd.T, xd.T @ g, g.sum(axis=0))))
+        if i != last:
+            if params.config.activation == "relu":
+                mask = h > 0.0
+                h = np.maximum(h, 0.0)
+                vjps.append(("act", i, lambda g, mask=mask: g * mask))
+            else:
+                h = np.tanh(h)
+                vjps.append(("act", i, lambda g, od=h: g * (1.0 - od * od)))
+    shifted = alpha * (h - h.max(axis=1, keepdims=True))
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    rows = np.arange(len(y))
+    probs = np.exp(logp)
+    if weights is None:
+        g = np.full(len(y), 1.0)
+    else:
+        g = 1.0 * np.asarray(weights, dtype=np.float64) / len(y)
+    d = probs.copy()
+    d[rows, y] -= 1.0
+    g = alpha * d * g[:, None]
+    grads = [None] * (2 * params.config.num_layers)
+    for kind, i, vjp in reversed(vjps):
+        if kind == "act":
+            g = vjp(g)
+        else:
+            g, grads[2 * i], grads[2 * i + 1] = vjp(g)
+    return grads + [g]
 
 
 def _rebuild(params: MlpParams, leaf_index: int, new_array: np.ndarray) -> MlpParams:
@@ -96,7 +132,7 @@ def fd_max_rel_error(
     h: float = 1e-5,
     grad_floor: float = 1e-8,
 ) -> float:
-    """Central finite differences against tape gradients.
+    """Central finite differences against the fused pass's gradients.
 
     Returns the max relative error over every coordinate (all parameters
     plus the input) whose analytic gradient exceeds grad_floor in

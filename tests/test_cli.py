@@ -67,6 +67,21 @@ class TestUsageErrors:
         assert run("eval", "--model", str(tmp_path / "no.ckpt"),
                    "--data", str(tmp_path / "no.csv")) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--alpha-grid", "1,abc"),
+        ("sweep", "--alpha-grid", "1e-2:x:9"),
+        ("gen-data", "--kind", "blobs", "--centers", "0.3;x"),
+        ("gen-data", "--kind", "rings", "--radii", "0.5:x"),
+        ("train", "--hidden", "8,x"),
+    ], ids=["alpha-list", "alpha-range", "centers", "radii", "hidden"])
+    def test_malformed_number_exits_2_with_one_line(self, tmp_path, data_csv, ckpt, capsys, argv):
+        paths = {"sweep": ("--model", str(ckpt), "--data", str(data_csv)),
+                 "gen-data": ("--n", "20", "--out", str(tmp_path / "d.csv")),
+                 "train": ("--data", str(data_csv), "--out", str(tmp_path / "m.ckpt"))}
+        assert run(*argv, *paths[argv[0]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestTrain:
     def test_writes_checkpoint_and_history(self, ckpt):
@@ -166,6 +181,16 @@ class TestConfigFile:
         attack_kv = dict(read_report(rep).extra)["attack.pgd20"]
         assert "epsilon = 0.050000000000000003" in attack_kv
         assert "steps = 6" in attack_kv
+
+    @pytest.mark.parametrize("body, message", [
+        ("[data]\nn = 40\n[data]\nn = 50\n", "already exists"),
+        ("[data]\nkind = two-moons\nseed = 5%\n", "'%'"),
+    ], ids=["duplicate-section", "bad-interpolation"])
+    def test_malformed_config_file_exits_2(self, tmp_path, capsys, body, message):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(body)
+        assert run("gen-data", "--config", str(cfg), "--out", str(tmp_path / "d.csv")) == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert run("gen-data", "--config", str(tmp_path / "no.ini"),

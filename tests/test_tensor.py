@@ -1,24 +1,21 @@
-"""Tensor core: forward ops, the scale-aware loss, and backward."""
+"""Tensor core: forward ops, the scale-aware loss, and the fused reverse pass."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustlab.errors import ContractError, ParameterError, ShapeError
+from robustlab.model import MlpConfig, forward_logits
 from robustlab.tensor import (
-    Gradient,
-    Tape,
     Tensor,
     activation,
-    backward,
     linear,
+    mlp_loss_and_grad,
     scaled_softmax,
     scaled_softmax_cross_entropy,
-    sum_all,
-    weighted_mean,
 )
 
-from conftest import fd_max_rel_error, random_params
+from conftest import fd_max_rel_error, linear_model, make_params, per_op_grads, random_params
 
 # Frozen oracle values, computed with mpmath at 50 decimal digits.
 TANH_HALF = 0.46211715726000976
@@ -174,27 +171,44 @@ class TestSoftmaxProperties:
         assert np.argmax(probs.data[0]) == 0
 
 
+def _relu_net(w0, b0):
+    """2 -> hidden relu -> 2 net whose output layer sums the hidden units into class 0."""
+    w0 = np.asarray(w0, dtype=float)
+    hidden = w0.shape[1]
+    w1 = np.zeros((hidden, 2))
+    w1[:, 0] = 1.0
+    config = MlpConfig(layer_sizes=(w0.shape[0], hidden, 2), activation="relu")
+    return make_params(config, [w0, w1], [np.asarray(b0, dtype=float), np.zeros(2)])
+
+
 class TestBackward:
-    def test_sum_gradient_is_ones(self):
-        tape = Tape()
-        x = tape.watch(Tensor([[1.0, -2.0], [3.0, 4.0]]))
-        loss = sum_all(x, tape)
-        g = backward(tape, loss).wrt(x)
-        np.testing.assert_array_equal(g.data, np.ones((2, 2)))
+    def test_sum_gradient_is_ones(self, rng):
+        # The sum reduction gives every example upstream gradient exactly 1:
+        # the same as the weighted mean with every weight equal to n.
+        params = random_params(rng, (3, 4, 3))
+        x = rng.uniform(-1, 1, size=(5, 3))
+        y = rng.integers(0, 3, size=5)
+        both = ("params", "input")
+        summed = mlp_loss_and_grad(params, x, y, 2.0, wrt=both)
+        as_mean = mlp_loss_and_grad(params, x, y, 2.0, weights=np.full(5, 5.0), wrt=both)
+        assert summed.loss == summed.losses.sum()
+        for a, b in zip(summed.param_grads + (summed.input_grad,), as_mean.param_grads + (as_mean.input_grad,)):
+            np.testing.assert_array_equal(a, b)
 
     def test_dead_relu_unit_gets_zero_gradient(self):
-        tape = Tape()
-        x = tape.watch(Tensor([[-5.0, 2.0]]))
-        out = activation(x, "relu", tape)
-        loss = sum_all(out, tape)
-        g = backward(tape, loss).wrt(x)
-        np.testing.assert_array_equal(g.data, [[0.0, 1.0]])
+        # hidden unit 0 has pre-activation -5, unit 1 has +2
+        params = _relu_net([[1.0, 1.0]], [-6.0, 1.0])
+        res = mlp_loss_and_grad(params, np.array([[1.0]]), np.array([1]), wrt=("params", "input"))
+        gw0, gb0 = res.param_grads[:2]
+        assert gw0[0, 0] == 0.0 and gb0[0] == 0.0
+        assert gw0[0, 1] != 0.0 and gb0[1] != 0.0
 
     def test_relu_gradient_zero_at_exactly_zero(self):
-        tape = Tape()
-        x = tape.watch(Tensor([[0.0]]))
-        loss = sum_all(activation(x, "relu", tape), tape)
-        assert backward(tape, loss).wrt(x).data[0, 0] == 0.0
+        params = _relu_net([[1.0]], [-1.0])
+        res = mlp_loss_and_grad(params, np.array([[1.0]]), np.array([1]), wrt=("params", "input"))
+        assert res.param_grads[0][0, 0] == 0.0
+        assert res.param_grads[1][0] == 0.0
+        assert res.input_grad[0, 0] == 0.0
 
     @pytest.mark.parametrize("alpha", [0.01, 1.0, 10.0])
     def test_finite_differences_two_layer_mlp(self, rng, alpha):
@@ -211,75 +225,87 @@ class TestBackward:
 
     def test_backward_deterministic_bitwise(self, rng):
         params = random_params(rng, (3, 4, 2))
-        x = Tensor(rng.uniform(-1, 1, size=(5, 3)))
+        x = rng.uniform(-1, 1, size=(5, 3))
         y = rng.integers(0, 2, size=5)
 
         def run():
-            tape = Tape()
-            for leaf in params.leaves():
-                tape.watch(leaf)
-            xt = tape.watch(x)
-            from robustlab.model import forward_logits
-
-            logits = forward_logits(params, xt, tape)
-            loss = sum_all(scaled_softmax_cross_entropy(logits, y, 10.0, tape), tape)
-            g = backward(tape, loss)
-            return [g.wrt(leaf).data for leaf in params.leaves()] + [g.wrt(xt).data]
+            res = mlp_loss_and_grad(params, x, y, 10.0, wrt=("params", "input"))
+            return list(res.param_grads) + [res.input_grad]
 
         for a, b in zip(run(), run()):
             np.testing.assert_array_equal(a, b)
 
-    def test_non_scalar_loss_rejected(self):
-        tape = Tape()
-        x = tape.watch(Tensor([1.0, 2.0]))
-        with pytest.raises(ContractError):
-            backward(tape, x)
+    @pytest.mark.parametrize("act", ["relu", "tanh"])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_per_op_reverse_pass_bitwise(self, rng, act, weighted):
+        # Fusing the ops must not change a single bit of the per-op arithmetic.
+        params = random_params(rng, (3, 7, 5, 4), activation=act)
+        x = rng.uniform(-1, 1, size=(9, 3))
+        y = rng.integers(0, 4, size=9)
+        weights = rng.uniform(0.1, 2.0, size=9) if weighted else None
+        res = mlp_loss_and_grad(params, x, y, 3.0, weights=weights, wrt=("params", "input"))
+        for got, want in zip(list(res.param_grads) + [res.input_grad], per_op_grads(params, x, y, 3.0, weights)):
+            np.testing.assert_array_equal(got, want)
 
-    def test_unwatched_leaf_rejected(self):
-        tape = Tape()
-        x = Tensor([1.0])
-        loss = sum_all(x, tape)
-        g = backward(tape, loss)
-        with pytest.raises(ContractError):
-            g.wrt(x)
+    def test_gradients_asked_for_alone_are_bit_identical(self, rng):
+        params = random_params(rng, (3, 6, 3))
+        x = rng.uniform(-1, 1, size=(4, 3))
+        y = rng.integers(0, 3, size=4)
+        both = mlp_loss_and_grad(params, x, y, 2.0, wrt=("params", "input"))
+        only_input = mlp_loss_and_grad(params, x, y, 2.0, wrt=("input",))
+        only_params = mlp_loss_and_grad(params, x, y, 2.0, wrt=("params",))
+        none = mlp_loss_and_grad(params, x, y, 2.0, wrt=())
+        assert only_input.param_grads is None and only_params.input_grad is None
+        assert none.input_grad is None and none.param_grads is None
+        np.testing.assert_array_equal(only_input.input_grad, both.input_grad)
+        for a, b in zip(only_params.param_grads, both.param_grads):
+            np.testing.assert_array_equal(a, b)
+        for res in (only_input, only_params, none):
+            np.testing.assert_array_equal(res.losses, both.losses)
+            assert res.loss == both.loss
 
-    def test_unreached_watched_leaf_gets_zeros(self):
-        tape = Tape()
-        x = tape.watch(Tensor([1.0, 2.0]))
-        other = tape.watch(Tensor([[3.0, 4.0]]))
-        loss = sum_all(x, tape)
-        g = backward(tape, loss).wrt(other)
-        assert g.shape == other.shape
-        np.testing.assert_array_equal(g.data, np.zeros((1, 2)))
+    def test_logits_and_losses_match_the_forward_ops(self, rng):
+        params = random_params(rng, (3, 5, 3), activation="relu")
+        x = Tensor(rng.uniform(-1, 1, size=(6, 3)))
+        y = rng.integers(0, 3, size=6)
+        res = mlp_loss_and_grad(params, x.data, y, 0.5, wrt=())
+        logits = forward_logits(params, x)
+        np.testing.assert_array_equal(res.logits, logits.data)
+        np.testing.assert_array_equal(res.losses, scaled_softmax_cross_entropy(logits, y, 0.5).data)
+
+    def test_unknown_wrt_rejected(self, rng):
+        params = random_params(rng, (2, 2))
+        with pytest.raises(ContractError):
+            mlp_loss_and_grad(params, np.zeros((1, 2)), np.array([0]), wrt=("weights",))
+
+    def test_input_shape_checked(self, rng):
+        params = random_params(rng, (3, 2))
+        with pytest.raises(ShapeError):
+            mlp_loss_and_grad(params, np.zeros((2, 4)), np.array([0, 1]))
 
     def test_weighted_mean_gradient_linear_in_weights(self, rng):
         # doubling the weights exactly doubles the gradient (power of two,
         # so float scaling is exact)
-        x_arr = rng.standard_normal(6)
+        params = linear_model(rng.standard_normal((3, 4)), rng.standard_normal(4))
+        x = rng.standard_normal((6, 3))
+        y = rng.integers(0, 4, size=6)
         w = rng.uniform(0.1, 2.0, size=6)
 
         def grad_with(weights):
-            tape = Tape()
-            x = tape.watch(Tensor(x_arr))
-            loss = weighted_mean(x, weights, tape)
-            return backward(tape, loss).wrt(x).data
+            return mlp_loss_and_grad(params, x, y, weights=weights, wrt=("input",)).input_grad
 
         np.testing.assert_array_equal(grad_with(2.0 * w), 2.0 * grad_with(w))
-
-    def test_gradient_from_pairs_shape_check(self):
-        t = Tensor([1.0, 2.0])
-        with pytest.raises(ShapeError):
-            Gradient.from_pairs([(t, np.zeros((2, 2)))])
 
 
 class TestReductions:
     def test_weighted_mean_value(self):
-        out = weighted_mean(Tensor([1.0, 2.0, 3.0]), [1.0, 1.0, 1.0])
-        assert out.item() == pytest.approx(2.0)
+        # identity logits: losses are the closed-form 2-class cross-entropies
+        params = linear_model(np.eye(2), [0.0, 0.0])
+        x = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+        res = mlp_loss_and_grad(params, x, np.array([0, 0, 0]), weights=[1.0, 1.0, 1.0], wrt=())
+        assert res.loss == pytest.approx((LN_1P_EXP_NEG1 + np.log(2.0) + np.log1p(np.e)) / 3)
 
     def test_weighted_mean_shape_check(self):
+        params = linear_model(np.eye(2), [0.0, 0.0])
         with pytest.raises(ShapeError):
-            weighted_mean(Tensor([1.0, 2.0]), [1.0])
-
-    def test_sum_all_scalar(self):
-        assert sum_all(Tensor([[1.0, 2.0], [3.0, 4.0]])).item() == 10.0
+            mlp_loss_and_grad(params, np.zeros((2, 2)), np.array([0, 1]), weights=[1.0])

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustlab.attacks import AttackConfig
+from robustlab import training
+from robustlab.attacks import AttackConfig, friendly_adversarial_search, pgd_attack
 from robustlab.datasets import gen_gaussian_blobs, gen_two_moons
 from robustlab.errors import ConfigError, ContractError, ShapeError
 from robustlab.model import MlpConfig, init_params
-from robustlab.tensor import Gradient, Tensor
+from robustlab.tensor import Tensor, mlp_loss_and_grad
 from robustlab.training import (
     TrainConfig,
     compute_weights,
@@ -88,20 +89,17 @@ class TestComputeWeights:
 
 
 class TestSgdStep:
-    def _grads(self, params, arrays):
-        return Gradient.from_pairs(list(zip(params.leaves(), arrays)))
-
     def test_zero_gradient_keeps_params(self):
         params = init_params(MlpConfig((2, 3, 2), init_seed=1))
         zeros = [np.zeros(t.shape) for t in params.leaves()]
-        out = sgd_step(params, self._grads(params, zeros), 0.5)
+        out = sgd_step(params, zeros, 0.5)
         for a, b in zip(out.leaves(), params.leaves()):
             np.testing.assert_array_equal(a.data, b.data)
 
     def test_lr_one_gradient_theta_zeroes_params(self):
         params = init_params(MlpConfig((2, 3, 2), init_seed=1))
         gs = [t.data.copy() for t in params.leaves()]
-        out = sgd_step(params, self._grads(params, gs), 1.0)
+        out = sgd_step(params, gs, 1.0)
         for t in out.leaves():
             np.testing.assert_array_equal(t.data, np.zeros(t.shape))
 
@@ -113,23 +111,19 @@ class TestSgdStep:
         lr = 0.1
         for _ in range(100):
             g_w = 2.0 * (params.weights[0].data - target_w)
-            grads = Gradient.from_pairs(
-                [(params.weights[0], g_w), (params.biases[0], np.zeros(2))]
-            )
-            params = sgd_step(params, grads, lr)
+            params = sgd_step(params, [g_w, np.zeros(2)], lr)
         assert np.abs(params.weights[0].data - target_w).max() < 1e-6
 
     def test_unmatched_gradient_rejected(self):
         params = init_params(MlpConfig((2, 3, 2), init_seed=1))
-        other = init_params(MlpConfig((2, 4, 2), init_seed=1))
-        grads = Gradient.from_pairs([(t, np.zeros(t.shape)) for t in params.leaves()])
+        other = init_params(MlpConfig((2, 4, 4, 2), init_seed=1))
+        grads = [np.zeros(t.shape) for t in params.leaves()]
         with pytest.raises(ContractError):
             sgd_step(other, grads, 0.1)
 
     def test_shape_mismatch(self):
         params = init_params(MlpConfig((2, 3, 2), init_seed=1))
-        # hand-built gradient map with the wrong shapes
-        bad = Gradient({id(t): Tensor(np.zeros((1,))) for t in params.leaves()})
+        bad = [np.zeros((1,)) for _ in params.leaves()]
         with pytest.raises(ShapeError):
             sgd_step(params, bad, 0.1)
 
@@ -221,25 +215,65 @@ class TestTrain:
     def test_weight_scaling_scales_batch_gradient_exactly(self, moons):
         # doubling every example weight doubles the parameter gradient
         # bit-for-bit (power-of-two scaling commutes with rounding)
-        from robustlab.model import forward_logits
-        from robustlab.tensor import Tape, backward, scaled_softmax_cross_entropy, weighted_mean
-
         params = init_params(MlpConfig((2, 6, 2), init_seed=8))
-        x = moons.points
+        x = moons.points.data
         y = moons.labels
         w = np.random.default_rng(0).uniform(0.1, 2.0, size=len(y))
 
         def grads_with(weights):
-            tape = Tape()
-            for leaf in params.leaves():
-                tape.watch(leaf)
-            logits = forward_logits(params, x, tape)
-            loss = weighted_mean(scaled_softmax_cross_entropy(logits, y, 1.0, tape), weights, tape)
-            g = backward(tape, loss)
-            return [g.wrt(leaf).data for leaf in params.leaves()]
+            return mlp_loss_and_grad(params, x, y, 1.0, weights=weights).param_grads
 
         for a, b in zip(grads_with(2.0 * w), grads_with(w)):
             np.testing.assert_array_equal(a, 2.0 * b)
+
+    @pytest.mark.parametrize("crafting", ["pgd", "fat"])
+    def test_gairat_batch_points_and_kappa_match_separate_attacks(self, moons, monkeypatch, crafting):
+        # One PGD run per batch gives what pgd_attack and
+        # friendly_adversarial_search give on the same seed.
+        inner = inner_cfg(steps=4)
+        cfg = TrainConfig(method="gairat", epochs=2, batch_size=16, learning_rate=0.2, seed=4,
+                          inner_attack=inner, burn_in_epochs=0, omega_lambda=0.0, fat_slack=1,
+                          gairat_crafting=crafting)
+        seen = {"steps": [], "kappa": []}
+
+        def spy_step(params, x, y, alpha, weights=None, wrt=("params",)):
+            seen["steps"].append((params, x.copy(), np.array(y)))
+            return mlp_loss_and_grad(params, x, y, alpha, weights, wrt)
+
+        def spy_weights(kappa, steps, omega_lambda):
+            seen["kappa"].append(np.array(kappa))
+            return compute_weights(kappa, steps, omega_lambda)
+
+        monkeypatch.setattr(training, "mlp_loss_and_grad", spy_step)
+        monkeypatch.setattr(training, "compute_weights", spy_weights)
+        train(MlpConfig((2, 6, 2), init_seed=2), moons, cfg)
+        monkeypatch.undo()
+
+        # batch order and attack seeds come from one generator, in this order
+        rng = np.random.default_rng(cfg.seed)
+        batches = []
+        for _ in range(cfg.epochs):
+            perm = rng.permutation(len(moons))
+            for start in range(0, len(moons), cfg.batch_size):
+                batches.append((perm[start:start + cfg.batch_size], int(rng.integers(0, 2**63))))
+        assert len(seen["steps"]) == len(seen["kappa"]) == len(batches)
+        for (idx, seed), (params, x_train, y), kappa in zip(batches, seen["steps"], seen["kappa"]):
+            xb = Tensor(moons.points.data[idx])
+            np.testing.assert_array_equal(y, moons.labels[idx])
+            pgd = pgd_attack(params, xb, y, inner, domain=moons.domain, seed=seed)
+            np.testing.assert_array_equal(kappa, pgd.kappa)
+            if crafting == "fat":
+                want = friendly_adversarial_search(params, xb, y, inner, cfg.fat_slack,
+                                                   domain=moons.domain, seed=seed).data
+            else:
+                want = pgd.adversarial.data
+            np.testing.assert_array_equal(x_train, want)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning", "ignore:overflow:RuntimeWarning")
+    def test_divergence_names_epoch_and_batch(self, moons):
+        cfg = TrainConfig(method="erm", epochs=3, batch_size=16, learning_rate=1e200, seed=1)
+        with pytest.raises(ConfigError, match=r"non-finite loss .* at epoch 0, batch 1"):
+            train(MlpConfig((2, 6, 2), init_seed=2), moons, cfg)
 
     def test_erm_history_has_no_histogram(self, moons):
         mc = MlpConfig((2, 6, 2), init_seed=2)
