@@ -65,15 +65,7 @@ from .model import (
     predict,
     save_checkpoint,
 )
-from .tensor import (
-    LossAndGrad,
-    Tensor,
-    activation,
-    linear,
-    mlp_loss_and_grad,
-    scaled_softmax,
-    scaled_softmax_cross_entropy,
-)
+from .tensor import Tensor, scaled_softmax, scaled_softmax_cross_entropy
 from .training import (
     EpochRecord,
     TrainConfig,

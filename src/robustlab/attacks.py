@@ -15,7 +15,7 @@ import numpy as np
 
 from .datasets import DomainBox
 from .errors import CapabilityError, ContractError, ParameterError, ParseError, ShapeError
-from .model import MlpParams, predict
+from .model import MlpParams, forward_logits, predict
 from .tensor import Tensor, mlp_loss_and_grad
 
 
@@ -142,6 +142,8 @@ class AttackResult:
     kappa counts from the natural point: kappa[i] = 0 means naturally
     misclassified, kappa[i] = steps means never flipped on the first
     restart. final_correct is correctness at the returned max-loss point.
+    friendly holds the friendly-search points of the same run (see
+    `friendly_adversarial_search`) when they were asked for, else None.
     """
 
     adversarial: Tensor
@@ -149,6 +151,7 @@ class AttackResult:
     correct_trace: np.ndarray
     natural_correct: np.ndarray
     final_correct: np.ndarray
+    friendly: Tensor | None = None
 
 
 def _project(x: np.ndarray, x0: np.ndarray, epsilon: float, domain: DomainBox | None) -> np.ndarray:
@@ -170,23 +173,11 @@ def project_linf(x: Tensor, x0: Tensor, epsilon: float, domain: DomainBox | None
 
 class _PgdRun(NamedTuple):
     best_x: np.ndarray
-    best_loss: np.ndarray
+    best_correct: np.ndarray
     trace: np.ndarray
     natural_correct: np.ndarray
     kappa: np.ndarray
-    first_traj: np.ndarray | None
-
-    def early_stopped(self, slack_steps: int) -> np.ndarray:
-        """Friendly-search points; needs a run that kept its first trajectory."""
-        wrong = ~self.trace[:, 0, :]
-        flipped = wrong.any(axis=1)
-        t_first = wrong.argmax(axis=1)
-        chosen = np.minimum(t_first + int(slack_steps), self.trace.shape[2] - 1)
-        out = self.best_x.copy()
-        idx = np.nonzero(flipped)[0]
-        if idx.size:
-            out[idx] = self.first_traj[chosen[idx], idx]
-        return out
+    friendly: np.ndarray | None
 
 
 def _run_pgd(
@@ -196,8 +187,12 @@ def _run_pgd(
     config: AttackConfig,
     domain: DomainBox | None,
     seed: int,
-    keep_first_trajectory: bool = False,
+    friendly_slack: int | None = None,
 ) -> _PgdRun:
+    """One seeded PGD run; with friendly_slack it also keeps the first
+    restart's iterates and picks the friendly-search points from them."""
+    if friendly_slack is not None and int(friendly_slack) < 0:
+        raise ParameterError(f"slack_steps must be >= 0, got {friendly_slack}")
     x0d = x0.data
     if x0d.ndim != 2:
         raise ShapeError(f"attack input must be (n, d), got {x0d.shape}")
@@ -208,11 +203,14 @@ def _run_pgd(
     dom = domain if config.clip_to_domain else None
     rng = np.random.default_rng(seed)
 
-    natural_correct = predict(model, x0) == y
+    natural_correct = np.argmax(forward_logits(model, x0).data, axis=1) == y
     trace = np.zeros((n, R, T + 1), dtype=bool)
     best_loss = np.full(n, -np.inf)
     best_x = x0d.copy()
-    traj = np.empty((T + 1, n, d)) if keep_first_trajectory else None
+    # The forward pass is batch-invariant, so correctness recorded at the
+    # best iterate is what predict on the returned points gives.
+    best_correct = natural_correct.copy()
+    traj = np.empty((T + 1, n, d)) if friendly_slack is not None else None
 
     for r in range(R):
         if config.random_start:
@@ -231,6 +229,7 @@ def _run_pgd(
             if better.any():
                 best_loss = np.where(better, lvals, best_loss)
                 best_x[better] = x[better]
+                best_correct[better] = trace[better, r, t]
             if t == T:
                 break
             x = _project(x + config.step_size * np.sign(step.input_grad), x0d, eps, dom)
@@ -239,7 +238,17 @@ def _run_pgd(
     # follows the first restart's iterates.
     kappa_trace = np.concatenate([natural_correct[:, None], trace[:, 0, 1:]], axis=1)
     kappa = count_kappa(kappa_trace, T)
-    return _PgdRun(best_x, best_loss, trace, natural_correct, kappa, traj)
+    friendly = None
+    if traj is not None:
+        # Per example, the first restart's iterate friendly_slack steps after
+        # its first misclassified one; never-flipped examples keep best_x.
+        wrong = ~trace[:, 0, :]
+        chosen = np.minimum(wrong.argmax(axis=1) + int(friendly_slack), T)
+        friendly = best_x.copy()
+        idx = np.nonzero(wrong.any(axis=1))[0]
+        if idx.size:
+            friendly[idx] = traj[chosen[idx], idx]
+    return _PgdRun(best_x, best_correct, trace, natural_correct, kappa, friendly)
 
 
 def pgd_attack(
@@ -250,23 +259,25 @@ def pgd_attack(
     *,
     domain: DomainBox | None = None,
     seed: int = 0,
+    friendly_slack: int | None = None,
 ) -> AttackResult:
     """Sign-gradient PGD in the l-inf ball, batched over examples.
 
     Per restart: start at x0 (plus projected uniform noise when
     random_start), take `steps` fixed-size sign steps on the alpha-scaled
     cross-entropy, projecting after each. The returned point per example is
-    the max-loss iterate over every restart and iteration.
+    the max-loss iterate over every restart and iteration. Given
+    friendly_slack, the result also carries the points
+    `friendly_adversarial_search` with that slack returns for the same seed.
     """
-    run = _run_pgd(model, x0, np.asarray(y), config, domain, seed)
-    adversarial = Tensor._wrap(run.best_x)
-    final_correct = predict(model, adversarial) == np.asarray(y)
+    run = _run_pgd(model, x0, np.asarray(y), config, domain, seed, friendly_slack)
     return AttackResult(
-        adversarial=adversarial,
+        adversarial=Tensor._wrap(run.best_x),
         kappa=run.kappa,
         correct_trace=run.trace,
         natural_correct=run.natural_correct,
-        final_correct=final_correct,
+        final_correct=run.best_correct,
+        friendly=None if run.friendly is None else Tensor._wrap(run.friendly),
     )
 
 
@@ -304,10 +315,8 @@ def friendly_adversarial_search(
     best competing label turned positive. Examples that never flip fall
     back to the plain max-loss attack output.
     """
-    if int(slack_steps) < 0:
-        raise ParameterError(f"slack_steps must be >= 0, got {slack_steps}")
-    run = _run_pgd(model, x0, np.asarray(y), config, domain, seed, keep_first_trajectory=True)
-    return Tensor._wrap(run.early_stopped(slack_steps))
+    run = _run_pgd(model, x0, np.asarray(y), config, domain, seed, friendly_slack=slack_steps)
+    return Tensor._wrap(run.friendly)
 
 
 def pgd_plus_verdict(

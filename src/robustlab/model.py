@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -135,16 +136,25 @@ def _format_values(arr: np.ndarray) -> str:
 def write_text_atomic(path, text: str) -> None:
     """Write UTF-8 `text` to `path` so that `path` never holds a partial file.
 
-    The text goes to a fresh file in the same directory, which then replaces
-    `path` in one `os.replace`. If anything fails first, `path` keeps its
+    The text goes to a fresh file in the same directory and is flushed to
+    disk (fsync), and that file then replaces `path` in one `os.replace`.
+    After a crash, even of the operating system, `path` holds either the old
+    or the new content in full. If anything fails first, `path` keeps its
     previous content (or stays absent) and the temporary file is removed.
-    Every file writer of the package goes through here.
+    As with a plain write, a symlink at `path` is written through (its
+    target is replaced) and an existing file keeps its permission bits; a
+    new file gets mode 0o666 less the umask. Every file writer of the
+    package goes through here.
     """
-    path = Path(path)
+    path = Path(os.path.realpath(path))
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
         with open(tmp, "x", encoding="utf-8") as f:
             f.write(text)
+            f.flush()
+            os.fsync(f.fileno())
+        if path.exists():
+            os.chmod(tmp, stat.S_IMODE(path.stat().st_mode))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

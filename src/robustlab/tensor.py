@@ -1,11 +1,12 @@
 """Dense float64 tensors and one fused MLP loss-and-gradient pass.
 
-`Tensor` is the validated boundary for user data. The forward ops (affine
-layers, relu/tanh, a scale-aware softmax and cross-entropy) work on single
-tensors. `mlp_loss_and_grad` runs a whole MLP on raw arrays: one forward
-pass, the alpha-scaled cross-entropy with a sum or weighted-mean reduction,
-and one reverse pass that computes only the gradients asked for. Scope is
-deliberately the minimum an MLP robustness lab needs.
+`Tensor` is the validated boundary for user data; the scale-aware softmax
+and cross-entropy take tensors of logits. `mlp_forward` is the package's one
+MLP forward pass (affine layers, relu/tanh) and `mlp_loss_and_grad` the
+package-internal fast path on raw arrays: one forward pass, the alpha-scaled
+cross-entropy with a sum or weighted-mean reduction, and one reverse pass
+that computes only the gradients asked for. Scope is deliberately the
+minimum an MLP robustness lab needs.
 """
 from __future__ import annotations
 
@@ -93,25 +94,6 @@ def _activate(h: np.ndarray, kind: str) -> np.ndarray:
     if kind == "tanh":
         return np.tanh(h)
     raise ParameterError(f"unknown activation kind {kind!r}; expected one of {ACTIVATION_KINDS}")
-
-
-def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map: rows of `x` times `weight`, plus `bias`."""
-    xd, wd, bd = x.data, weight.data, bias.data
-    if xd.ndim != 2 or wd.ndim != 2 or bd.ndim != 1:
-        raise ShapeError(
-            f"linear expects 2-d input, 2-d weight, 1-d bias; got {xd.shape}, {wd.shape}, {bd.shape}"
-        )
-    if xd.shape[1] != wd.shape[0] or wd.shape[1] != bd.shape[0]:
-        raise ShapeError(
-            f"linear shapes do not conform: input {xd.shape} x weight {wd.shape} + bias {bd.shape}"
-        )
-    return Tensor._wrap(_affine(xd, wd, bd))
-
-
-def activation(x: Tensor, kind: str) -> Tensor:
-    """Elementwise relu or tanh."""
-    return Tensor._wrap(_activate(x.data, kind))
 
 
 def _check_alpha(alpha: float) -> float:
@@ -213,8 +195,13 @@ def mlp_loss_and_grad(
 ) -> LossAndGrad:
     """Loss of an MLP on a batch and its gradients, in one pass each way.
 
+    Package-internal: `x` must be a float64 (n, d) ndarray already known to
+    be finite (a Tensor's data or a projected PGD iterate); it is not
+    checked again here, so that the per-step cost stays low. Public callers
+    reach this pass through `pgd_attack` and `train`, which take Tensors.
+
     The per-example losses are -log softmax(alpha * logits)[label] on the
-    logits of `x` (a float64 (n, d) array). They are reduced by their sum,
+    logits of `x`. They are reduced by their sum,
     or, given per-example `weights` (constants), by
     (1/n) * sum_i weights[i] * losses[i]. `wrt` names the gradients of that
     reduced loss to compute, from GRAD_TARGETS: "input" (d loss / d x) and

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .attacks import AttackConfig, _run_pgd
+from .attacks import AttackConfig, pgd_attack
 from .datasets import Dataset
 from .errors import ConfigError, ContractError, ParameterError, ShapeError
 from .model import MlpConfig, MlpParams, init_params, predict, write_text_atomic
@@ -221,12 +221,13 @@ def train(model_config: MlpConfig, dataset: Dataset, config: TrainConfig) -> tup
                 early_stop = config.method == "fat" or (
                     config.method == "gairat" and config.gairat_crafting == "fat"
                 )
-                run = _run_pgd(
-                    params, Tensor._wrap(points[idx]), yb, inner, dataset.domain,
-                    int(rng.integers(0, 2**63)), keep_first_trajectory=early_stop,
+                res = pgd_attack(
+                    params, Tensor._wrap(points[idx]), yb, inner, domain=dataset.domain,
+                    seed=int(rng.integers(0, 2**63)),
+                    friendly_slack=config.fat_slack if early_stop else None,
                 )
-                x_train = run.early_stopped(config.fat_slack) if early_stop else run.best_x
-                kappa = run.kappa
+                x_train = (res.friendly if early_stop else res.adversarial).data
+                kappa = res.kappa
             if config.method == "gairat" and epoch >= config.burn_in_epochs:
                 omega = compute_weights(kappa, inner.steps, config.omega_lambda).omega
             else:

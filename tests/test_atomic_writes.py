@@ -1,4 +1,5 @@
 """Every file writer replaces its target atomically (model.write_text_atomic)."""
+import stat
 from dataclasses import replace
 
 import pytest
@@ -73,3 +74,35 @@ def test_replaces_existing_content(tmp_path):
     model.write_text_atomic(path, "néw\n")
     assert path.read_bytes() == "néw\n".encode("utf-8")
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_content_reaches_disk_before_the_replace(tmp_path, monkeypatch):
+    path = tmp_path / "out.txt"
+    events = []
+    real_fsync, real_replace = model.os.fsync, model.os.replace
+
+    def fsync(fd):
+        events.append(("fsync", model.os.fstat(fd).st_size))
+        real_fsync(fd)
+
+    def replace_(src, dst):
+        events.append(("replace", dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(model.os, "fsync", fsync)
+    monkeypatch.setattr(model.os, "replace", replace_)
+    model.write_text_atomic(path, "abc\n")
+    assert events == [("fsync", 4), ("replace", path)]
+
+
+def test_writes_through_a_symlink_and_keeps_the_mode(tmp_path):
+    target = tmp_path / "target.txt"
+    model.write_text_atomic(target, "old\n")
+    target.chmod(0o640)
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    model.write_text_atomic(link, "new\n")
+    assert link.is_symlink()
+    assert target.read_text() == "new\n"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "target.txt"]

@@ -187,6 +187,17 @@ class TestPgdAttack:
         # without random start, iterate 0 is the natural point
         np.testing.assert_array_equal(res.correct_trace[:, 0, 0], res.natural_correct)
 
+    @pytest.mark.parametrize("alpha", [0.01, 1.0, 100.0])
+    def test_final_correct_is_predict_at_the_returned_points(self, rng, alpha):
+        # final_correct is read off the run's trace, not recomputed
+        params = random_params(rng, (2, 8, 3), activation="relu", scale=2.0)
+        x0 = Tensor(rng.uniform(0, 1, size=(50, 2)))
+        y = rng.integers(0, 3, size=50)
+        cfg = AttackConfig(epsilon=0.1, steps=6, step_size=0.03, restarts=3, alpha=alpha, random_start=True)
+        res = pgd_attack(params, x0, y, cfg, domain=DomainBox.unit(2), seed=9)
+        np.testing.assert_array_equal(res.final_correct, predict(params, res.adversarial) == y)
+        assert res.friendly is None
+
 
 class TestKappa:
     def test_natural_misclassification_is_zero(self):
@@ -285,6 +296,21 @@ class TestFriendlySearch:
         params, x0, y, cfg = self._setup()
         with pytest.raises(ParameterError):
             friendly_adversarial_search(params, x0, y, cfg, slack_steps=-1)
+        with pytest.raises(ParameterError):
+            pgd_attack(params, x0, y, cfg, friendly_slack=-1)
+
+    @pytest.mark.parametrize("slack", [0, 2])
+    def test_pgd_attack_carries_the_same_points(self, rng, slack):
+        params = random_params(rng, (2, 8, 2), scale=2.0)
+        x0 = Tensor(rng.uniform(0, 1, size=(30, 2)))
+        y = rng.integers(0, 2, size=30)
+        cfg = AttackConfig(epsilon=0.1, steps=6, step_size=0.03, restarts=2, random_start=True)
+        res = pgd_attack(params, x0, y, cfg, domain=DomainBox.unit(2), seed=4, friendly_slack=slack)
+        plain = pgd_attack(params, x0, y, cfg, domain=DomainBox.unit(2), seed=4)
+        adv = friendly_adversarial_search(params, x0, y, cfg, slack, domain=DomainBox.unit(2), seed=4)
+        np.testing.assert_array_equal(res.friendly.data, adv.data)
+        np.testing.assert_array_equal(res.adversarial.data, plain.adversarial.data)
+        np.testing.assert_array_equal(res.kappa, plain.kappa)
 
 
 class TestPgdPlusVerdict:

@@ -8,8 +8,8 @@ from robustlab.errors import ContractError, ParameterError, ShapeError
 from robustlab.model import MlpConfig, forward_logits
 from robustlab.tensor import (
     Tensor,
-    activation,
-    linear,
+    _activate,
+    mlp_forward,
     mlp_loss_and_grad,
     scaled_softmax,
     scaled_softmax_cross_entropy,
@@ -45,14 +45,15 @@ class TestTensor:
 
 
 class TestLinear:
+    """The affine layer, read through forward_logits of a single-layer model."""
+
     def test_identity(self):
-        eye = Tensor(np.eye(2))
-        out = linear(eye, eye, Tensor([0.0, 0.0]))
+        out = forward_logits(linear_model(np.eye(2), [0.0, 0.0]), Tensor(np.eye(2)))
         np.testing.assert_array_equal(out.data, np.eye(2))
 
     def test_sum_plus_bias(self):
-        out = linear(Tensor([[1.0, 2.0]]), Tensor([[1.0], [1.0]]), Tensor([3.0]))
-        np.testing.assert_array_equal(out.data, [[6.0]])
+        out = forward_logits(linear_model([[1.0, 0.0], [1.0, 0.0]], [3.0, 0.0]), Tensor([[1.0, 2.0]]))
+        np.testing.assert_array_equal(out.data, [[6.0, 0.0]])
 
     def test_matches_triple_loop_oracle(self, rng):
         x = rng.standard_normal((4, 3))
@@ -66,36 +67,41 @@ class TestLinear:
                 for k in range(3):
                     acc += x[i, k] * w[k, j]
                 expected[i, j] = acc
-        out = linear(Tensor(x), Tensor(w), Tensor(b))
+        out = forward_logits(linear_model(w, b), Tensor(x))
         np.testing.assert_allclose(out.data, expected, rtol=0, atol=1e-14)
 
     def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 5\)"):
-            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 5))), Tensor(np.zeros(5)))
+        params = linear_model(np.zeros((2, 5)), np.zeros(5))
+        with pytest.raises(ShapeError, match=r"\(2, 3\).*input dim 2"):
+            forward_logits(params, Tensor(np.zeros((2, 3))))
 
     def test_batch_independence_is_exact(self, rng):
         x = rng.standard_normal((6, 3))
-        w, b = Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal(4))
-        full = linear(Tensor(x), w, b).data
-        rows = [linear(Tensor(x[i:i + 1]), w, b).data[0] for i in range(6)]
+        params = linear_model(rng.standard_normal((3, 4)), rng.standard_normal(4))
+        full = forward_logits(params, Tensor(x)).data
+        rows = [forward_logits(params, Tensor(x[i:i + 1])).data[0] for i in range(6)]
         np.testing.assert_array_equal(full, np.stack(rows))
+
+
+def hidden_output(kind: str, values) -> np.ndarray:
+    """The first layer's activation output for inputs `values` through a unit weight."""
+    params = make_params(MlpConfig((1, 1, 2), activation=kind), [[[1.0]], [[0.0, 0.0]]], [[0.0], [0.0, 0.0]])
+    return mlp_forward(params, np.array(values, dtype=float).reshape(-1, 1))[1].reshape(-1)
 
 
 class TestActivation:
     def test_relu_sign_cases(self):
-        out = activation(Tensor([-1.0, 0.0, 2.0]), "relu")
-        np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
+        np.testing.assert_array_equal(hidden_output("relu", [-1.0, 0.0, 2.0]), [0.0, 0.0, 2.0])
 
     def test_tanh_origin(self):
-        assert activation(Tensor([0.0]), "tanh").data[0] == 0.0
+        assert hidden_output("tanh", [0.0])[0] == 0.0
 
     def test_tanh_high_precision(self):
-        got = activation(Tensor([0.5]), "tanh").data[0]
-        assert abs(got - TANH_HALF) < 1e-12
+        assert abs(hidden_output("tanh", [0.5])[0] - TANH_HALF) < 1e-12
 
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
-            activation(Tensor([1.0]), "gelu")
+            _activate(np.array([1.0]), "gelu")
 
 
 class TestScaledCrossEntropy:

@@ -228,13 +228,17 @@ class TestTrain:
 
     @pytest.mark.parametrize("crafting", ["pgd", "fat"])
     def test_gairat_batch_points_and_kappa_match_separate_attacks(self, moons, monkeypatch, crafting):
-        # One PGD run per batch gives what pgd_attack and
+        # Exactly one PGD run per batch, and it gives what pgd_attack and
         # friendly_adversarial_search give on the same seed.
         inner = inner_cfg(steps=4)
         cfg = TrainConfig(method="gairat", epochs=2, batch_size=16, learning_rate=0.2, seed=4,
                           inner_attack=inner, burn_in_epochs=0, omega_lambda=0.0, fat_slack=1,
                           gairat_crafting=crafting)
-        seen = {"steps": [], "kappa": []}
+        seen = {"steps": [], "kappa": [], "pgd_runs": 0}
+
+        def spy_attack(*args, **kwargs):
+            seen["pgd_runs"] += 1
+            return pgd_attack(*args, **kwargs)
 
         def spy_step(params, x, y, alpha, weights=None, wrt=("params",)):
             seen["steps"].append((params, x.copy(), np.array(y)))
@@ -246,6 +250,7 @@ class TestTrain:
 
         monkeypatch.setattr(training, "mlp_loss_and_grad", spy_step)
         monkeypatch.setattr(training, "compute_weights", spy_weights)
+        monkeypatch.setattr(training, "pgd_attack", spy_attack)
         train(MlpConfig((2, 6, 2), init_seed=2), moons, cfg)
         monkeypatch.undo()
 
@@ -256,7 +261,7 @@ class TestTrain:
             perm = rng.permutation(len(moons))
             for start in range(0, len(moons), cfg.batch_size):
                 batches.append((perm[start:start + cfg.batch_size], int(rng.integers(0, 2**63))))
-        assert len(seen["steps"]) == len(seen["kappa"]) == len(batches)
+        assert len(seen["steps"]) == len(seen["kappa"]) == seen["pgd_runs"] == len(batches)
         for (idx, seed), (params, x_train, y), kappa in zip(batches, seen["steps"], seen["kappa"]):
             xb = Tensor(moons.points.data[idx])
             np.testing.assert_array_equal(y, moons.labels[idx])
