@@ -21,7 +21,7 @@ import numpy as np
 
 from .attacks import ATTACK_PRESETS, AttackConfig, brute_force_attack, pgd_attack
 from .datasets import Dataset, gen_gaussian_blobs, gen_rings, gen_two_moons, load_csv, save_csv
-from .errors import ConfigError, ParameterError, RobustlabError
+from .errors import ConfigError, ParameterError, RobustlabError, check_seed
 from .evaluate import (
     EvalReport,
     ReportRow,
@@ -72,6 +72,11 @@ def _resolve(args_value, ini: configparser.ConfigParser, section: str, key: str,
         except (ValueError, configparser.Error) as e:
             raise ConfigError(f"bad value for [{section}] {key}: {e}") from None
     return default
+
+
+def _seed(value) -> int:
+    """A resolved seed flag or INI value (default 0); negative ones are refused."""
+    return 0 if value is None else check_seed(value)
 
 
 def _print_resolved(pairs: dict[str, object]) -> None:
@@ -133,7 +138,7 @@ def cmd_gen_data(args) -> int:
     ini = _load_ini(args.config)
     kind = _resolve(args.kind, ini, "data", "kind", "two-moons")
     n = _resolve(args.n, ini, "data", "n", 1000, int)
-    seed = _resolve(args.seed, ini, "data", "seed", 0, int)
+    seed = _seed(_resolve(args.seed, ini, "data", "seed", None, int))
     noise = _resolve(args.noise, ini, "data", "noise", 0.1, float)
     out = _resolve(args.out, ini, "data", "out")
     if out is None:
@@ -171,7 +176,7 @@ def cmd_train(args) -> int:
     epochs = _resolve(args.epochs, ini, "train", "epochs", 20, int)
     batch_size = _resolve(args.batch_size, ini, "train", "batch_size", 64, int)
     lr = _resolve(args.lr, ini, "train", "learning_rate", 0.1, float)
-    seed = _resolve(args.seed, ini, "train", "seed", 0, int)
+    seed = _seed(_resolve(args.seed, ini, "train", "seed", None, int))
     hidden = _resolve(args.hidden, ini, "train", "hidden", "32,32")
     act = _resolve(args.activation, ini, "train", "activation", "relu")
     eps = _resolve(args.eps, ini, "train", "epsilon", 0.031, float)
@@ -231,7 +236,7 @@ def cmd_attack(args) -> int:
     ckpt = load_checkpoint(args.model)
     dataset = load_csv(args.data)
     name, cfg = _attack_from_args(args, ini)
-    seed = args.seed if args.seed is not None else 0
+    seed = _seed(args.seed)
     result = pgd_attack(ckpt.params, dataset.points, dataset.labels, cfg,
                         domain=dataset.domain, seed=seed)
     nat = eval_natural(ckpt.params, dataset)
@@ -258,7 +263,7 @@ def cmd_eval(args) -> int:
     dataset = load_csv(args.data)
     name, cfg = _attack_from_args(args, ini)
     verdict = args.verdict or _default_verdict(name)
-    seed = args.seed if args.seed is not None else 0
+    seed = _seed(args.seed)
     nat = eval_natural(ckpt.params, dataset)
     rob = eval_robust(ckpt.params, dataset, cfg, verdict, seed=seed)
     _print_resolved({"model": args.model, "data": args.data, "attack": name,
@@ -287,7 +292,7 @@ def cmd_sweep(args) -> int:
     dataset = load_csv(args.data)
     name, cfg = _attack_from_args(args, ini)
     verdict = args.verdict or _default_verdict(name)
-    seed = args.seed if args.seed is not None else 0
+    seed = _seed(args.seed)
     grid_text = _resolve(args.alpha_grid, ini, "sweep", "alpha_grid", None)
     sweep_cfg = SweepConfig(base_attack=cfg) if grid_text is None else SweepConfig(
         base_attack=cfg, alpha_grid=_parse_alpha_grid(grid_text)
@@ -320,8 +325,11 @@ def cmd_oracle_check(args) -> int:
     dataset = load_csv(args.data)
     eps = args.eps if args.eps is not None else 0.1
     grid = args.grid if args.grid is not None else 51
-    limit = min(args.limit if args.limit is not None else 20, len(dataset))
-    seed = args.seed if args.seed is not None else 0
+    limit = args.limit if args.limit is not None else 20
+    if limit < 0:
+        raise ParameterError(f"--limit must be >= 0, got {limit}")
+    limit = min(limit, len(dataset))
+    seed = _seed(args.seed)
     attack = AttackConfig(epsilon=eps, steps=50, step_size=eps / 10, restarts=5,
                           random_start=True, clip_to_domain=True)
     _print_resolved({"model": args.model, "data": args.data, "epsilon": eps,

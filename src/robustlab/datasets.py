@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError, ParseError, SchemaError, ShapeError
+from .errors import ParameterError, ParseError, SchemaError, ShapeError, check_seed
 from .model import FLOAT_FMT, write_text_atomic
 from .tensor import Tensor
 
@@ -114,7 +114,7 @@ def split_dataset(dataset: Dataset, n_first: int, seed: int) -> tuple[Dataset, D
     n = len(dataset)
     if not 0 < n_first < n:
         raise ParameterError(f"n_first must be in (0, {n}), got {n_first}")
-    perm = np.random.default_rng(seed).permutation(n)
+    perm = np.random.default_rng(check_seed(seed)).permutation(n)
     return dataset.take(perm[:n_first]), dataset.take(perm[n_first:])
 
 
@@ -152,7 +152,7 @@ def gen_two_moons(n: int, noise_sigma: float, seed: int) -> Dataset:
         raise ParameterError(f"two moons needs a positive even n, got {n}")
     if noise_sigma < 0:
         raise ParameterError("noise_sigma must be >= 0")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     half = n // 2
     t0 = rng.uniform(0.0, math.pi, half)
     t1 = rng.uniform(0.0, math.pi, half)
@@ -192,7 +192,7 @@ def gen_gaussian_blobs(n: int, centers: Sequence[Sequence[float]], sigma: float,
         raise ParameterError(f"n must be a positive multiple of the {k} centers, got {n}")
     if sigma < 0:
         raise ParameterError("sigma must be >= 0")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     per = n // k
     pts = np.repeat(ctr, per, axis=0) + sigma * rng.standard_normal((n, dim))
     meta = {
@@ -221,7 +221,7 @@ def gen_rings(n: int, radii: tuple[float, float], noise_sigma: float, seed: int)
         raise ParameterError(f"rings needs a positive even n, got {n}")
     if noise_sigma < 0:
         raise ParameterError("noise_sigma must be >= 0")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     half = n // 2
     theta0 = rng.uniform(0.0, 2.0 * math.pi, half)
     theta1 = rng.uniform(0.0, 2.0 * math.pi, half)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the seed check every seeded entry uses."""
 
 
 class RobustlabError(Exception):
@@ -47,3 +47,10 @@ class ParseError(RobustlabError, ValueError):
         super().__init__(message)
         self.line = line
         self.offset = offset
+
+
+def check_seed(seed, error: type[RobustlabError] = ParameterError):
+    """Return `seed`; a negative one, which numpy's generators refuse, raises `error`."""
+    if seed < 0:
+        raise error(f"seed must be >= 0, got {seed}")
+    return seed

@@ -16,7 +16,7 @@ import numpy as np
 
 from .attacks import AttackConfig, pgd_attack
 from .datasets import Dataset
-from .errors import ConfigError, ContractError, ParameterError, ShapeError
+from .errors import ConfigError, ContractError, ParameterError, ShapeError, check_seed
 from .model import MlpConfig, MlpParams, init_params, predict, write_text_atomic
 from .tensor import Tensor, mlp_loss_and_grad
 
@@ -62,6 +62,7 @@ class TrainConfig:
             raise ConfigError("gairat needs omega_lambda (the weight-shape parameter)")
         if self.fat_slack < 0:
             raise ConfigError(f"fat_slack must be >= 0, got {self.fat_slack}")
+        check_seed(self.seed, ConfigError)
         if self.gairat_crafting not in ("pgd", "fat"):
             raise ConfigError(f"gairat_crafting must be 'pgd' or 'fat', got {self.gairat_crafting!r}")
 

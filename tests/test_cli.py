@@ -82,6 +82,20 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["gen-data", "attack", "eval", "sweep", "oracle-check"])
+    def test_negative_seed_exits_2_with_one_line(self, tmp_path, data_csv, ckpt, capsys, command):
+        paths = ("--n", "20", "--out", str(tmp_path / "d.csv")) if command == "gen-data" else (
+            "--model", str(ckpt), "--data", str(data_csv))
+        assert run(command, *paths, "--seed", "-1") == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+    def test_negative_seed_in_config_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[data]\nkind = two-moons\nn = 20\nseed = -3\n")
+        assert run("gen-data", "--config", str(cfg), "--out", str(tmp_path / "d.csv")) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -3\n"
+        assert not (tmp_path / "d.csv").exists()
+
 
 class TestTrain:
     def test_writes_checkpoint_and_history(self, ckpt):
@@ -154,6 +168,12 @@ class TestOracleCheck:
         out = capsys.readouterr().out
         assert "violations = 0 / 5" in out
         assert code == 0
+
+    def test_negative_limit_exits_2(self, data_csv, ckpt, capsys):
+        assert run("oracle-check", "--model", str(ckpt), "--data", str(data_csv), "--limit", "-1") == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --limit must be >= 0, got -1\n"
+        assert "violations" not in captured.out
 
 
 class TestConfigFile:

@@ -147,6 +147,20 @@ class TestGeneratorContracts:
         np.testing.assert_array_equal(a.labels, b.labels)
         assert not np.array_equal(a.points.data, c.points.data)
 
+    @pytest.mark.parametrize(
+        "gen",
+        [
+            lambda seed: gen_two_moons(4, 0.15, seed),
+            lambda seed: gen_gaussian_blobs(4, [[0.2, 0.2], [0.8, 0.8]], 0.1, seed),
+            lambda seed: gen_rings(4, (0.4, 0.9), 0.05, seed),
+            lambda seed: split_dataset(gen_two_moons(4, 0.15, 0), 2, seed),
+        ],
+        ids=["moons", "blobs", "rings", "split"],
+    )
+    def test_negative_seed_rejected(self, gen):
+        with pytest.raises(ParameterError, match="seed must be >= 0"):
+            gen(-1)
+
     def test_split_dataset(self):
         ds = gen_two_moons(100, 0.1, seed=1)
         train, test = split_dataset(ds, 70, seed=2)

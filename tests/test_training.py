@@ -147,6 +147,10 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(method="trades", epochs=1, batch_size=8, learning_rate=0.1)
 
+    def test_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            TrainConfig(method="erm", epochs=1, batch_size=8, learning_rate=0.1, seed=-1)
+
 
 @pytest.fixture(scope="module")
 def moons():
