@@ -2,10 +2,9 @@
 
 The PGD loop records, for every example, a full prediction-correctness
 trace plus the number of iterations survived before the first label flip
-(`kappa`). Downstream consumers: instance-reweighted training reads kappa
-and plain robust accuracy reads the returned max-loss points. The
-all-iterates verdict runs the same iterates in its own loop, which drops
-each example once its verdict is settled.
+(`kappa`). Downstream consumers: instance-reweighted training reads kappa,
+the all-iterates verdict reads the trace, and plain robust accuracy reads
+the returned max-loss points.
 """
 from __future__ import annotations
 
@@ -181,22 +180,6 @@ class _PgdRun(NamedTuple):
     friendly: np.ndarray | None
 
 
-def _start(x0d: np.ndarray, config: AttackConfig, domain: DomainBox | None, rng) -> np.ndarray:
-    """A restart's first iterate: x0, plus projected uniform noise when
-    random_start. Draws the full (n, d) noise, so the generator's state
-    after a restart does not depend on which rows are used."""
-    if not config.random_start:
-        return x0d.copy()
-    eps = config.epsilon
-    return _project(x0d + rng.uniform(-eps, eps, size=x0d.shape), x0d, eps, domain)
-
-
-def _step(x: np.ndarray, input_grad: np.ndarray, x0d: np.ndarray, config: AttackConfig,
-          domain: DomainBox | None) -> np.ndarray:
-    """One sign-gradient ascent step, projected back into the ball and domain."""
-    return _project(x + config.step_size * np.sign(input_grad), x0d, config.epsilon, domain)
-
-
 def _run_pgd(
     model: MlpParams,
     x0: Tensor,
@@ -210,14 +193,15 @@ def _run_pgd(
     restart's iterates and picks the friendly-search points from them."""
     if friendly_slack is not None and int(friendly_slack) < 0:
         raise ParameterError(f"slack_steps must be >= 0, got {friendly_slack}")
-    rng = np.random.default_rng(check_seed(seed))
     x0d = x0.data
     if x0d.ndim != 2:
         raise ShapeError(f"attack input must be (n, d), got {x0d.shape}")
     n, d = x0d.shape
     y = np.asarray(y)
     T, R = config.steps, config.restarts
+    eps = config.epsilon
     dom = domain if config.clip_to_domain else None
+    rng = np.random.default_rng(check_seed(seed))
 
     natural_correct = np.argmax(forward_logits(model, x0).data, axis=1) == y
     trace = np.zeros((n, R, T + 1), dtype=bool)
@@ -229,7 +213,10 @@ def _run_pgd(
     traj = np.empty((T + 1, n, d)) if friendly_slack is not None else None
 
     for r in range(R):
-        x = _start(x0d, config, dom, rng)
+        if config.random_start:
+            x = _project(x0d + rng.uniform(-eps, eps, size=(n, d)), x0d, eps, dom)
+        else:
+            x = x0d.copy()
         for t in range(T + 1):
             if traj is not None and r == 0:
                 traj[t] = x
@@ -245,7 +232,7 @@ def _run_pgd(
                 best_correct[better] = trace[better, r, t]
             if t == T:
                 break
-            x = _step(x, step.input_grad, x0d, config, dom)
+            x = _project(x + config.step_size * np.sign(step.input_grad), x0d, eps, dom)
 
     # kappa counts from the natural point regardless of random starts, then
     # follows the first restart's iterates.
@@ -344,40 +331,9 @@ def pgd_plus_verdict(
     """All-iterates verdict: robust-correct iff correct at the natural point
     and at every post-step iterate of every restart (restarts x steps
     checks; 200 under the 40x5 configuration). One flip anywhere loses.
-
-    A settled example is not attacked again: each restart runs only on the
-    examples still correct everywhere so far, and the run stops once none
-    is. Each restart still draws its full noise first, so every example
-    that is attacked follows the same iterates as in `pgd_attack` with the
-    same seed, and the verdict equals the one read off that full run's
-    trace.
     """
-    rng = np.random.default_rng(check_seed(seed))
-    x0d, y = x0.data, np.asarray(y)
-    dom = domain if config.clip_to_domain else None
-    # The natural pass checks the input's shape and the labels, even when
-    # no example is attacked.
-    ok = np.argmax(mlp_loss_and_grad(model, x0d, y, config.alpha, wrt=()).logits, axis=1) == y
-    for _ in range(config.restarts):
-        if not ok.any():
-            break
-        start = _start(x0d, config, dom, rng)
-        rows = np.flatnonzero(ok)
-        if rows.size == 1 and ok.size > 1:
-            # BLAS takes a different kernel (gemv) for a 1-row input
-            # gradient, whose last bits differ from the same row's in a
-            # larger batch; a settled row rides along, and its result is
-            # ignored because ok only ever goes from True to False.
-            rows = np.union1d(rows, [1 if rows[0] == 0 else 0])
-        x, x0r, yr = start[rows], x0d[rows], y[rows]
-        held = np.ones(rows.size, dtype=bool)
-        step = mlp_loss_and_grad(model, x, yr, config.alpha, wrt=("input",))
-        for t in range(1, config.steps + 1):
-            x = _step(x, step.input_grad, x0r, config, dom)
-            step = mlp_loss_and_grad(model, x, yr, config.alpha, wrt=("input",) if t < config.steps else ())
-            held &= np.argmax(step.logits, axis=1) == yr
-        ok[rows] &= held
-    return ok
+    res = pgd_attack(model, x0, y, config, domain=domain, seed=seed)
+    return res.natural_correct & res.correct_trace[:, :, 1:].all(axis=(1, 2))
 
 
 def brute_force_attack(

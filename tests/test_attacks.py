@@ -17,10 +17,10 @@ from robustlab.attacks import (
 )
 from robustlab.datasets import DomainBox
 from robustlab.errors import CapabilityError, ContractError, ParameterError, ParseError, ShapeError
-from robustlab.model import MlpConfig, predict
+from robustlab.model import predict
 from robustlab.tensor import Tensor, mlp_loss_and_grad
 
-from conftest import linear_model, make_params, random_params
+from conftest import linear_model, random_params
 
 
 def scaled_ce_input_grad(x, w, b, y, alpha):
@@ -314,22 +314,6 @@ class TestFriendlySearch:
         np.testing.assert_array_equal(res.kappa, plain.kappa)
 
 
-def centred_model(activation: str):
-    """Two-layer, three-class model whose class boundaries cross the unit square."""
-    rng = np.random.default_rng(11)
-    w0 = 4.0 * rng.standard_normal((2, 8))
-    b0 = -np.array([0.5, 0.5]) @ w0 + 0.5 * rng.standard_normal(8)
-    w1 = rng.standard_normal((8, 3))
-    return make_params(MlpConfig(layer_sizes=(2, 8, 3), activation=activation), [w0, w1], [b0, np.zeros(3)])
-
-
-def open_after_each_restart(res) -> np.ndarray:
-    """(n, R): correct at the natural point and at every post-step iterate
-    of restarts 0..r, read off a full run's trace."""
-    held = np.logical_and.accumulate(res.correct_trace[:, :, 1:].all(axis=2), axis=1)
-    return res.natural_correct[:, None] & held
-
-
 class TestPgdPlusVerdict:
     def test_all_correct_is_robust(self):
         params = linear_model(np.array([[2.0, -2.0], [-2.0, 2.0]]), [0.0, 0.0])
@@ -354,55 +338,6 @@ class TestPgdPlusVerdict:
         y = np.array([0])
         cfg = AttackConfig(epsilon=0.01, steps=3, step_size=0.005, restarts=1, random_start=True)
         assert not pgd_plus_verdict(params, x0, y, cfg, domain=DomainBox.unit(2), seed=0)[0]
-
-    @pytest.mark.parametrize("clip", [False, True], ids=["noclip", "clip"])
-    @pytest.mark.parametrize("random_start", [False, True], ids=["x0", "rand"])
-    @pytest.mark.parametrize("alpha", [0.01, 1.0, 100.0])
-    @pytest.mark.parametrize("act", ["relu", "tanh"])
-    def test_equals_the_verdict_read_off_the_full_run(self, monkeypatch, act, alpha, random_start, clip):
-        # The verdict attacks only the rows still open and returns once none
-        # is; it must equal the one read off pgd_attack's full trace, bit
-        # for bit. Batches: (a) every row settles before the last restart,
-        # (b) exactly one row is open going into a later restart, (c) n = 1,
-        # (d) 200 rows, enough that the start noise and the last step decide
-        # some verdicts.
-        params = centred_model(act)
-        cfg = AttackConfig(epsilon=0.2, steps=6, step_size=0.07, restarts=3, alpha=alpha,
-                           random_start=random_start, clip_to_domain=clip)
-        unit = DomainBox.unit(2)
-        pass_rows = []
-
-        def recording(model, x, *args, **kwargs):
-            pass_rows.append(len(x))
-            return mlp_loss_and_grad(model, x, *args, **kwargs)
-
-        monkeypatch.setattr(attacks, "mlp_loss_and_grad", recording)
-
-        def verdict_passes(n, wanted):
-            # The first batch in a fixed sequence whose full run shows `wanted`.
-            for k in range(100):
-                x = Tensor(np.random.default_rng(k).uniform(0, 1, size=(n, 2)))
-                y = predict(params, x)
-                if n > 1:
-                    y[0] = (y[0] + 1) % 3  # one naturally misclassified row
-                res = pgd_attack(params, x, y, cfg, domain=unit, seed=k)
-                if wanted(open_after_each_restart(res)):
-                    break
-            else:
-                pytest.fail(f"no batch of {n} shows the wanted case")
-            pass_rows.clear()
-            got = pgd_plus_verdict(params, x, y, cfg, domain=unit, seed=k)
-            np.testing.assert_array_equal(got, res.natural_correct & res.correct_trace[:, :, 1:].all(axis=(1, 2)))
-            return list(pass_rows)
-
-        full_run = 1 + cfg.restarts * (cfg.steps + 1)  # the natural pass, then T + 1 per restart
-        early = verdict_passes(4, lambda open_: not open_[:, -2].any())
-        assert len(early) < full_run
-        one_open = verdict_passes(5, lambda open_: (open_[:, :-1].sum(axis=0) == 1).any())
-        assert 2 in one_open and 1 not in one_open  # the open row rides with a settled one
-        single = verdict_passes(1, lambda open_: open_[0, -1])
-        assert set(single) == {1} and len(single) == full_run
-        verdict_passes(200, lambda open_: True)
 
     @pytest.mark.parametrize("entry", ["pgd_attack", "pgd_plus_verdict", "friendly_adversarial_search"])
     def test_negative_seed_rejected(self, entry):

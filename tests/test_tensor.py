@@ -172,6 +172,20 @@ class TestSoftmaxProperties:
                 probs = scaled_softmax(Tensor(logits), alpha)
                 assert np.argmax(probs.data[0]) == np.argmax(logits[0])
 
+    def test_ties_and_signed_zeros_keep_the_axis_max_bits(self):
+        # The row max is a running maximum over the columns; with equal
+        # entries and zeros of both signs it must give the bits that
+        # max(axis=1) gives.
+        z = np.array([[0.0, -0.0, -1.0], [-0.0, 0.0, 0.0], [2.0, 2.0, -0.0], [-3.0, -3.0, -3.0], [-0.0, -7.5, 1e-300]])
+        for alpha in (0.01, 1.0, 100.0):
+            shifted = alpha * (z - z.max(axis=1, keepdims=True))
+            logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+            np.testing.assert_array_equal(scaled_softmax(Tensor(z), alpha).data, np.exp(logp))
+            for label in range(3):
+                y = np.full(len(z), label)
+                got = scaled_softmax_cross_entropy(Tensor(z), y, alpha).data
+                np.testing.assert_array_equal(got.view(np.uint64), (-logp[:, label]).view(np.uint64))
+
     def test_tie_resolution_lowest_index(self):
         probs = scaled_softmax(Tensor([[3.0, 3.0, 1.0]]), 1.0)
         assert np.argmax(probs.data[0]) == 0
@@ -253,6 +267,31 @@ class TestBackward:
         for got, want in zip(list(res.param_grads) + [res.input_grad], per_op_grads(params, x, y, 3.0, weights)):
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("n", [1, 2, 801])
+    @pytest.mark.parametrize("act", ["relu", "tanh"])
+    @pytest.mark.parametrize("sizes", [(2, 16, 16, 4), (24, 1, 5, 2), (1, 9, 10)], ids=["readme", "width1", "10class"])
+    def test_matches_per_op_pass_at_every_width_and_batch(self, rng, sizes, act, n):
+        # The fused forward pass runs einsum on Fortran-ordered operands (a
+        # width-1 layer on C-ordered ones) and takes the row max column by
+        # column; logits, losses and gradients must keep the bits of the
+        # C-ordered einsum and the axis-1 max at every width and batch size.
+        params = random_params(rng, sizes, activation=act)
+        x = rng.uniform(-1, 1, size=(n, sizes[0]))
+        x[0, 0] = 0.0
+        y = rng.integers(0, sizes[-1], size=n)
+        res = mlp_loss_and_grad(params, x, y, 3.0, wrt=("params", "input"))
+        h = x
+        for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+            h = np.einsum("ij,jk->ik", h, w.data) + b.data
+            if i < len(sizes) - 2:
+                h = np.maximum(h, 0.0) if act == "relu" else np.tanh(h)
+        shifted = 3.0 * (h - h.max(axis=1, keepdims=True))
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        np.testing.assert_array_equal(res.logits, h)
+        np.testing.assert_array_equal(res.losses, -logp[np.arange(n), y])
+        for got, want in zip(list(res.param_grads) + [res.input_grad], per_op_grads(params, x, y, 3.0)):
+            np.testing.assert_array_equal(got, want)
+
     def test_gradients_asked_for_alone_are_bit_identical(self, rng):
         params = random_params(rng, (3, 6, 3))
         x = rng.uniform(-1, 1, size=(4, 3))
@@ -282,7 +321,7 @@ class TestBackward:
     @pytest.mark.parametrize("act", ["relu", "tanh"])
     @pytest.mark.parametrize("n", [64, 800, 4000])
     def test_input_gradient_of_a_row_subset_is_bit_identical(self, rng, act, n):
-        # pgd_plus_verdict attacks only the rows still open and relies on
+        # Attacking only some rows of a batch (ROADMAP item 3) relies on
         # this, at the README model's shapes and the sweeps' batch sizes.
         # 1-row batches are not pinned: BLAS takes gemv there, whose last
         # bits differ; a batch-invariant reverse kernel (ROADMAP item 2)
