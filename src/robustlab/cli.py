@@ -5,8 +5,8 @@ Exit codes: 0 success, 1 usage error, 2 data/config error. Every run prints
 its fully resolved configuration as `# key = value` lines so results can be
 reproduced from the log alone. Values may come from an INI-style experiment
 config file (sections [data], [train], [attack.<name>], [sweep]); explicit
-command-line flags always win. If ROBUSTLAB_OUT is set, relative output
-paths land inside it.
+command-line flags always win, and a key its section does not define is
+refused. If ROBUSTLAB_OUT is set, relative output paths land inside it.
 """
 from __future__ import annotations
 
@@ -16,27 +16,18 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .attacks import ATTACK_PRESETS, AttackConfig, brute_force_attack, pgd_attack
 from .datasets import Dataset, gen_gaussian_blobs, gen_rings, gen_two_moons, load_csv, save_csv
 from .errors import ConfigError, ParameterError, RobustlabError, check_seed
-from .evaluate import (
-    EvalReport,
-    ReportRow,
-    SweepConfig,
-    alpha_sweep,
-    dataset_sha256,
-    eval_natural,
-    eval_robust,
-    file_sha256,
-    read_report,
-    write_report,
-)
+from .evaluate import (EvalReport, ReportRow, SweepConfig, alpha_sweep, dataset_sha256, eval_natural,
+                       eval_robust, file_sha256, read_report, write_report)
 from .model import MlpConfig, load_checkpoint, save_checkpoint
-from .tensor import Tensor
-from .training import TrainConfig, train, write_history
+from .tensor import ACTIVATION_KINDS, Tensor
+from .training import TRAIN_METHODS, TrainConfig, train, write_history
 
 _USAGE_ERROR, _DATA_ERROR = 1, 2
 
@@ -50,33 +41,107 @@ def _out_path(p: str) -> Path:
     return path
 
 
+class _Setting(NamedTuple):
+    flag: str
+    type: Callable[[str], object] = str
+    default: object = None
+    help: str = ""
+    choices: tuple[str, ...] | None = None
+
+
+# Every INI-backed setting, once, by INI section. The key is both the INI key
+# and the argparse dest; INI text is cast with the same `type` as the flag.
+# `[attack.<preset>]` is read with the "attack" entries. A None default is
+# filled in by the command: derived from other settings, or the preset's own.
+_SETTINGS: dict[str, dict[str, _Setting]] = {
+    "data": {
+        "kind": _Setting("--kind", default="two-moons", choices=("two-moons", "blobs", "rings")),
+        "n": _Setting("--n", int, 1000),
+        "seed": _Setting("--seed", int, 0),
+        "noise": _Setting("--noise", float, 0.1, "noise sigma (blobs: cluster sigma)"),
+        "centers": _Setting("--centers", str, "0.25:0.25;0.75:0.75", "blobs centers"),
+        "radii": _Setting("--radii", str, "0.5:1.0", "rings radii, inner:outer"),
+        "out": _Setting("--out", help="dataset CSV path"),
+    },
+    "train": {
+        "data": _Setting("--data", help="dataset CSV path"),
+        "method": _Setting("--method", default="at", choices=TRAIN_METHODS),
+        "epochs": _Setting("--epochs", int, 20),
+        "batch_size": _Setting("--batch-size", int, 64),
+        "learning_rate": _Setting("--lr", float, 0.1),
+        "seed": _Setting("--seed", int, 0),
+        "hidden": _Setting("--hidden", str, "32,32", "hidden widths"),
+        "activation": _Setting("--activation", default="relu", choices=ACTIVATION_KINDS),
+        "epsilon": _Setting("--eps", float, 0.031),
+        "inner_steps": _Setting("--inner-steps", int, 10),
+        "inner_step_size": _Setting("--inner-step-size", float, help="default epsilon / 4"),
+        "burn_in": _Setting("--burn-in", int, help="gairat bootstrap epochs; default round(0.3 * epochs)"),
+        "omega_lambda": _Setting("--omega-lambda", float, 0.0),
+        "fat_slack": _Setting("--fat-slack", int, 0),
+        "out": _Setting("--out", help="checkpoint path"),
+    },
+    "sweep": {
+        "attack": _Setting("--attack", default="pgd20", choices=tuple(sorted(ATTACK_PRESETS))),
+        "alpha_grid": _Setting("--alpha-grid", help="lo:hi:count (log-spaced) or comma list"),
+    },
+    "attack": {
+        "epsilon": _Setting("--eps", float, 0.031),
+        "steps": _Setting("--steps", int, help="default the preset's"),
+        "step_size": _Setting("--step-size", float, help="default the preset's"),
+        "restarts": _Setting("--restarts", int, help="default the preset's"),
+        "alpha": _Setting("--alpha", float, help="logit scale; default the preset's"),
+    },
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, table: str, keys=None) -> None:
+    """Register the flags of `_SETTINGS[table]` (or of `keys` only); help names the INI key."""
+    section = "attack.<preset>" if table == "attack" else table
+    for key, s in _SETTINGS[table].items():
+        if keys is None or key in keys:
+            default = None if s.default is None else f"default {s.default}"
+            p.add_argument(s.flag, dest=key, type=s.type, choices=s.choices,
+                           help="; ".join(filter(None, (s.help, default, f"INI [{section}] {key}"))))
+
+
 def _load_ini(path: str | None) -> configparser.ConfigParser:
     ini = configparser.ConfigParser()
     if path:
-        if not Path(path).exists():
-            raise ConfigError(f"config file not found: {path}")
         try:
-            ini.read(path)
-        except configparser.Error as e:
-            raise ConfigError(f"bad config file {path}: {e}") from None
+            with open(path, encoding="utf-8") as f:
+                ini.read_file(f)
+        except OSError as e:
+            raise ConfigError(f"cannot read config file {path}: {e.strerror}") from None
+        except (UnicodeDecodeError, configparser.Error) as e:
+            raise ConfigError(f"bad config file {path}: {' '.join(str(e).split())}") from None
     return ini
 
 
-def _resolve(args_value, ini: configparser.ConfigParser, section: str, key: str, default=None, cast=str):
-    """CLI flag > config file entry > built-in default."""
-    if args_value is not None:
-        return args_value
-    if ini.has_option(section, key):
-        try:
-            return cast(ini.get(section, key))
-        except (ValueError, configparser.Error) as e:
-            raise ConfigError(f"bad value for [{section}] {key}: {e}") from None
-    return default
+def _settings(args, ini: configparser.ConfigParser, section: str, table: str | None = None):
+    """Each setting of `_SETTINGS[table or section]`: flag > `[section]` entry > default.
 
-
-def _seed(value) -> int:
-    """A resolved seed flag or INI value (default 0); negative ones are refused."""
-    return 0 if value is None else check_seed(value)
+    Every entry written in `[section]` is cast and checked, even under a
+    flag; a key the table lacks is refused. Keys that `[section]` only
+    inherits from `[DEFAULT]` are not checked.
+    """
+    settings = _SETTINGS[table or section]
+    if ini.has_section(section):
+        unknown = sorted(set(ini.options(section)) - set(ini.defaults()) - set(settings))
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r} in [{section}]; known keys: {', '.join(settings)}")
+    resolved = argparse.Namespace()
+    for key, s in settings.items():
+        value = s.default
+        if ini.has_option(section, key):
+            try:
+                value = s.type(ini.get(section, key))
+            except (ValueError, configparser.Error) as e:
+                raise ConfigError(f"bad value for [{section}] {key}: {e}") from None
+            if s.choices and value not in s.choices:
+                raise ConfigError(f"bad value for [{section}] {key}: {value!r} is not one of {', '.join(s.choices)}")
+        flag = getattr(args, key, None)
+        setattr(resolved, key, value if flag is None else flag)
+    return resolved
 
 
 def _print_resolved(pairs: dict[str, object]) -> None:
@@ -108,26 +173,19 @@ def _parse_alpha_grid(text: str) -> tuple[float, ...]:
     return tuple(_numbers(text, ",", "alpha grid"))
 
 
-def _attack_from_args(args, ini) -> tuple[str, AttackConfig]:
-    name = _resolve(args.attack, ini, "sweep", "attack", "pgd20")
-    if name not in ATTACK_PRESETS:
-        raise ConfigError(f"unknown attack preset {name!r}; expected one of {sorted(ATTACK_PRESETS)}")
-    section = f"attack.{name}"
-    eps = _resolve(args.eps, ini, section, "epsilon", 0.031, float)
-    cfg = ATTACK_PRESETS[name](epsilon=eps)
-    # Per-field overrides: config file first, then explicit flags.
-    updates = {}
-    for field_name, cast in (("steps", int), ("step_size", float), ("restarts", int), ("alpha", float)):
-        file_val = _resolve(None, ini, section, field_name, None, cast)
-        if file_val is not None:
-            updates[field_name] = file_val
-    for field_name in ("steps", "step_size", "restarts", "alpha"):
-        flag_val = getattr(args, field_name, None)
-        if flag_val is not None:
-            updates[field_name] = flag_val
-    if updates:
-        cfg = replace(cfg, **updates)
-    return name, cfg
+def _attack_setup(args):
+    """What attack, eval and sweep share: the checkpoint, the dataset, `[sweep]`,
+    the attack (the preset, then `[attack.<preset>]` and flags over its fields)
+    and the seed.
+    """
+    ini = _load_ini(args.config)
+    ckpt = load_checkpoint(args.model)
+    dataset = load_csv(args.data)
+    sweep = _settings(args, ini, "sweep")
+    fields = vars(_settings(args, ini, f"attack.{sweep.attack}", "attack"))
+    cfg = ATTACK_PRESETS[sweep.attack](epsilon=fields.pop("epsilon"))
+    cfg = replace(cfg, **{k: v for k, v in fields.items() if v is not None})
+    return ckpt, dataset, sweep, cfg, check_seed(args.seed)
 
 
 def _default_verdict(attack_name: str) -> str:
@@ -135,89 +193,65 @@ def _default_verdict(attack_name: str) -> str:
 
 
 def cmd_gen_data(args) -> int:
-    ini = _load_ini(args.config)
-    kind = _resolve(args.kind, ini, "data", "kind", "two-moons")
-    n = _resolve(args.n, ini, "data", "n", 1000, int)
-    seed = _seed(_resolve(args.seed, ini, "data", "seed", None, int))
-    noise = _resolve(args.noise, ini, "data", "noise", 0.1, float)
-    out = _resolve(args.out, ini, "data", "out")
-    if out is None:
+    d = _settings(args, _load_ini(args.config), "data")
+    seed = check_seed(d.seed)
+    if d.out is None:
         raise ConfigError("gen-data needs --out")
-    if kind == "two-moons":
-        ds = gen_two_moons(n, noise, seed)
-    elif kind == "blobs":
-        centers_text = _resolve(args.centers, ini, "data", "centers", "0.25:0.25;0.75:0.75")
-        centers = [_numbers(c, ":", "blob center coordinates") for c in centers_text.split(";")]
-        ds = gen_gaussian_blobs(n, centers, noise, seed)
-    elif kind == "rings":
-        radii_text = _resolve(args.radii, ini, "data", "radii", "0.5:1.0")
-        r = tuple(_numbers(radii_text, ":", "radii"))
-        if len(r) != 2:
-            raise ConfigError(f"radii must be inner:outer, got {radii_text!r}")
-        ds = gen_rings(n, r, noise, seed)
+    if d.kind == "two-moons":
+        ds = gen_two_moons(d.n, d.noise, seed)
+    elif d.kind == "blobs":
+        centers = [_numbers(c, ":", "blob center coordinates") for c in d.centers.split(";")]
+        ds = gen_gaussian_blobs(d.n, centers, d.noise, seed)
     else:
-        raise ConfigError(f"unknown data kind {kind!r}")
-    path = _out_path(out)
+        r = tuple(_numbers(d.radii, ":", "radii"))
+        if len(r) != 2:
+            raise ConfigError(f"radii must be inner:outer, got {d.radii!r}")
+        ds = gen_rings(d.n, r, d.noise, seed)
+    path = _out_path(d.out)
     save_csv(ds, path)
-    _print_resolved({"kind": kind, "n": n, "seed": seed, "noise": noise, "out": path})
+    _print_resolved({"kind": d.kind, "n": d.n, "seed": seed, "noise": d.noise, "out": path})
     print(f"wrote {len(ds)} points to {path}")
     return 0
 
 
 def cmd_train(args) -> int:
-    ini = _load_ini(args.config)
-    data_path = _resolve(args.data, ini, "train", "data")
-    out = _resolve(args.out, ini, "train", "out")
-    if data_path is None or out is None:
+    t = _settings(args, _load_ini(args.config), "train")
+    if t.data is None or t.out is None:
         raise ConfigError("train needs --data and --out")
-    dataset = load_csv(data_path)
-
-    method = _resolve(args.method, ini, "train", "method", "at")
-    epochs = _resolve(args.epochs, ini, "train", "epochs", 20, int)
-    batch_size = _resolve(args.batch_size, ini, "train", "batch_size", 64, int)
-    lr = _resolve(args.lr, ini, "train", "learning_rate", 0.1, float)
-    seed = _seed(_resolve(args.seed, ini, "train", "seed", None, int))
-    hidden = _resolve(args.hidden, ini, "train", "hidden", "32,32")
-    act = _resolve(args.activation, ini, "train", "activation", "relu")
-    eps = _resolve(args.eps, ini, "train", "epsilon", 0.031, float)
-    inner_steps = _resolve(args.inner_steps, ini, "train", "inner_steps", 10, int)
-    inner_step_size = _resolve(args.inner_step_size, ini, "train", "inner_step_size", eps / 4, float)
-    burn_in = _resolve(args.burn_in, ini, "train", "burn_in", None, int)
-    if burn_in is None:
-        burn_in = int(round(0.3 * epochs))  # default bootstrap: 30% of epochs
-    omega_lambda = _resolve(args.omega_lambda, ini, "train", "omega_lambda", 0.0, float)
-    fat_slack = _resolve(args.fat_slack, ini, "train", "fat_slack", 0, int)
-
+    dataset = load_csv(t.data)
+    seed = check_seed(t.seed)
+    inner_step_size = t.epsilon / 4 if t.inner_step_size is None else t.inner_step_size
+    burn_in = int(round(0.3 * t.epochs)) if t.burn_in is None else t.burn_in  # default bootstrap: 30% of epochs
     try:
-        widths = tuple(int(h) for h in hidden.split(",") if h)
+        widths = tuple(int(h) for h in t.hidden.split(",") if h)
     except ValueError:
-        raise ParameterError(f"hidden must be comma-separated layer widths, got {hidden!r}") from None
+        raise ParameterError(f"hidden must be comma-separated layer widths, got {t.hidden!r}") from None
     layer_sizes = (dataset.dim, *widths, dataset.num_classes)
-    model_config = MlpConfig(layer_sizes=layer_sizes, activation=act, init_seed=seed)
+    model_config = MlpConfig(layer_sizes=layer_sizes, activation=t.activation, init_seed=seed)
     inner = None
-    if method != "erm":
+    if t.method != "erm":
         inner = AttackConfig(
-            epsilon=eps, steps=inner_steps, step_size=inner_step_size,
+            epsilon=t.epsilon, steps=t.inner_steps, step_size=inner_step_size,
             restarts=1, alpha=1.0, random_start=True, clip_to_domain=True,
         )
     train_config = TrainConfig(
-        method=method, epochs=epochs, batch_size=batch_size, learning_rate=lr,
-        seed=seed, inner_attack=inner, burn_in_epochs=burn_in if method == "gairat" else 0,
-        omega_lambda=omega_lambda if method == "gairat" else None, fat_slack=fat_slack,
+        method=t.method, epochs=t.epochs, batch_size=t.batch_size, learning_rate=t.learning_rate,
+        seed=seed, inner_attack=inner, burn_in_epochs=burn_in if t.method == "gairat" else 0,
+        omega_lambda=t.omega_lambda if t.method == "gairat" else None, fat_slack=t.fat_slack,
     )
     resolved = {
-        "method": method, "data": data_path, "epochs": epochs, "batch_size": batch_size,
-        "learning_rate": lr, "seed": seed, "layer_sizes": ",".join(map(str, layer_sizes)),
-        "activation": act, "epsilon": eps, "inner_steps": inner_steps,
+        "method": t.method, "data": t.data, "epochs": t.epochs, "batch_size": t.batch_size,
+        "learning_rate": t.learning_rate, "seed": seed, "layer_sizes": ",".join(map(str, layer_sizes)),
+        "activation": t.activation, "epsilon": t.epsilon, "inner_steps": t.inner_steps,
         "inner_step_size": inner_step_size, "burn_in": train_config.burn_in_epochs,
-        "omega_lambda": omega_lambda, "fat_slack": fat_slack,
+        "omega_lambda": t.omega_lambda, "fat_slack": t.fat_slack,
     }
     _print_resolved(resolved)
 
     params, history = train(model_config, dataset, train_config)
-    ckpt_path = _out_path(out)
+    ckpt_path = _out_path(t.out)
     metadata = {
-        "method": method, "seed": str(seed), "epochs": str(epochs),
+        "method": t.method, "seed": str(seed), "epochs": str(t.epochs),
         "dataset_sha256": dataset_sha256(dataset),
     }
     save_checkpoint(params, metadata, ckpt_path)
@@ -232,16 +266,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    ini = _load_ini(args.config)
-    ckpt = load_checkpoint(args.model)
-    dataset = load_csv(args.data)
-    name, cfg = _attack_from_args(args, ini)
-    seed = _seed(args.seed)
+    ckpt, dataset, sweep, cfg, seed = _attack_setup(args)
     result = pgd_attack(ckpt.params, dataset.points, dataset.labels, cfg,
                         domain=dataset.domain, seed=seed)
     nat = eval_natural(ckpt.params, dataset)
     rob = float(np.mean(result.final_correct))
-    _print_resolved({"model": args.model, "data": args.data, "attack": name,
+    _print_resolved({"model": args.model, "data": args.data, "attack": sweep.attack,
                      "seed": seed, **dict(kv.split(" = ") for kv in cfg.to_kv().splitlines())})
     print(f"natural_accuracy = {nat:.6f}")
     print(f"robust_accuracy(best_iterate) = {rob:.6f}")
@@ -258,12 +288,9 @@ def cmd_attack(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ini = _load_ini(args.config)
-    ckpt = load_checkpoint(args.model)
-    dataset = load_csv(args.data)
-    name, cfg = _attack_from_args(args, ini)
+    ckpt, dataset, sweep, cfg, seed = _attack_setup(args)
+    name = sweep.attack
     verdict = args.verdict or _default_verdict(name)
-    seed = _seed(args.seed)
     nat = eval_natural(ckpt.params, dataset)
     rob = eval_robust(ckpt.params, dataset, cfg, verdict, seed=seed)
     _print_resolved({"model": args.model, "data": args.data, "attack": name,
@@ -287,16 +314,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    ini = _load_ini(args.config)
-    ckpt = load_checkpoint(args.model)
-    dataset = load_csv(args.data)
-    name, cfg = _attack_from_args(args, ini)
+    ckpt, dataset, sweep, cfg, seed = _attack_setup(args)
+    name = sweep.attack
     verdict = args.verdict or _default_verdict(name)
-    seed = _seed(args.seed)
-    grid_text = _resolve(args.alpha_grid, ini, "sweep", "alpha_grid", None)
-    sweep_cfg = SweepConfig(base_attack=cfg) if grid_text is None else SweepConfig(
-        base_attack=cfg, alpha_grid=_parse_alpha_grid(grid_text)
-    )
+    grid = {} if sweep.alpha_grid is None else {"alpha_grid": _parse_alpha_grid(sweep.alpha_grid)}
+    sweep_cfg = SweepConfig(base_attack=cfg, **grid)
     _print_resolved({"model": args.model, "data": args.data, "attack": name,
                      "verdict": verdict, "seed": seed,
                      "alpha_grid": ",".join(format(a, ".6g") for a in sweep_cfg.alpha_grid)})
@@ -323,24 +345,21 @@ def cmd_sweep(args) -> int:
 def cmd_oracle_check(args) -> int:
     ckpt = load_checkpoint(args.model)
     dataset = load_csv(args.data)
-    eps = args.eps if args.eps is not None else 0.1
-    grid = args.grid if args.grid is not None else 51
-    limit = args.limit if args.limit is not None else 20
-    if limit < 0:
-        raise ParameterError(f"--limit must be >= 0, got {limit}")
-    limit = min(limit, len(dataset))
-    seed = _seed(args.seed)
-    attack = AttackConfig(epsilon=eps, steps=50, step_size=eps / 10, restarts=5,
+    if args.limit < 0:
+        raise ParameterError(f"--limit must be >= 0, got {args.limit}")
+    limit = min(args.limit, len(dataset))
+    seed = check_seed(args.seed)
+    attack = AttackConfig(epsilon=args.eps, steps=50, step_size=args.eps / 10, restarts=5,
                           random_start=True, clip_to_domain=True)
-    _print_resolved({"model": args.model, "data": args.data, "epsilon": eps,
-                     "grid": grid, "limit": limit, "seed": seed})
+    _print_resolved({"model": args.model, "data": args.data, "epsilon": args.eps,
+                     "grid": args.grid, "limit": limit, "seed": seed})
     violations = 0
     for i in range(limit):
         x = Tensor._wrap(dataset.points.data[i:i + 1].copy())
         y = int(dataset.labels[i])
         res = pgd_attack(ckpt.params, x, np.array([y]), attack, domain=dataset.domain, seed=seed + i)
         pgd_found_flip = bool((~res.correct_trace).any() or not res.natural_correct[0])
-        bf_ok = brute_force_attack(ckpt.params, dataset.points.data[i], y, eps, grid,
+        bf_ok = brute_force_attack(ckpt.params, dataset.points.data[i], y, args.eps, args.grid,
                                    domain=dataset.domain)
         status = "ok"
         if pgd_found_flip and bf_ok:
@@ -367,79 +386,45 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="robustlab", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    config_help = "experiment config file (INI); flags win over its entries"
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset CSV")
-    p.add_argument("--kind", choices=["two-moons", "blobs", "rings"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--noise", type=float, help="noise sigma (blobs: cluster sigma)")
-    p.add_argument("--centers", help="blobs centers, e.g. 0.25:0.25;0.75:0.75")
-    p.add_argument("--radii", help="rings radii, e.g. 0.5:1.0")
-    p.add_argument("--out")
-    p.add_argument("--config", help="experiment config file (INI)")
+    _add_flags(p, "data")
+    p.add_argument("--config", help=config_help)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train a model and write a checkpoint")
-    p.add_argument("--data")
-    p.add_argument("--method", choices=["erm", "at", "fat", "gairat"])
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--hidden", help="hidden widths, e.g. 32,32")
-    p.add_argument("--activation", choices=["relu", "tanh"])
-    p.add_argument("--eps", type=float)
-    p.add_argument("--inner-steps", dest="inner_steps", type=int)
-    p.add_argument("--inner-step-size", dest="inner_step_size", type=float)
-    p.add_argument("--burn-in", dest="burn_in", type=int)
-    p.add_argument("--omega-lambda", dest="omega_lambda", type=float)
-    p.add_argument("--fat-slack", dest="fat_slack", type=int)
-    p.add_argument("--out")
+    _add_flags(p, "train")
     p.add_argument("--history", help="history CSV path (default: <out>.history.csv)")
-    p.add_argument("--config")
+    p.add_argument("--config", help=config_help)
     p.set_defaults(func=cmd_train)
 
-    def add_attack_flags(p):
-        p.add_argument("--attack", choices=sorted(ATTACK_PRESETS))
-        p.add_argument("--eps", type=float)
-        p.add_argument("--steps", type=int)
-        p.add_argument("--step-size", dest="step_size", type=float)
-        p.add_argument("--restarts", type=int)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--config")
+    def attack_parser(name, func, summary, sweep_keys=("attack",)):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--model", required=True)
+        p.add_argument("--data", required=True)
+        _add_flags(p, "sweep", sweep_keys)
+        _add_flags(p, "attack")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--config", help=config_help)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("attack", help="run one attack, report accuracy, optionally dump points")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    add_attack_flags(p)
+    p = attack_parser("attack", cmd_attack, "run one attack, report accuracy, optionally dump points")
     p.add_argument("--out-adv", dest="out_adv")
-    p.set_defaults(func=cmd_attack)
-
-    p = sub.add_parser("eval", help="natural + robust accuracy under one attack")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    add_attack_flags(p)
-    p.add_argument("--verdict", choices=["best_iterate", "all_iterates"])
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("sweep", help="robust accuracy across a logit-scale grid")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    add_attack_flags(p)
-    p.add_argument("--verdict", choices=["best_iterate", "all_iterates"])
-    p.add_argument("--alpha-grid", dest="alpha_grid", help="lo:hi:count (log-spaced) or comma list")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_sweep)
+    for p in (attack_parser("eval", cmd_eval, "natural + robust accuracy under one attack"),
+              attack_parser("sweep", cmd_sweep, "robust accuracy across a logit-scale grid",
+                            ("attack", "alpha_grid"))):
+        p.add_argument("--verdict", choices=["best_iterate", "all_iterates"])
+        p.add_argument("--out")
 
     p = sub.add_parser("oracle-check", help="cross-check PGD against the exhaustive grid oracle")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--limit", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--grid", type=int, default=51)
+    p.add_argument("--limit", type=int, default=20)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("report", help="pretty-print a report CSV")
@@ -458,10 +443,7 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else _USAGE_ERROR
     try:
         return args.func(args)
-    except RobustlabError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return _DATA_ERROR
-    except (OSError, IndexError) as e:
+    except (RobustlabError, OSError, IndexError) as e:
         print(f"error: {e}", file=sys.stderr)
         return _DATA_ERROR
 

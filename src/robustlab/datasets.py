@@ -150,8 +150,8 @@ def gen_two_moons(n: int, noise_sigma: float, seed: int) -> Dataset:
     """
     if n <= 0 or n % 2:
         raise ParameterError(f"two moons needs a positive even n, got {n}")
-    if noise_sigma < 0:
-        raise ParameterError("noise_sigma must be >= 0")
+    if not 0 <= noise_sigma < math.inf:
+        raise ParameterError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     rng = np.random.default_rng(check_seed(seed))
     half = n // 2
     t0 = rng.uniform(0.0, math.pi, half)
@@ -180,7 +180,10 @@ def gen_gaussian_blobs(n: int, centers: Sequence[Sequence[float]], sigma: float,
     """Equal-sized isotropic Gaussian classes around the given centers,
     clipped to the unit box.
     """
-    ctr = np.asarray(centers, dtype=np.float64)
+    try:
+        ctr = np.asarray(centers, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ParameterError(f"centers must be a rectangular list of numbers, got {centers!r}") from None
     if ctr.ndim != 2 or ctr.shape[0] < 2:
         raise ParameterError("need at least 2 centers")
     dim = ctr.shape[1]
@@ -190,8 +193,8 @@ def gen_gaussian_blobs(n: int, centers: Sequence[Sequence[float]], sigma: float,
     k = ctr.shape[0]
     if n <= 0 or n % k:
         raise ParameterError(f"n must be a positive multiple of the {k} centers, got {n}")
-    if sigma < 0:
-        raise ParameterError("sigma must be >= 0")
+    if not 0 <= sigma < math.inf:
+        raise ParameterError(f"sigma must be finite and >= 0, got {sigma}")
     rng = np.random.default_rng(check_seed(seed))
     per = n // k
     pts = np.repeat(ctr, per, axis=0) + sigma * rng.standard_normal((n, dim))
@@ -219,8 +222,8 @@ def gen_rings(n: int, radii: tuple[float, float], noise_sigma: float, seed: int)
         raise ParameterError(f"radii must satisfy 0 < inner < outer, got {radii}")
     if n <= 0 or n % 2:
         raise ParameterError(f"rings needs a positive even n, got {n}")
-    if noise_sigma < 0:
-        raise ParameterError("noise_sigma must be >= 0")
+    if not 0 <= noise_sigma < math.inf:
+        raise ParameterError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
     rng = np.random.default_rng(check_seed(seed))
     half = n // 2
     theta0 = rng.uniform(0.0, 2.0 * math.pi, half)
@@ -279,7 +282,10 @@ def load_csv(path) -> Dataset:
     Raises ParseError with the offending line number for malformed content
     and SchemaError for declared-schema violations (e.g. a label >= C).
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError("file is not valid UTF-8", offset=e.start) from None
     meta: dict[str, str] = {}
     header: list[str] | None = None
     header_line = 0

@@ -213,7 +213,10 @@ _RESERVED_KEYS = (
 
 def read_report(path) -> EvalReport:
     """Parse a report CSV back; inverse of write_report."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError("file is not valid UTF-8", offset=e.start) from None
     meta: dict[str, str] = {}
     rows: list[ReportRow] = []
     header_seen = False

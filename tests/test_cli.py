@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from robustlab.cli import main
+from robustlab.cli import _SETTINGS, main
 from robustlab.datasets import load_csv
 from robustlab.evaluate import read_report
 from robustlab.model import load_checkpoint
@@ -71,9 +71,10 @@ class TestUsageErrors:
         ("sweep", "--alpha-grid", "1,abc"),
         ("sweep", "--alpha-grid", "1e-2:x:9"),
         ("gen-data", "--kind", "blobs", "--centers", "0.3;x"),
+        ("gen-data", "--kind", "blobs", "--centers", "0.3:0.3;0.7"),
         ("gen-data", "--kind", "rings", "--radii", "0.5:x"),
         ("train", "--hidden", "8,x"),
-    ], ids=["alpha-list", "alpha-range", "centers", "radii", "hidden"])
+    ], ids=["alpha-list", "alpha-range", "centers", "ragged-centers", "radii", "hidden"])
     def test_malformed_number_exits_2_with_one_line(self, tmp_path, data_csv, ckpt, capsys, argv):
         paths = {"sweep": ("--model", str(ckpt), "--data", str(data_csv)),
                  "gen-data": ("--n", "20", "--out", str(tmp_path / "d.csv")),
@@ -88,6 +89,18 @@ class TestUsageErrors:
             "--model", str(ckpt), "--data", str(data_csv))
         assert run(command, *paths, "--seed", "-1") == 2
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("reader", ["report", "eval", "config"])
+    def test_non_utf8_input_exits_2_with_one_line(self, tmp_path, data_csv, ckpt, capsys, reader):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff\xfe# natural_accuracy = 1\n")
+        argv = {"report": ("report", "--in", str(bad)),
+                "eval": ("eval", "--model", str(ckpt), "--data", str(bad)),
+                "config": ("gen-data", "--config", str(bad), "--n", "20", "--out", str(tmp_path / "d.csv"))}
+        assert run(*argv[reader]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "utf-8" in err.lower()
+        assert not (tmp_path / "d.csv").exists()
 
     def test_negative_seed_in_config_file_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "exp.ini"
@@ -212,6 +225,51 @@ class TestConfigFile:
         assert run("gen-data", "--config", str(cfg), "--out", str(tmp_path / "d.csv")) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, command", [
+        ("data", "noize", "gen-data"),
+        ("train", "learning-rate", "train"),
+        ("sweep", "alpha-grid", "sweep"),
+        ("attack.pgd20", "random_start", "sweep"),
+    ])
+    def test_misspelt_key_exits_2_naming_the_known_keys(self, tmp_path, data_csv, ckpt, capsys,
+                                                        section, key, command):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(f"[{section}]\n{key} = 5\n")
+        out = tmp_path / "out"
+        rest = {"gen-data": ("--n", "20"), "train": ("--data", str(data_csv), "--epochs", "1"),
+                "sweep": ("--model", str(ckpt), "--data", str(data_csv))}[command]
+        assert run(command, "--config", str(cfg), *rest, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        table = section.split(".")[0]
+        assert err == (f"error: unknown key {key!r} in [{section}]; "
+                       f"known keys: {', '.join(_SETTINGS[table])}\n")
+        assert not out.exists()
+
+    def test_default_section_entries_are_not_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[DEFAULT]\nseed = 5\nlearning_rate = 0.3\n[data]\nn = 20\n")
+        assert run("gen-data", "--config", str(cfg), "--out", str(tmp_path / "d.csv")) == 0
+        assert "# seed = 5\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("body, message", [
+        ("[data]\nn = 2O\n", "error: bad value for [data] n: invalid literal for int() with base 10: '2O'\n"),
+        ("[data]\nkind = moons\n",
+         "error: bad value for [data] kind: 'moons' is not one of two-moons, blobs, rings\n"),
+    ], ids=["type", "choices"])
+    def test_bad_value_exits_2_even_under_its_flag(self, tmp_path, capsys, body, message):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(body)
+        assert run("gen-data", "--config", str(cfg), "--kind", "two-moons", "--n", "20",
+                   "--out", str(tmp_path / "d.csv")) == 2
+        assert capsys.readouterr().err == message
+
+    def test_config_naming_a_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        assert run("gen-data", "--config", str(tmp_path), "--n", "10", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {tmp_path}: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_config_file_exits_2(self, tmp_path):
         assert run("gen-data", "--config", str(tmp_path / "no.ini"),
                    "--out", str(tmp_path / "d.csv")) == 2
@@ -223,3 +281,17 @@ class TestOutputDirEnv:
         assert run("gen-data", "--kind", "two-moons", "--n", "10", "--seed", "0",
                    "--out", "sub/d.csv") == 0
         assert (tmp_path / "sub" / "d.csv").exists()
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command, sections", [
+        ("gen-data", {"data": "data"}),
+        ("train", {"train": "train"}),
+        ("sweep", {"sweep": "sweep", "attack": "attack.<preset>"}),
+    ])
+    def test_each_table_flag_names_its_ini_key(self, capsys, command, sections):
+        assert run(command, "--help") == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for table, section in sections.items():
+            for key, setting in _SETTINGS[table].items():
+                assert f" {setting.flag} " in text and f"INI [{section}] {key}" in text

@@ -104,6 +104,12 @@ class TestBlobs:
         with pytest.raises(ParameterError):
             gen_gaussian_blobs(4, [[0.5, 0.5]], 0.1, seed=0)
 
+    @pytest.mark.parametrize("centers", [[[0.3, 0.3], [0.7]], [[0.3, 0.3], ["x", 0.7]]],
+                             ids=["ragged", "non-numeric"])
+    def test_centers_must_be_a_rectangular_list_of_numbers(self, centers):
+        with pytest.raises(ParameterError, match="rectangular list of numbers"):
+            gen_gaussian_blobs(4, centers, 0.1, seed=0)
+
 
 class TestRings:
     def test_noiseless_radii(self):
@@ -160,6 +166,20 @@ class TestGeneratorContracts:
     def test_negative_seed_rejected(self, gen):
         with pytest.raises(ParameterError, match="seed must be >= 0"):
             gen(-1)
+
+    @pytest.mark.parametrize(
+        "gen",
+        [
+            lambda noise: gen_two_moons(4, noise, 0),
+            lambda noise: gen_gaussian_blobs(4, [[0.2, 0.2], [0.8, 0.8]], noise, 0),
+            lambda noise: gen_rings(4, (0.4, 0.9), noise, 0),
+        ],
+        ids=["moons", "blobs", "rings"],
+    )
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf")])
+    def test_non_finite_noise_rejected(self, gen, noise):
+        with pytest.raises(ParameterError, match="must be finite and >= 0"):
+            gen(noise)
 
     def test_split_dataset(self):
         ds = gen_two_moons(100, 0.1, seed=1)
