@@ -23,8 +23,18 @@ import numpy as np
 from .attacks import ATTACK_PRESETS, AttackConfig, brute_force_attack, pgd_attack
 from .datasets import Dataset, gen_gaussian_blobs, gen_rings, gen_two_moons, load_csv, save_csv
 from .errors import ConfigError, ParameterError, RobustlabError, check_seed
-from .evaluate import (EvalReport, ReportRow, SweepConfig, alpha_sweep, dataset_sha256, eval_natural,
-                       eval_robust, file_sha256, read_report, write_report)
+from .evaluate import (
+    EvalReport,
+    ReportRow,
+    SweepConfig,
+    alpha_sweep,
+    dataset_sha256,
+    eval_natural,
+    eval_robust,
+    file_sha256,
+    read_report,
+    write_report,
+)
 from .model import MlpConfig, load_checkpoint, save_checkpoint
 from .tensor import ACTIVATION_KINDS, Tensor
 from .training import TRAIN_METHODS, TrainConfig, train, write_history
@@ -110,9 +120,7 @@ def _load_ini(path: str | None) -> configparser.ConfigParser:
         try:
             with open(path, encoding="utf-8") as f:
                 ini.read_file(f)
-        except OSError as e:
-            raise ConfigError(f"cannot read config file {path}: {e.strerror}") from None
-        except (UnicodeDecodeError, configparser.Error) as e:
+        except (OSError, UnicodeDecodeError, configparser.Error) as e:
             raise ConfigError(f"bad config file {path}: {' '.join(str(e).split())}") from None
     return ini
 
@@ -174,9 +182,9 @@ def _parse_alpha_grid(text: str) -> tuple[float, ...]:
 
 
 def _attack_setup(args):
-    """What attack, eval and sweep share: the checkpoint, the dataset, `[sweep]`,
-    the attack (the preset, then `[attack.<preset>]` and flags over its fields)
-    and the seed.
+    """What attack, eval and sweep share: the checkpoint, the dataset, the preset's
+    name, the attack (the preset, then `[attack.<preset>]` and flags over its
+    fields), the seed and the alpha grid text of `[sweep]`.
     """
     ini = _load_ini(args.config)
     ckpt = load_checkpoint(args.model)
@@ -185,7 +193,7 @@ def _attack_setup(args):
     fields = vars(_settings(args, ini, f"attack.{sweep.attack}", "attack"))
     cfg = ATTACK_PRESETS[sweep.attack](epsilon=fields.pop("epsilon"))
     cfg = replace(cfg, **{k: v for k, v in fields.items() if v is not None})
-    return ckpt, dataset, sweep, cfg, check_seed(args.seed)
+    return ckpt, dataset, sweep.attack, cfg, check_seed(args.seed), sweep.alpha_grid
 
 
 def _default_verdict(attack_name: str) -> str:
@@ -266,12 +274,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    ckpt, dataset, sweep, cfg, seed = _attack_setup(args)
+    ckpt, dataset, name, cfg, seed, _ = _attack_setup(args)
     result = pgd_attack(ckpt.params, dataset.points, dataset.labels, cfg,
                         domain=dataset.domain, seed=seed)
     nat = eval_natural(ckpt.params, dataset)
     rob = float(np.mean(result.final_correct))
-    _print_resolved({"model": args.model, "data": args.data, "attack": sweep.attack,
+    _print_resolved({"model": args.model, "data": args.data, "attack": name,
                      "seed": seed, **dict(kv.split(" = ") for kv in cfg.to_kv().splitlines())})
     print(f"natural_accuracy = {nat:.6f}")
     print(f"robust_accuracy(best_iterate) = {rob:.6f}")
@@ -288,8 +296,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ckpt, dataset, sweep, cfg, seed = _attack_setup(args)
-    name = sweep.attack
+    ckpt, dataset, name, cfg, seed, _ = _attack_setup(args)
     verdict = args.verdict or _default_verdict(name)
     nat = eval_natural(ckpt.params, dataset)
     rob = eval_robust(ckpt.params, dataset, cfg, verdict, seed=seed)
@@ -314,10 +321,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    ckpt, dataset, sweep, cfg, seed = _attack_setup(args)
-    name = sweep.attack
+    ckpt, dataset, name, cfg, seed, grid_text = _attack_setup(args)
     verdict = args.verdict or _default_verdict(name)
-    grid = {} if sweep.alpha_grid is None else {"alpha_grid": _parse_alpha_grid(sweep.alpha_grid)}
+    grid = {} if grid_text is None else {"alpha_grid": _parse_alpha_grid(grid_text)}
     sweep_cfg = SweepConfig(base_attack=cfg, **grid)
     _print_resolved({"model": args.model, "data": args.data, "attack": name,
                      "verdict": verdict, "seed": seed,

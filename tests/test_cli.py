@@ -267,7 +267,7 @@ class TestConfigFile:
         out = tmp_path / "d.csv"
         assert run("gen-data", "--config", str(tmp_path), "--n", "10", "--out", str(out)) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot read config file {tmp_path}: ") and err.count("\n") == 1
+        assert err.startswith(f"error: bad config file {tmp_path}: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_missing_config_file_exits_2(self, tmp_path):
