@@ -62,7 +62,8 @@ class _Setting(NamedTuple):
 # Every INI-backed setting, once, by INI section. The key is both the INI key
 # and the argparse dest; INI text is cast with the same `type` as the flag.
 # `[attack.<preset>]` is read with the "attack" entries. A None default is
-# filled in by the command: derived from other settings, or the preset's own.
+# one the command works out (from other settings, or the preset's own) or,
+# for the data and output paths, one it requires.
 _SETTINGS: dict[str, dict[str, _Setting]] = {
     "data": {
         "kind": _Setting("--kind", default="two-moons", choices=("two-moons", "blobs", "rings")),
