@@ -16,7 +16,7 @@ import numpy as np
 from .datasets import DomainBox
 from .errors import CapabilityError, ContractError, ParameterError, ParseError, ShapeError, check_seed
 from .model import MlpParams, forward_logits, predict
-from .tensor import Tensor, mlp_loss_and_grad
+from .tensor import Tensor, _check_labels, _loss_and_grad
 
 
 @dataclass(frozen=True)
@@ -154,11 +154,19 @@ class AttackResult:
     friendly: Tensor | None = None
 
 
-def _project(x: np.ndarray, x0: np.ndarray, epsilon: float, domain: DomainBox | None) -> np.ndarray:
-    out = np.clip(x, x0 - epsilon, x0 + epsilon)
+def _ball_bounds(x0: np.ndarray, epsilon: float, domain: DomainBox | None) -> tuple[np.ndarray, np.ndarray]:
+    """The epsilon-ball's bounds around x0, each clamped into the domain box.
+
+    Clamping is monotone, so one clip to these bounds gives the bits of a
+    clip to the ball followed by a clip to the box, even where x0 lies
+    outside the box.
+    """
+    lo, hi = x0 - epsilon, x0 + epsilon
     if domain is not None:
-        out = np.clip(out, domain.lower_array(), domain.upper_array())
-    return out
+        lower, upper = domain.lower_array(), domain.upper_array()
+        np.clip(lo, lower, upper, out=lo)
+        np.clip(hi, lower, upper, out=hi)
+    return lo, hi
 
 
 def project_linf(x: Tensor, x0: Tensor, epsilon: float, domain: DomainBox | None = None) -> Tensor:
@@ -168,7 +176,7 @@ def project_linf(x: Tensor, x0: Tensor, epsilon: float, domain: DomainBox | None
     eps = float(epsilon)
     if not (np.isfinite(eps) and eps > 0):
         raise ParameterError(f"epsilon must be > 0, got {epsilon}")
-    return Tensor._wrap(_project(x.data, x0.data, eps, domain))
+    return Tensor._wrap(np.clip(x.data, *_ball_bounds(x0.data, eps, domain)))
 
 
 class _PgdRun(NamedTuple):
@@ -197,42 +205,50 @@ def _run_pgd(
     if x0d.ndim != 2:
         raise ShapeError(f"attack input must be (n, d), got {x0d.shape}")
     n, d = x0d.shape
-    y = np.asarray(y)
     T, R = config.steps, config.restarts
     eps = config.epsilon
-    dom = domain if config.clip_to_domain else None
     rng = np.random.default_rng(check_seed(seed))
 
-    natural_correct = np.argmax(forward_logits(model, x0).data, axis=1) == y
+    natural_logits = forward_logits(model, x0).data
+    # Every step reuses the checked labels and the projection bounds;
+    # AttackConfig has checked alpha.
+    lab = _check_labels(y, n, model.config.num_classes)
+    lo, hi = _ball_bounds(x0d, eps, domain if config.clip_to_domain else None)
+    natural_correct = np.argmax(natural_logits, axis=1) == lab
     trace = np.zeros((n, R, T + 1), dtype=bool)
     best_loss = np.full(n, -np.inf)
     best_x = x0d.copy()
     # The forward pass is batch-invariant, so correctness recorded at the
     # best iterate is what predict on the returned points gives.
     best_correct = natural_correct.copy()
+    better = np.empty(n, dtype=bool)
     traj = np.empty((T + 1, n, d)) if friendly_slack is not None else None
 
     for r in range(R):
         if config.random_start:
-            x = _project(x0d + rng.uniform(-eps, eps, size=(n, d)), x0d, eps, dom)
+            x = rng.uniform(-eps, eps, size=(n, d))
+            x += x0d
+            np.clip(x, lo, hi, out=x)
         else:
             x = x0d.copy()
         for t in range(T + 1):
             if traj is not None and r == 0:
                 traj[t] = x
-            step = mlp_loss_and_grad(model, x, y, config.alpha, wrt=("input",) if t < T else ())
-            trace[:, r, t] = np.argmax(step.logits, axis=1) == y
-            lvals = step.losses
+            step = _loss_and_grad(model, x, lab, config.alpha, None, t < T, False)
+            correct = np.equal(step.logits.argmax(axis=1), lab, out=trace[:, r, t])
             # Strict > keeps the earliest (restart-major, then iteration)
             # max-loss iterate on ties.
-            better = lvals > best_loss
-            if better.any():
-                best_loss = np.where(better, lvals, best_loss)
-                best_x[better] = x[better]
-                best_correct[better] = trace[better, r, t]
+            if np.greater(step.losses, best_loss, out=better).any():
+                np.copyto(best_loss, step.losses, where=better)
+                np.copyto(best_x, x, where=better[:, None])
+                np.copyto(best_correct, correct, where=better)
             if t == T:
                 break
-            x = _project(x + config.step_size * np.sign(step.input_grad), x0d, eps, dom)
+            # The sign step overwrites the gradient, which no one reads again.
+            g = np.sign(step.input_grad, out=step.input_grad)
+            g *= config.step_size
+            x += g
+            np.clip(x, lo, hi, out=x)
 
     # kappa counts from the natural point regardless of random starts, then
     # follows the first restart's iterates.

@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 usage error, 2 data/config error. Every run prints
 its fully resolved configuration as `# key = value` lines so results can be
 reproduced from the log alone. Values may come from an INI-style experiment
 config file (sections [data], [train], [attack.<name>], [sweep]); explicit
-command-line flags always win, and a key its section does not define is
-refused. If ROBUSTLAB_OUT is set, relative output paths land inside it.
+command-line flags always win, and a section no command reads, or a key
+its section does not define, is refused. If ROBUSTLAB_OUT is set, relative
+output paths land inside it.
 """
 from __future__ import annotations
 
@@ -123,6 +124,15 @@ def _load_ini(path: str | None) -> configparser.ConfigParser:
                 ini.read_file(f)
         except (OSError, UnicodeDecodeError, configparser.Error) as e:
             raise ConfigError(f"bad config file {path}: {' '.join(str(e).split())}") from None
+    # A section or [DEFAULT] key that no command reads is a misspelling, not a no-op.
+    known = ("data", "train", "sweep", *(f"attack.{name}" for name in ATTACK_PRESETS), "DEFAULT")
+    for section in ini.sections():
+        if section not in known:
+            raise ConfigError(f"unknown section [{section}] in {path}; known sections: {', '.join(known)}")
+    keys = {key for table in _SETTINGS.values() for key in table}
+    unknown = sorted(set(ini.defaults()) - keys)
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in [DEFAULT]; known keys: {', '.join(sorted(keys))}")
     return ini
 
 
@@ -131,7 +141,8 @@ def _settings(args, ini: configparser.ConfigParser, section: str, table: str | N
 
     Every entry written in `[section]` is cast and checked, even under a
     flag; a key the table lacks is refused. Keys that `[section]` only
-    inherits from `[DEFAULT]` are not checked.
+    inherits from `[DEFAULT]` are not checked here; `_load_ini` refuses
+    those that no table defines.
     """
     settings = _SETTINGS[table or section]
     if ini.has_section(section):

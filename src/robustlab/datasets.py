@@ -8,6 +8,7 @@ pre-rescale geometry exactly; blobs are clipped instead.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -144,6 +145,17 @@ def _balanced_labels(n: int, num_classes: int) -> np.ndarray:
     return np.repeat(np.arange(num_classes), n // num_classes)
 
 
+@contextmanager
+def _noise_overflow(sigma: float):
+    """Turn a float64 overflow of the noisy points into a ParameterError that
+    names the noise sigma, instead of numpy warnings and points from +-inf."""
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            yield
+        except FloatingPointError:
+            raise ParameterError(f"noise sigma {sigma!r} is too large: the noisy points overflow float64") from None
+
+
 def gen_two_moons(n: int, noise_sigma: float, seed: int) -> Dataset:
     """Two interleaved radius-1 half-circle arcs, the second flipped and
     offset by (1, -0.5), plus isotropic Gaussian noise; rescaled to [0,1]^2.
@@ -158,8 +170,9 @@ def gen_two_moons(n: int, noise_sigma: float, seed: int) -> Dataset:
     t1 = rng.uniform(0.0, math.pi, half)
     arc0 = np.column_stack([np.cos(t0), np.sin(t0)])
     arc1 = np.column_stack([1.0 + np.cos(t1), 0.5 - np.sin(t1)])
-    raw = np.concatenate([arc0, arc1]) + noise_sigma * rng.standard_normal((n, 2))
-    scaled, offset, scale = _rescale_to_unit(raw)
+    with _noise_overflow(noise_sigma):
+        raw = np.concatenate([arc0, arc1]) + noise_sigma * rng.standard_normal((n, 2))
+        scaled, offset, scale = _rescale_to_unit(raw)
     meta = {
         "generator": "two_moons",
         "seed": str(seed),
@@ -197,7 +210,8 @@ def gen_gaussian_blobs(n: int, centers: Sequence[Sequence[float]], sigma: float,
         raise ParameterError(f"sigma must be finite and >= 0, got {sigma}")
     rng = np.random.default_rng(check_seed(seed))
     per = n // k
-    pts = np.repeat(ctr, per, axis=0) + sigma * rng.standard_normal((n, dim))
+    with _noise_overflow(sigma):
+        pts = np.repeat(ctr, per, axis=0) + sigma * rng.standard_normal((n, dim))
     meta = {
         "generator": "gaussian_blobs",
         "seed": str(seed),
@@ -230,8 +244,9 @@ def gen_rings(n: int, radii: tuple[float, float], noise_sigma: float, seed: int)
     theta1 = rng.uniform(0.0, 2.0 * math.pi, half)
     ring0 = r_inner * np.column_stack([np.cos(theta0), np.sin(theta0)])
     ring1 = r_outer * np.column_stack([np.cos(theta1), np.sin(theta1)])
-    raw = np.concatenate([ring0, ring1]) + noise_sigma * rng.standard_normal((n, 2))
-    scaled, offset, scale = _rescale_to_unit(raw)
+    with _noise_overflow(noise_sigma):
+        raw = np.concatenate([ring0, ring1]) + noise_sigma * rng.standard_normal((n, 2))
+        scaled, offset, scale = _rescale_to_unit(raw)
     meta = {
         "generator": "rings",
         "seed": str(seed),
@@ -336,6 +351,8 @@ def load_csv(path) -> Dataset:
             labels[i] = int(cells[dim])
         except ValueError:
             raise ParseError(f"non-numeric cell in row {row!r}", line=lineno) from None
+        except OverflowError:
+            raise ParseError(f"label {cells[dim]!r} does not fit in int64", line=lineno) from None
         if not (0 <= labels[i] < num_classes):
             raise SchemaError(f"label {labels[i]} outside declared [0, {num_classes}) (line {lineno})")
     if not np.all(np.isfinite(points)):

@@ -154,18 +154,17 @@ def _check_labels(labels, n: int, num_classes: int) -> np.ndarray:
     return lab.astype(np.int64, copy=False)
 
 
-def _cross_entropy(ld: np.ndarray, labels, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Log-probabilities, validated labels and per-example losses."""
-    n, num_classes = ld.shape
-    lab = _check_labels(labels, n, num_classes)
+def _cross_entropy(ld: np.ndarray, lab: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Log-probabilities and per-example losses, for labels `_check_labels` returned."""
     logp = _log_softmax(ld, a)
-    return logp, lab, -logp[np.arange(n), lab]
+    return logp, -logp[np.arange(ld.shape[0]), lab]
 
 
 def scaled_softmax_cross_entropy(logits: Tensor, labels, alpha: float = 1.0) -> Tensor:
     """Per-example loss -log softmax(alpha * logits)[label], as a length-n tensor."""
     a = _check_alpha(alpha)
-    return Tensor._wrap(_cross_entropy(_check_logits(logits), labels, a)[2])
+    ld = _check_logits(logits)
+    return Tensor._wrap(_cross_entropy(ld, _check_labels(labels, *ld.shape), a)[1])
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
@@ -174,10 +173,18 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
     The one forward pass of the package: `model.forward_logits` keeps the
     last entry and `mlp_loss_and_grad` reads them all on its reverse pass.
     """
+    _check_input(params, x)
+    return _forward(params, x)
+
+
+def _check_input(params: MlpParams, x: np.ndarray) -> None:
     if x.ndim != 2 or x.shape[1] != params.config.input_dim:
         raise ShapeError(
             f"input shape {x.shape} does not match model input dim {params.config.input_dim}"
         )
+
+
+def _forward(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
     kind = params.config.activation
     last = params.config.num_layers - 1
     hs, hf = [x], np.asfortranarray(x)
@@ -235,20 +242,41 @@ def mlp_loss_and_grad(
     if unknown:
         raise ContractError(f"cannot differentiate w.r.t. {sorted(unknown)}; expected some of {GRAD_TARGETS}")
     a = _check_alpha(alpha)
-    hs = mlp_forward(params, x)
+    _check_input(params, x)
+    n = x.shape[0]
+    lab = _check_labels(labels, n, params.config.num_classes)
+    w = None
+    if weights is not None:
+        w = np.asarray(weights, dtype=np.float64)
+        if w.shape != (n,):
+            raise ShapeError(f"weights must be a length-{n} vector, got shape {w.shape}")
+        if n == 0:
+            raise ShapeError("weighted mean of an empty batch")
+    return _loss_and_grad(params, x, lab, a, w, "input" in wrt, "params" in wrt)
+
+
+def _loss_and_grad(
+    params: MlpParams,
+    x: np.ndarray,
+    lab: np.ndarray,
+    a: float,
+    weights: np.ndarray | None,
+    want_input: bool,
+    want_params: bool,
+) -> LossAndGrad:
+    """The pass of `mlp_loss_and_grad`, on arguments it has already checked:
+    `lab` from `_check_labels`, `a` from `_check_alpha` and `weights` None or
+    a float64 length-n vector. Callers that reuse one batch's labels for many
+    passes (a PGD run) check them once and call this directly.
+    """
+    hs = _forward(params, x)
     logits = hs[-1]
-    logp, lab, losses = _cross_entropy(logits, labels, a)
+    logp, losses = _cross_entropy(logits, lab, a)
     n = losses.shape[0]
     if weights is None:
         loss, upstream = float(losses.sum()), None
     else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != losses.shape:
-            raise ShapeError(f"weights must be a length-{n} vector, got shape {w.shape}")
-        if n == 0:
-            raise ShapeError("weighted mean of an empty batch")
-        loss, upstream = float((w * losses).sum() / n), w / n
-    want_input, want_params = "input" in wrt, "params" in wrt
+        loss, upstream = float((weights * losses).sum() / n), weights / n
     if not (want_input or want_params):
         return LossAndGrad(logits, losses, loss, None, None)
 

@@ -104,6 +104,22 @@ class TestProject:
         with pytest.raises(ShapeError):
             project_linf(Tensor([[1.0]]), Tensor([[1.0, 2.0]]), 0.1)
 
+    @pytest.mark.parametrize("centre", [-0.5, 1.5, 1.02, -0.03, 0.0], ids=[
+        "ball-below-the-box", "ball-above-the-box", "straddles-upper-face", "straddles-lower-face",
+        "centred-on-a-face"])
+    def test_one_clip_matches_the_two_stage_clamp_bit_for_bit(self, rng, centre):
+        # The bounds are clamped into the box once; a clip to the ball, then
+        # to the box, must give the same bits, signed zeros included.
+        x0 = centre + rng.uniform(-0.05, 0.05, size=(200, 2))
+        x0[:10] = centre
+        x = x0 + rng.uniform(-0.3, 0.3, size=x0.shape)
+        x[:50:2] = 0.0
+        x[1:50:2] = -0.0
+        box = DomainBox.unit(2)
+        got = project_linf(Tensor(x), Tensor(x0), 0.1, domain=box).data
+        want = np.clip(np.clip(x, x0 - 0.1, x0 + 0.1), box.lower_array(), box.upper_array())
+        assert got.tobytes() == want.tobytes()
+
 
 class TestPgdAttack:
     def test_constant_logits_is_fixed_point(self):
@@ -198,6 +214,69 @@ class TestPgdAttack:
         res = pgd_attack(params, x0, y, cfg, domain=DomainBox.unit(2), seed=9)
         np.testing.assert_array_equal(res.final_correct, predict(params, res.adversarial) == y)
         assert res.friendly is None
+
+
+def two_stage_pgd(params, x0, y, cfg, domain, seed):
+    """Best-iterate PGD written out step by step, projecting into the ball
+    and then into the box at every step."""
+    eps = cfg.epsilon
+    rng = np.random.default_rng(seed)
+
+    def project(x):
+        return np.clip(np.clip(x, x0 - eps, x0 + eps), domain.lower_array(), domain.upper_array())
+
+    best_loss, best_x = np.full(len(y), -np.inf), x0.copy()
+    for _ in range(cfg.restarts):
+        x = project(x0 + rng.uniform(-eps, eps, size=x0.shape)) if cfg.random_start else x0.copy()
+        for t in range(cfg.steps + 1):
+            step = mlp_loss_and_grad(params, x, y, cfg.alpha, wrt=("input",))
+            better = step.losses > best_loss
+            best_loss = np.where(better, step.losses, best_loss)
+            best_x[better] = x[better]
+            if t < cfg.steps:
+                x = project(x + cfg.step_size * np.sign(step.input_grad))
+    return best_x
+
+
+class TestPgdRunSetUp:
+    """Labels are checked and projection bounds computed once per run."""
+
+    @pytest.mark.parametrize("centre", [-0.5, 1.5, 1.02], ids=[
+        "ball-below-the-box", "ball-above-the-box", "straddles-a-face"])
+    @pytest.mark.parametrize("random_start", [False, True])
+    def test_x0_outside_the_box_matches_the_two_stage_clamp(self, rng, centre, random_start):
+        params = random_params(rng, (2, 8, 3), activation="relu", scale=2.0)
+        x0 = np.column_stack([centre + rng.uniform(-0.05, 0.05, 30), rng.uniform(0, 1, 30)])
+        y = rng.integers(0, 3, size=30)
+        box = DomainBox.unit(2)
+        cfg = AttackConfig(epsilon=0.1, steps=6, step_size=0.03, restarts=2, random_start=random_start)
+        res = pgd_attack(params, Tensor(x0), y, cfg, domain=box, seed=3)
+        want = two_stage_pgd(params, x0, y, cfg, box, seed=3)
+        assert res.adversarial.data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("labels, error", [
+        ([0, 1, 3, 2], IndexError),
+        ([0, -1, 2, 1], IndexError),
+        ([0], ShapeError),
+        ([0, 1, 2], ShapeError),
+        ([0, 1, 2, 0, 1], ShapeError),
+        ([[0], [1], [2], [0]], ShapeError),
+        ([0.0, 1.0, 2.0, 1.0], ParameterError),
+        ([True, False, True, False], ParameterError),
+    ], ids=["above-range", "negative", "length-1", "too-short", "too-long", "column", "float", "bool"])
+    @pytest.mark.parametrize("entry", [pgd_attack, pgd_plus_verdict, friendly_adversarial_search])
+    def test_bad_labels_raise_before_any_step(self, rng, labels, error, entry):
+        # A wrong length used to escape from numpy's broadcasting as a plain
+        # ValueError; ShapeError is one too.
+        params = random_params(rng, (2, 4, 3))
+        x0 = Tensor(rng.uniform(0, 1, size=(4, 2)))
+        with pytest.raises(error):
+            entry(params, x0, np.array(labels), pgd20_config(), domain=DomainBox.unit(2))
+
+    def test_input_shape_is_checked_before_the_labels(self, rng):
+        params = random_params(rng, (2, 4, 3))
+        with pytest.raises(ShapeError, match="input shape"):
+            pgd_attack(params, Tensor(np.zeros((4, 3))), np.array([0.5] * 4), pgd20_config())
 
 
 class TestKappa:

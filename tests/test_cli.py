@@ -1,4 +1,6 @@
 """End-to-end command-line behavior: exit codes, files, determinism."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,24 @@ class TestGenData:
     def test_odd_n_is_data_error(self, tmp_path):
         assert run("gen-data", "--kind", "two-moons", "--n", "7", "--seed", "0",
                    "--out", str(tmp_path / "x.csv")) == 2
+
+    @pytest.mark.parametrize("kind", ["two-moons", "blobs", "rings"])
+    def test_noise_that_overflows_exits_2_with_one_line(self, tmp_path, capsys, kind):
+        out = tmp_path / "z.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would escape as a traceback
+            assert run("gen-data", "--kind", kind, "--noise", "1e308", "--n", "10", "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "error: noise sigma 1e+308 is too large: the noisy points overflow float64\n")
+        assert not out.exists()
+
+    def test_label_beyond_int64_exits_2_naming_its_line(self, tmp_path, capsys):
+        data = tmp_path / "big.csv"
+        data.write_text("# num_classes = 2\n# domain_lower = 0 0\n# domain_upper = 1 1\n"
+                        "x0,x1,label\n0.5,0.5,99999999999999999999\n")
+        assert run("train", "--data", str(data), "--out", str(tmp_path / "m.ckpt")) == 2
+        assert capsys.readouterr().err == (
+            "error: label '99999999999999999999' does not fit in int64 (line 5)\n")
 
 
 class TestUsageErrors:
@@ -243,6 +263,25 @@ class TestConfigFile:
         table = section.split(".")[0]
         assert err == (f"error: unknown key {key!r} in [{section}]; "
                        f"known keys: {', '.join(_SETTINGS[table])}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section", ["dta", "attack.pgd30", "attack", "Data"])
+    def test_section_no_command_reads_exits_2_naming_the_known_sections(self, tmp_path, capsys, section):
+        cfg, out = tmp_path / "exp.ini", tmp_path / "d.csv"
+        cfg.write_text(f"[{section}]\nn = 20\nkind = blobs\n")
+        assert run("gen-data", "--config", str(cfg), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: unknown section [{section}] in {cfg}; known sections: "
+            "data, train, sweep, attack.pgd20, attack.pgdplus, attack.pgd200, DEFAULT\n")
+        assert not out.exists()
+
+    def test_default_key_no_table_defines_exits_2(self, tmp_path, capsys):
+        cfg, out = tmp_path / "exp.ini", tmp_path / "d.csv"
+        cfg.write_text("[DEFAULT]\nlearning-rate = 5\n[data]\nn = 20\n")
+        assert run("gen-data", "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown key 'learning-rate' in [DEFAULT]; known keys: ")
+        assert err.count("\n") == 1 and "learning_rate" in err
         assert not out.exists()
 
     def test_default_section_entries_are_not_refused(self, tmp_path, capsys):

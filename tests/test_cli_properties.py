@@ -2,6 +2,8 @@
 
 Whatever an INI file or a report file holds, the CLI exits 0 or 2, writes
 at most one `error:` line to stderr, and on exit 2 creates no output file.
+Whatever a dataset CSV holds, `load_csv` returns a `Dataset` or raises a
+`RobustlabError`.
 """
 import contextlib
 import io
@@ -11,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustlab.cli import _SETTINGS, main
+from robustlab.datasets import Dataset, load_csv
+from robustlab.errors import RobustlabError
 from robustlab.evaluate import EvalReport, ReportRow, write_report
 
 SECTIONS = {"data": "data", "train": "train", "sweep": "sweep", "attack": "attack.pgd20"}
@@ -99,3 +103,49 @@ def test_report_on_arbitrary_bytes_exits_0_or_2_with_one_error_line(workdir, val
     path = workdir / "fuzzed.csv"
     path.write_bytes(body)
     assert_clean_exit(*run(["report", "--in", str(path)]))
+
+
+def rarely(draw, good, bad):
+    """`good` nine times in ten, else `bad`."""
+    return draw(bad if draw(st.integers(0, 9)) == 0 else good)
+
+
+@st.composite
+def csv_bodies(draw):
+    """A dataset CSV close to what `save_csv` writes. Each part is usually
+    well formed, so that most bodies reach the rows: the metadata comments
+    (sometimes missing or malformed), the header, rows of in-range numbers
+    and small labels, and sometimes huge labels, stray cells or a shuffled
+    line order."""
+    dim = draw(st.integers(1, 3))
+    lines = []
+    for key, good in (("num_classes", st.integers(2, 4).map(str)),
+                      ("domain_lower", st.just(" ".join(["0"] * dim))),
+                      ("domain_upper", st.just(" ".join(["1"] * dim)))):
+        bad = st.one_of(st.just(None), LINE, NUMBER, st.lists(NUMBER, max_size=4).map(" ".join))
+        value = rarely(draw, good, bad)
+        if value is not None:
+            lines.append(f"# {key} = {value}")
+    lines += [f"# {k} = {v}" for k, v in draw(st.lists(st.tuples(LINE, LINE), max_size=2))]
+    lines.append(rarely(draw, st.just(",".join([f"x{i}" for i in range(dim)] + ["label"])), LINE))
+    label = st.one_of(st.integers(-1, 4), st.integers(-2**70, 2**70),
+                      st.sampled_from([2**63 - 1, 2**63, -2**63 - 1, 10**20])).map(str)
+    good_row = st.tuples(st.lists(st.floats(0, 1).map(repr), min_size=dim, max_size=dim), label).map(
+        lambda r: ",".join([*r[0], r[1]]))
+    bad_row = st.lists(st.one_of(NUMBER, label, LINE), max_size=dim + 2).map(",".join)
+    lines += draw(st.lists(st.one_of(good_row, good_row, good_row, bad_row), max_size=6))
+    if draw(st.integers(0, 9)) == 0:
+        lines = draw(st.permutations(lines))
+    return "\n".join(lines).encode("utf-8")
+
+
+@given(st.one_of(csv_bodies(), st.binary(max_size=200)))
+@settings(max_examples=300, deadline=None)
+def test_load_csv_returns_a_dataset_or_raises_a_robustlab_error(workdir, body):
+    path = workdir / "fuzzed-data.csv"
+    path.write_bytes(body)
+    try:
+        dataset = load_csv(path)
+    except RobustlabError:
+        return
+    assert isinstance(dataset, Dataset)

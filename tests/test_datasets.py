@@ -1,4 +1,6 @@
 """Synthetic generators: geometry, noise statistics, and CSV exchange."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,22 @@ class TestGeneratorContracts:
         with pytest.raises(ParameterError, match="must be finite and >= 0"):
             gen(noise)
 
+    @pytest.mark.parametrize(
+        "gen",
+        [
+            lambda noise: gen_two_moons(10, noise, 0),
+            lambda noise: gen_gaussian_blobs(10, [[0.2, 0.2], [0.8, 0.8]], noise, 0),
+            lambda noise: gen_rings(10, (0.4, 0.9), noise, 0),
+        ],
+        ids=["moons", "blobs", "rings"],
+    )
+    def test_finite_noise_that_overflows_names_the_noise(self, gen):
+        # Warnings become errors here: numpy must not warn on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match=r"noise sigma 1e\+308 is too large"):
+                gen(1e308)
+
     def test_split_dataset(self):
         ds = gen_two_moons(100, 0.1, seed=1)
         train, test = split_dataset(ds, 70, seed=2)
@@ -211,6 +229,14 @@ class TestCsv:
         with pytest.raises(ParseError) as exc:
             load_csv(path)
         assert exc.value.line == len(lines)
+
+    def test_label_beyond_int64_is_a_parse_error_with_its_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("# num_classes = 2\n# domain_lower = 0 0\n# domain_upper = 1 1\n"
+                        "x0,x1,label\n0.5,0.5,1\n0.5,0.5,99999999999999999999\n")
+        with pytest.raises(ParseError, match="does not fit in int64") as exc:
+            load_csv(path)
+        assert exc.value.line == 6
 
     def test_label_equal_to_c_is_schema_error(self, tmp_path):
         ds = gen_two_moons(4, 0.0, seed=0)
