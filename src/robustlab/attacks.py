@@ -9,12 +9,11 @@ the returned max-loss points.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 
 from .datasets import DomainBox
-from .errors import CapabilityError, ContractError, ParameterError, ParseError, ShapeError, check_seed
+from .errors import CapabilityError, ContractError, ParameterError, ShapeError, check_seed
 from .model import MlpParams, forward_logits, predict
 from .tensor import Tensor, _check_labels, _loss_and_grad
 
@@ -36,13 +35,9 @@ class AttackConfig:
     clip_to_domain: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilon", float(self.epsilon))
-        object.__setattr__(self, "steps", int(self.steps))
-        object.__setattr__(self, "step_size", float(self.step_size))
-        object.__setattr__(self, "restarts", int(self.restarts))
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "random_start", bool(self.random_start))
-        object.__setattr__(self, "clip_to_domain", bool(self.clip_to_domain))
+        cast = {"float": float, "int": int, "bool": bool}
+        for f in fields(self):  # each field to its annotated type
+            object.__setattr__(self, f.name, cast[f.type](getattr(self, f.name)))
         if not (np.isfinite(self.epsilon) and self.epsilon > 0):
             raise ParameterError(f"epsilon must be > 0, got {self.epsilon}")
         if not (np.isfinite(self.step_size) and self.step_size > 0):
@@ -67,44 +62,6 @@ class AttackConfig:
                 text = str(v)
             parts.append(f"{f.name} = {text}")
         return sep.join(parts)
-
-    @classmethod
-    def from_mapping(cls, mapping) -> "AttackConfig":
-        known = {f.name: f for f in fields(cls)}
-        kwargs = {}
-        for key, raw in dict(mapping).items():
-            key = key.strip()
-            if key not in known:
-                raise ParseError(f"unknown attack config key {key!r}")
-            raw = str(raw).strip()
-            try:
-                if known[key].type == "bool":
-                    if raw.lower() not in ("true", "false"):
-                        raise ValueError(f"expected true/false, got {raw!r}")
-                    kwargs[key] = raw.lower() == "true"
-                elif known[key].type == "int":
-                    kwargs[key] = int(raw)
-                else:
-                    kwargs[key] = float(raw)
-            except ValueError as e:
-                raise ParseError(f"bad value for {key!r}: {e}") from None
-        missing = [k for k in ("epsilon", "steps", "step_size") if k not in kwargs]
-        if missing:
-            raise ParseError(f"attack config missing required keys {missing}")
-        return cls(**kwargs)
-
-    @classmethod
-    def from_kv(cls, text: str) -> "AttackConfig":
-        mapping = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(f"expected 'key = value', got {line!r}", line=lineno)
-            key, value = line.split("=", 1)
-            mapping[key.strip()] = value.strip()
-        return cls.from_mapping(mapping)
 
 
 def pgd20_config(epsilon: float = 0.031) -> AttackConfig:
@@ -159,9 +116,13 @@ def _ball_bounds(x0: np.ndarray, epsilon: float, domain: DomainBox | None) -> tu
 
     Clamping is monotone, so one clip to these bounds gives the bits of a
     clip to the ball followed by a clip to the box, even where x0 lies
-    outside the box.
+    outside the box. PGD's steps, `project_linf` and the grid oracle all
+    take their ball from here.
     """
-    lo, hi = x0 - epsilon, x0 + epsilon
+    eps = float(epsilon)
+    if not (np.isfinite(eps) and eps > 0):
+        raise ParameterError(f"epsilon must be > 0, got {epsilon}")
+    lo, hi = x0 - eps, x0 + eps
     if domain is not None:
         lower, upper = domain.lower_array(), domain.upper_array()
         np.clip(lo, lower, upper, out=lo)
@@ -173,32 +134,29 @@ def project_linf(x: Tensor, x0: Tensor, epsilon: float, domain: DomainBox | None
     """Clamp x into the epsilon-ball around x0, then into the domain box."""
     if x.shape != x0.shape:
         raise ShapeError(f"project_linf shapes differ: {x.shape} vs {x0.shape}")
-    eps = float(epsilon)
-    if not (np.isfinite(eps) and eps > 0):
-        raise ParameterError(f"epsilon must be > 0, got {epsilon}")
-    return Tensor._wrap(np.clip(x.data, *_ball_bounds(x0.data, eps, domain)))
+    return Tensor._wrap(np.clip(x.data, *_ball_bounds(x0.data, epsilon, domain)))
 
 
-class _PgdRun(NamedTuple):
-    best_x: np.ndarray
-    best_correct: np.ndarray
-    trace: np.ndarray
-    natural_correct: np.ndarray
-    kappa: np.ndarray
-    friendly: np.ndarray | None
-
-
-def _run_pgd(
+def pgd_attack(
     model: MlpParams,
     x0: Tensor,
-    y: np.ndarray,
+    y,
     config: AttackConfig,
-    domain: DomainBox | None,
-    seed: int,
+    *,
+    domain: DomainBox | None = None,
+    seed: int = 0,
     friendly_slack: int | None = None,
-) -> _PgdRun:
-    """One seeded PGD run; with friendly_slack it also keeps the first
-    restart's iterates and picks the friendly-search points from them."""
+) -> AttackResult:
+    """Sign-gradient PGD in the l-inf ball, batched over examples.
+
+    Per restart: start at x0 (plus projected uniform noise when
+    random_start), take `steps` fixed-size sign steps on the alpha-scaled
+    cross-entropy, projecting after each. The returned point per example is
+    the max-loss iterate over every restart and iteration. This is the one
+    seeded PGD run of the package: given friendly_slack, it also keeps the
+    first restart's iterates and picks the points
+    `friendly_adversarial_search` with that slack returns for the same seed.
+    """
     if friendly_slack is not None and int(friendly_slack) < 0:
         raise ParameterError(f"slack_steps must be >= 0, got {friendly_slack}")
     x0d = x0.data
@@ -253,7 +211,6 @@ def _run_pgd(
     # kappa counts from the natural point regardless of random starts, then
     # follows the first restart's iterates.
     kappa_trace = np.concatenate([natural_correct[:, None], trace[:, 0, 1:]], axis=1)
-    kappa = count_kappa(kappa_trace, T)
     friendly = None
     if traj is not None:
         # Per example, the first restart's iterate friendly_slack steps after
@@ -262,38 +219,15 @@ def _run_pgd(
         chosen = np.minimum(wrong.argmax(axis=1) + int(friendly_slack), T)
         friendly = best_x.copy()
         idx = np.nonzero(wrong.any(axis=1))[0]
-        if idx.size:
-            friendly[idx] = traj[chosen[idx], idx]
-    return _PgdRun(best_x, best_correct, trace, natural_correct, kappa, friendly)
-
-
-def pgd_attack(
-    model: MlpParams,
-    x0: Tensor,
-    y,
-    config: AttackConfig,
-    *,
-    domain: DomainBox | None = None,
-    seed: int = 0,
-    friendly_slack: int | None = None,
-) -> AttackResult:
-    """Sign-gradient PGD in the l-inf ball, batched over examples.
-
-    Per restart: start at x0 (plus projected uniform noise when
-    random_start), take `steps` fixed-size sign steps on the alpha-scaled
-    cross-entropy, projecting after each. The returned point per example is
-    the max-loss iterate over every restart and iteration. Given
-    friendly_slack, the result also carries the points
-    `friendly_adversarial_search` with that slack returns for the same seed.
-    """
-    run = _run_pgd(model, x0, np.asarray(y), config, domain, seed, friendly_slack)
+        friendly[idx] = traj[chosen[idx], idx]
+        friendly = Tensor._wrap(friendly)
     return AttackResult(
-        adversarial=Tensor._wrap(run.best_x),
-        kappa=run.kappa,
-        correct_trace=run.trace,
-        natural_correct=run.natural_correct,
-        final_correct=run.best_correct,
-        friendly=None if run.friendly is None else Tensor._wrap(run.friendly),
+        adversarial=Tensor._wrap(best_x),
+        kappa=count_kappa(kappa_trace, T),
+        correct_trace=trace,
+        natural_correct=natural_correct,
+        final_correct=best_correct,
+        friendly=friendly,
     )
 
 
@@ -331,8 +265,7 @@ def friendly_adversarial_search(
     best competing label turned positive. Examples that never flip fall
     back to the plain max-loss attack output.
     """
-    run = _run_pgd(model, x0, np.asarray(y), config, domain, seed, friendly_slack=slack_steps)
-    return Tensor._wrap(run.friendly)
+    return pgd_attack(model, x0, y, config, domain=domain, seed=seed, friendly_slack=slack_steps).friendly
 
 
 def pgd_plus_verdict(
@@ -363,9 +296,9 @@ def brute_force_attack(
 ) -> bool:
     """Exhaustive grid check of one low-dimensional point.
 
-    Evaluates predict on the full G^d grid over the epsilon-ball (clipped
-    to the domain), corners included; robust-correct iff correct at every
-    grid point. Independent of any gradient machinery, so it serves as an
+    Evaluates predict on the full G^d grid over the epsilon-ball clamped
+    into the domain box (the ball `pgd_attack` walks), corners included;
+    robust-correct iff correct at every grid point. Independent of any gradient machinery, so it serves as an
     oracle that PGD verdicts can be checked against.
     """
     point = np.asarray(x0.data if isinstance(x0, Tensor) else x0, dtype=np.float64).reshape(-1)
@@ -377,13 +310,7 @@ def brute_force_attack(
         raise CapabilityError(f"grid resolution capped at 101 per axis, got {G}")
     if G < 2:
         raise ParameterError(f"need at least 2 grid points per axis, got {G}")
-    eps = float(epsilon)
-    if not (np.isfinite(eps) and eps > 0):
-        raise ParameterError(f"epsilon must be > 0, got {epsilon}")
-    lo, hi = point - eps, point + eps
-    if domain is not None:
-        lo = np.maximum(lo, domain.lower_array())
-        hi = np.minimum(hi, domain.upper_array())
+    lo, hi = _ball_bounds(point, epsilon, domain)
     axes = [np.linspace(lo[j], hi[j], G) for j in range(d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.stack([m.reshape(-1) for m in mesh], axis=1)

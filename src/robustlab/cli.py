@@ -25,13 +25,10 @@ from .attacks import ATTACK_PRESETS, AttackConfig, brute_force_attack, pgd_attac
 from .datasets import Dataset, gen_gaussian_blobs, gen_rings, gen_two_moons, load_csv, save_csv
 from .errors import ConfigError, ParameterError, RobustlabError, check_seed
 from .evaluate import (
-    EvalReport,
-    ReportRow,
     SweepConfig,
     alpha_sweep,
     dataset_sha256,
     eval_natural,
-    eval_robust,
     file_sha256,
     read_report,
     write_report,
@@ -310,22 +307,16 @@ def cmd_attack(args) -> int:
 def cmd_eval(args) -> int:
     ckpt, dataset, name, cfg, seed, _ = _attack_setup(args)
     verdict = args.verdict or _default_verdict(name)
-    nat = eval_natural(ckpt.params, dataset)
-    rob = eval_robust(ckpt.params, dataset, cfg, verdict, seed=seed)
+    # The report is the one-cell sweep at the attack's own alpha, less the sweep's worst-alpha line.
+    report = replace(alpha_sweep(
+        ckpt.params, dataset, SweepConfig(cfg, (cfg.alpha,)), verdict, attack_name=name, seed=seed,
+        model_id=str(args.model), checkpoint_hash=file_sha256(args.model), dataset_id=str(args.data),
+    ), worst_alpha=())
     _print_resolved({"model": args.model, "data": args.data, "attack": name,
                      "verdict": verdict, "seed": seed})
-    print(f"natural_accuracy = {nat:.6f}")
-    print(f"robust_accuracy({name},{verdict}) = {rob:.6f}")
+    print(f"natural_accuracy = {report.natural_accuracy:.6f}")
+    print(f"robust_accuracy({name},{verdict}) = {report.rows[0].robust_accuracy:.6f}")
     if args.out:
-        report = EvalReport(
-            model_id=str(args.model), checkpoint_hash=file_sha256(args.model),
-            dataset_id=str(args.data), dataset_seed=dataset.meta.get("seed", ""),
-            natural_accuracy=nat,
-            rows=(ReportRow(attack=name, alpha=cfg.alpha, robust_accuracy=rob, n=len(dataset)),),
-            extra=(("verdict." + name, verdict), ("seed", str(seed)),
-                   ("dataset_sha256", dataset_sha256(dataset)),
-                   ("attack." + name, cfg.to_kv(sep=" "))),
-        )
         out = _out_path(args.out)
         write_report(report, out)
         print(f"wrote report {out}")

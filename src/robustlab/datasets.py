@@ -156,6 +156,17 @@ def _noise_overflow(sigma: float):
             raise ParameterError(f"noise sigma {sigma!r} is too large: the noisy points overflow float64") from None
 
 
+def _noisy_unit_square(clean: np.ndarray, noise_sigma: float, rng: np.random.Generator, meta: dict) -> Dataset:
+    """The tail shared by two-moons and rings: add noise to `clean` (class 0's
+    half, then class 1's), rescale into [0,1]^2 and record both in `meta`."""
+    with _noise_overflow(noise_sigma):
+        raw = clean + noise_sigma * rng.standard_normal(clean.shape)
+        scaled, offset, scale = _rescale_to_unit(raw)
+    meta.update(noise_sigma=_fmt(noise_sigma), rescale_offset=_fmt_vec(offset), rescale_scale=_fmt_vec(scale))
+    return Dataset(points=Tensor._wrap(scaled), labels=_balanced_labels(len(clean), 2),
+                   domain=DomainBox.unit(2), num_classes=2, meta=meta)
+
+
 def gen_two_moons(n: int, noise_sigma: float, seed: int) -> Dataset:
     """Two interleaved radius-1 half-circle arcs, the second flipped and
     offset by (1, -0.5), plus isotropic Gaussian noise; rescaled to [0,1]^2.
@@ -170,23 +181,8 @@ def gen_two_moons(n: int, noise_sigma: float, seed: int) -> Dataset:
     t1 = rng.uniform(0.0, math.pi, half)
     arc0 = np.column_stack([np.cos(t0), np.sin(t0)])
     arc1 = np.column_stack([1.0 + np.cos(t1), 0.5 - np.sin(t1)])
-    with _noise_overflow(noise_sigma):
-        raw = np.concatenate([arc0, arc1]) + noise_sigma * rng.standard_normal((n, 2))
-        scaled, offset, scale = _rescale_to_unit(raw)
-    meta = {
-        "generator": "two_moons",
-        "seed": str(seed),
-        "noise_sigma": _fmt(noise_sigma),
-        "rescale_offset": _fmt_vec(offset),
-        "rescale_scale": _fmt_vec(scale),
-    }
-    return Dataset(
-        points=Tensor._wrap(scaled),
-        labels=_balanced_labels(n, 2),
-        domain=DomainBox.unit(2),
-        num_classes=2,
-        meta=meta,
-    )
+    return _noisy_unit_square(np.concatenate([arc0, arc1]), noise_sigma, rng,
+                              {"generator": "two_moons", "seed": str(seed)})
 
 
 def gen_gaussian_blobs(n: int, centers: Sequence[Sequence[float]], sigma: float, seed: int) -> Dataset:
@@ -244,25 +240,9 @@ def gen_rings(n: int, radii: tuple[float, float], noise_sigma: float, seed: int)
     theta1 = rng.uniform(0.0, 2.0 * math.pi, half)
     ring0 = r_inner * np.column_stack([np.cos(theta0), np.sin(theta0)])
     ring1 = r_outer * np.column_stack([np.cos(theta1), np.sin(theta1)])
-    with _noise_overflow(noise_sigma):
-        raw = np.concatenate([ring0, ring1]) + noise_sigma * rng.standard_normal((n, 2))
-        scaled, offset, scale = _rescale_to_unit(raw)
-    meta = {
-        "generator": "rings",
-        "seed": str(seed),
-        "noise_sigma": _fmt(noise_sigma),
-        "r_inner": _fmt(r_inner),
-        "r_outer": _fmt(r_outer),
-        "rescale_offset": _fmt_vec(offset),
-        "rescale_scale": _fmt_vec(scale),
-    }
-    return Dataset(
-        points=Tensor._wrap(scaled),
-        labels=_balanced_labels(n, 2),
-        domain=DomainBox.unit(2),
-        num_classes=2,
-        meta=meta,
-    )
+    return _noisy_unit_square(np.concatenate([ring0, ring1]), noise_sigma, rng, {
+        "generator": "rings", "seed": str(seed), "r_inner": _fmt(r_inner), "r_outer": _fmt(r_outer),
+    })
 
 
 def rescale_inverse(dataset: Dataset) -> np.ndarray:

@@ -16,6 +16,9 @@ from .tensor import ACTIVATION_KINDS, Tensor, mlp_forward
 
 CHECKPOINT_HEADER = "MLPCKPT v1"
 FLOAT_FMT = ".17g"  # 17 significant digits round-trip float64 exactly
+# The most entries one layer's weight matrix may have: a wider layer (say one
+# sized by a corrupt class count) is refused before anything is allocated.
+MAX_LAYER_ENTRIES = 2**24
 
 
 @dataclass(frozen=True)
@@ -36,6 +39,8 @@ class MlpConfig:
             raise ParameterError(f"layer sizes must be positive, got {sizes}")
         if sizes[-1] < 2:
             raise ParameterError(f"output layer needs at least 2 classes, got {sizes[-1]}")
+        if any(a * b > MAX_LAYER_ENTRIES for a, b in zip(sizes, sizes[1:])):
+            raise ParameterError(f"layer sizes {sizes} give a weight matrix of more than {MAX_LAYER_ENTRIES} entries")
         if self.activation not in ACTIVATION_KINDS:
             raise ParameterError(f"unsupported activation {self.activation!r}")
         if not (0 <= self.init_seed < 2**64):

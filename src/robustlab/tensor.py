@@ -60,23 +60,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self._data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self._data.ndim
-
-    @property
-    def size(self) -> int:
-        return self._data.size
-
-    def item(self) -> float:
-        return float(self._data.reshape(-1)[0]) if self._data.size == 1 else self._fail_item()
-
-    def _fail_item(self):
-        raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
-
-    def tolist(self):
-        return self._data.tolist()
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 

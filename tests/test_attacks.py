@@ -16,7 +16,7 @@ from robustlab.attacks import (
     project_linf,
 )
 from robustlab.datasets import DomainBox
-from robustlab.errors import CapabilityError, ContractError, ParameterError, ParseError, ShapeError
+from robustlab.errors import CapabilityError, ContractError, ParameterError, ShapeError
 from robustlab.model import predict
 from robustlab.tensor import Tensor, mlp_loss_and_grad
 
@@ -62,18 +62,14 @@ class TestAttackConfig:
         cfg = pgd200_config(0.031)
         assert cfg.steps == 200 and cfg.step_size == 0.031 / 100
 
-    def test_kv_round_trip(self):
-        cfg = AttackConfig(epsilon=0.031, steps=20, step_size=0.00775, restarts=5,
+    def test_to_kv_text_is_pinned(self):
+        # Reports' `# attack.<name>` line and `attack --out-adv` metadata are this text.
+        cfg = AttackConfig(epsilon=0.1, steps=20, step_size=0.025, restarts=5,
                            alpha=10.0, random_start=True, clip_to_domain=False)
-        assert AttackConfig.from_kv(cfg.to_kv()) == cfg
-
-    def test_kv_unknown_key(self):
-        with pytest.raises(ParseError):
-            AttackConfig.from_kv("epsilon = 0.1\nsteps = 5\nstep_size = 0.01\nbogus = 1")
-
-    def test_kv_missing_required(self):
-        with pytest.raises(ParseError):
-            AttackConfig.from_kv("epsilon = 0.1")
+        assert cfg.to_kv() == (
+            "epsilon = 0.10000000000000001\nsteps = 20\nstep_size = 0.025000000000000001\n"
+            "restarts = 5\nalpha = 10\nrandom_start = true\nclip_to_domain = false")
+        assert cfg.to_kv(sep="; ") == cfg.to_kv().replace("\n", "; ")
 
 
 class TestProject:
@@ -475,6 +471,30 @@ class TestBruteForce:
         params = linear_model(np.zeros((2, 2)), [0.0, 0.0])
         with pytest.raises(CapabilityError):
             brute_force_attack(params, np.zeros(2), 0, 0.1, 102)
+
+    @pytest.mark.parametrize("centre", [-0.5, 1.5, 1.02, 0.0], ids=[
+        "ball-below-the-box", "ball-above-the-box", "straddles-upper-face", "centred-on-a-face"])
+    def test_grid_spans_the_clamped_ball_that_pgd_walks(self, monkeypatch, centre):
+        # The cases of TestProject: the grid runs exactly over the ball that
+        # project_linf (and so every PGD step) clamps into the box.
+        grids = []
+        monkeypatch.setattr(attacks, "predict", lambda m, x: grids.append(x.data) or predict(m, x))
+        params = linear_model(np.zeros((2, 2)), [1.0, 0.0])
+        x0, box = np.array([centre, 0.5]), DomainBox.unit(2)
+        assert brute_force_attack(params, x0, 0, 0.1, 5, domain=box)
+        far = np.array([[-10.0, -10.0], [10.0, 10.0]])
+        corners = project_linf(Tensor(x0 + far), Tensor(np.tile(x0, (2, 1))), 0.1, domain=box).data
+        grid = grids[0]
+        assert grid.shape == (25, 2)
+        np.testing.assert_array_equal(grid.min(axis=0), corners[0])
+        np.testing.assert_array_equal(grid.max(axis=0), corners[1])
+        inside = project_linf(Tensor(grid), Tensor(np.tile(x0, (25, 1))), 0.1, domain=box).data
+        np.testing.assert_array_equal(inside, grid)
+        # One long PGD step from a random start ends on a corner of that ball: a grid point.
+        pgd_params = linear_model(np.array([[1.0, -1.0], [-1.0, 1.0]]), [0.0, 0.0])
+        cfg = AttackConfig(epsilon=0.1, steps=1, step_size=1.0, random_start=True)
+        res = pgd_attack(pgd_params, Tensor(x0[None]), np.array([0]), cfg, domain=box, seed=1)
+        np.testing.assert_array_equal(res.adversarial.data[0], [corners[0][0], corners[1][1]])
 
     def test_dominates_pgd_on_random_tiny_models(self, rng):
         # If PGD finds any misclassified point, the exhaustive grid must

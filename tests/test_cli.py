@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, files, determinism."""
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -146,6 +147,28 @@ class TestTrain:
         assert (tmp_path / "erm.history.csv").exists()
 
 
+    def test_declared_class_count_over_the_layer_bound_exits_2_with_one_line(self, tmp_path, capsys):
+        data = tmp_path / "huge.csv"
+        data.write_text("# num_classes = 1000000000000\n# domain_lower = 0 0\n# domain_upper = 1 1\n"
+                        "x0,x1,label\n0.25,0.5,0\n0.75,0.5,1\n")
+        out = tmp_path / "m.ckpt"
+        assert run("train", "--data", str(data), "--method", "erm", "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "error: layer sizes (2, 32, 32, 1000000000000) give a weight matrix "
+            "of more than 16777216 entries\n")
+        assert list(tmp_path.iterdir()) == [data]
+
+    def test_hidden_width_past_the_address_space_exits_2_with_one_line(self, tmp_path, data_csv, capsys):
+        # 2 x 2**62 float64 weights need 2**66 bytes: even without the bound
+        # this fails at allocation, never by filling memory.
+        out = tmp_path / "m.ckpt"
+        assert run("train", "--data", str(data_csv), "--method", "erm", "--hidden", str(2**62),
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: layer sizes (2, {2**62}, 2) give a weight matrix of more than 16777216 entries\n")
+        assert not list(tmp_path.iterdir())
+
+
 class TestAttackEvalSweep:
     def test_attack_writes_adversarial_csv(self, tmp_path, data_csv, ckpt):
         adv = tmp_path / "adv.csv"
@@ -162,6 +185,21 @@ class TestAttackEvalSweep:
         report = read_report(out)
         assert len(report.rows) == 1
         assert report.rows[0].n == 60
+
+    @pytest.mark.parametrize("verdict", ["best_iterate", "all_iterates"])
+    def test_eval_report_is_the_one_cell_sweep_without_worst_alpha(self, tmp_path, data_csv, ckpt, verdict):
+        args = ["--model", str(ckpt), "--data", str(data_csv), "--attack", "pgd20",
+                "--alpha", "3", "--verdict", verdict, "--seed", "4"]
+        ev, sw = tmp_path / "eval.csv", tmp_path / "sweep.csv"
+        assert run("eval", *args, "--out", str(ev)) == 0
+        assert run("sweep", *args, "--alpha-grid", "3", "--out", str(sw)) == 0
+        eval_report, sweep_report = read_report(ev), read_report(sw)
+        assert eval_report.worst_alpha == () and "worst_alpha" not in ev.read_text()
+        assert eval_report == replace(sweep_report, worst_alpha=())
+        assert [r.alpha for r in eval_report.rows] == [3.0]
+        strip = lambda p: [l for l in p.read_text().splitlines()
+                           if not l.startswith(("# generated_at", "# worst_alpha"))]
+        assert strip(ev) == strip(sw)
 
     def test_sweep_nine_rows_and_worst_alpha(self, tmp_path, data_csv, ckpt, capsys):
         out = tmp_path / "sweep.csv"

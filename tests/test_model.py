@@ -36,6 +36,11 @@ class TestConfig:
         with pytest.raises(ParameterError):
             MlpConfig(layer_sizes=(2, 2), activation="sigmoid")
 
+    def test_layer_size_bound(self):
+        MlpConfig(layer_sizes=(2, 2**23, 2))  # 2**24 entries per weight matrix: the most allowed
+        with pytest.raises(ParameterError, match="more than 16777216 entries"):
+            MlpConfig(layer_sizes=(2, 32, 2**19 + 1))
+
 
 class TestInit:
     def test_same_seed_bit_identical(self):
@@ -162,6 +167,13 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert exc.value.line == 3
         assert exc.value.offset == len("MLPCKPT v1\nconfig layer_sizes=2,2 activation=relu init_seed=0\n")
+
+    def test_config_over_the_layer_size_bound_is_parse_error(self, tmp_path):
+        path = tmp_path / "big.ckpt"
+        path.write_text("MLPCKPT v1\nconfig layer_sizes=2,32,1000000000000 activation=relu init_seed=0\n")
+        with pytest.raises(ParseError, match="more than 16777216 entries") as exc:
+            load_checkpoint(path)
+        assert exc.value.line == 2
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.ckpt"

@@ -37,11 +37,9 @@ class TestTensor:
         with pytest.raises(ValueError):
             t.data[0] = 3.0
 
-    def test_shape_and_item(self):
+    def test_shape(self):
         assert Tensor([[1.0, 2.0]]).shape == (1, 2)
-        assert Tensor(3.5).item() == 3.5
-        with pytest.raises(ShapeError):
-            Tensor([1.0, 2.0]).item()
+        assert Tensor(3.5).shape == ()
 
 
 class TestLinear:
