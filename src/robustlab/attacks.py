@@ -13,9 +13,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .datasets import DomainBox
-from .errors import CapabilityError, ContractError, ParameterError, ShapeError, check_seed
+from .errors import CapabilityError, ContractError, ParameterError, ShapeError, check_seed, check_size
 from .model import MlpParams, forward_logits, predict
 from .tensor import Tensor, _check_labels, _loss_and_grad
+from .textfile import fmt
 
 
 @dataclass(frozen=True)
@@ -54,12 +55,7 @@ class AttackConfig:
         parts = []
         for f in fields(self):
             v = getattr(self, f.name)
-            if isinstance(v, bool):
-                text = "true" if v else "false"
-            elif isinstance(v, float):
-                text = format(v, ".17g")
-            else:
-                text = str(v)
+            text = str(v).lower() if isinstance(v, bool) else fmt(v) if isinstance(v, float) else str(v)
             parts.append(f"{f.name} = {text}")
         return sep.join(parts)
 
@@ -164,6 +160,7 @@ def pgd_attack(
         raise ShapeError(f"attack input must be (n, d), got {x0d.shape}")
     n, d = x0d.shape
     T, R = config.steps, config.restarts
+    check_size(n * R * (T + 1), f"{n} points x {R} restarts x {T + 1} iterates give a PGD trace")
     eps = config.epsilon
     rng = np.random.default_rng(check_seed(seed))
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .attacks import ATTACK_PRESETS, AttackConfig, brute_force_attack, pgd_attack
 from .datasets import Dataset, gen_gaussian_blobs, gen_rings, gen_two_moons, load_csv, save_csv
-from .errors import ConfigError, ParameterError, RobustlabError, check_seed
+from .errors import ConfigError, ParameterError, RobustlabError, check_seed, check_size
 from .evaluate import (
     SweepConfig,
     alpha_sweep,
@@ -35,6 +35,7 @@ from .evaluate import (
 )
 from .model import MlpConfig, load_checkpoint, save_checkpoint
 from .tensor import ACTIVATION_KINDS, Tensor
+from .textfile import comment_line
 from .training import TRAIN_METHODS, TrainConfig, train, write_history
 
 _USAGE_ERROR, _DATA_ERROR = 1, 2
@@ -163,7 +164,7 @@ def _settings(args, ini: configparser.ConfigParser, section: str, table: str | N
 
 def _print_resolved(pairs: dict[str, object]) -> None:
     for key, value in pairs.items():
-        print(f"# {key} = {value}")
+        print(comment_line(key, value))
 
 
 def _numbers(text: str, sep: str, what: str) -> list[float]:
@@ -186,6 +187,7 @@ def _parse_alpha_grid(text: str) -> tuple[float, ...]:
             raise ParameterError(f"alpha grid must be lo:hi:count with an integer count, got {text!r}") from None
         if lo <= 0 or hi <= lo or count < 1:
             raise ParameterError(f"bad alpha grid bounds {text!r}")
+        check_size(count, f"alpha grid count {count} gives a grid")
         return tuple(float(a) for a in np.logspace(np.log10(lo), np.log10(hi), count))
     return tuple(_numbers(text, ",", "alpha grid"))
 

@@ -10,14 +10,13 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError, ParseError, SchemaError, ShapeError, check_seed
-from .model import FLOAT_FMT, write_text_atomic
+from .errors import ParameterError, ParseError, SchemaError, ShapeError, check_seed, check_size
 from .tensor import Tensor
+from .textfile import fmt, fmt_vec, read_table, write_table
 
 
 @dataclass(frozen=True)
@@ -119,14 +118,6 @@ def split_dataset(dataset: Dataset, n_first: int, seed: int) -> tuple[Dataset, D
     return dataset.take(perm[:n_first]), dataset.take(perm[n_first:])
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), FLOAT_FMT)
-
-
-def _fmt_vec(vec: np.ndarray) -> str:
-    return " ".join(_fmt(v) for v in vec)
-
-
 def _rescale_to_unit(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Min/max map onto [0,1] per dimension; returns (scaled, offset, scale).
 
@@ -139,6 +130,16 @@ def _rescale_to_unit(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     scale = np.where(degenerate, 1.0, scale)
     offset = np.where(degenerate, offset - 0.5, offset)
     return (points - offset) / scale, offset, scale
+
+
+def _two_class_setup(what: str, n: int, noise_sigma: float, seed: int) -> tuple[np.random.Generator, int]:
+    """The checks two-moons and rings share; returns their generator and class size."""
+    if n <= 0 or n % 2:
+        raise ParameterError(f"{what} needs a positive even n, got {n}")
+    if not 0 <= noise_sigma < math.inf:
+        raise ParameterError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    check_size(n * 2, f"{n} points in 2 dimensions give a dataset")
+    return np.random.default_rng(check_seed(seed)), n // 2
 
 
 def _balanced_labels(n: int, num_classes: int) -> np.ndarray:
@@ -162,7 +163,7 @@ def _noisy_unit_square(clean: np.ndarray, noise_sigma: float, rng: np.random.Gen
     with _noise_overflow(noise_sigma):
         raw = clean + noise_sigma * rng.standard_normal(clean.shape)
         scaled, offset, scale = _rescale_to_unit(raw)
-    meta.update(noise_sigma=_fmt(noise_sigma), rescale_offset=_fmt_vec(offset), rescale_scale=_fmt_vec(scale))
+    meta.update(noise_sigma=fmt(noise_sigma), rescale_offset=fmt_vec(offset), rescale_scale=fmt_vec(scale))
     return Dataset(points=Tensor._wrap(scaled), labels=_balanced_labels(len(clean), 2),
                    domain=DomainBox.unit(2), num_classes=2, meta=meta)
 
@@ -171,12 +172,7 @@ def gen_two_moons(n: int, noise_sigma: float, seed: int) -> Dataset:
     """Two interleaved radius-1 half-circle arcs, the second flipped and
     offset by (1, -0.5), plus isotropic Gaussian noise; rescaled to [0,1]^2.
     """
-    if n <= 0 or n % 2:
-        raise ParameterError(f"two moons needs a positive even n, got {n}")
-    if not 0 <= noise_sigma < math.inf:
-        raise ParameterError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
-    rng = np.random.default_rng(check_seed(seed))
-    half = n // 2
+    rng, half = _two_class_setup("two moons", n, noise_sigma, seed)
     t0 = rng.uniform(0.0, math.pi, half)
     t1 = rng.uniform(0.0, math.pi, half)
     arc0 = np.column_stack([np.cos(t0), np.sin(t0)])
@@ -204,6 +200,7 @@ def gen_gaussian_blobs(n: int, centers: Sequence[Sequence[float]], sigma: float,
         raise ParameterError(f"n must be a positive multiple of the {k} centers, got {n}")
     if not 0 <= sigma < math.inf:
         raise ParameterError(f"sigma must be finite and >= 0, got {sigma}")
+    check_size(n * dim, f"{n} points in {dim} dimensions give a dataset")
     rng = np.random.default_rng(check_seed(seed))
     per = n // k
     with _noise_overflow(sigma):
@@ -211,8 +208,8 @@ def gen_gaussian_blobs(n: int, centers: Sequence[Sequence[float]], sigma: float,
     meta = {
         "generator": "gaussian_blobs",
         "seed": str(seed),
-        "sigma": _fmt(sigma),
-        "centers": ";".join(_fmt_vec(c) for c in ctr),
+        "sigma": fmt(sigma),
+        "centers": ";".join(fmt_vec(c) for c in ctr),
     }
     return Dataset(
         points=Tensor._wrap(box.clip(pts)),
@@ -230,18 +227,13 @@ def gen_rings(n: int, radii: tuple[float, float], noise_sigma: float, seed: int)
     r_inner, r_outer = (float(r) for r in radii)
     if not 0 < r_inner < r_outer:
         raise ParameterError(f"radii must satisfy 0 < inner < outer, got {radii}")
-    if n <= 0 or n % 2:
-        raise ParameterError(f"rings needs a positive even n, got {n}")
-    if not 0 <= noise_sigma < math.inf:
-        raise ParameterError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
-    rng = np.random.default_rng(check_seed(seed))
-    half = n // 2
+    rng, half = _two_class_setup("rings", n, noise_sigma, seed)
     theta0 = rng.uniform(0.0, 2.0 * math.pi, half)
     theta1 = rng.uniform(0.0, 2.0 * math.pi, half)
     ring0 = r_inner * np.column_stack([np.cos(theta0), np.sin(theta0)])
     ring1 = r_outer * np.column_stack([np.cos(theta1), np.sin(theta1)])
     return _noisy_unit_square(np.concatenate([ring0, ring1]), noise_sigma, rng, {
-        "generator": "rings", "seed": str(seed), "r_inner": _fmt(r_inner), "r_outer": _fmt(r_outer),
+        "generator": "rings", "seed": str(seed), "r_inner": fmt(r_inner), "r_outer": fmt(r_outer),
     })
 
 
@@ -257,18 +249,15 @@ def rescale_inverse(dataset: Dataset) -> np.ndarray:
 
 def save_csv(dataset: Dataset, path) -> None:
     """CSV with `#`-comment metadata lines, a header row, then one row per point."""
-    dim = dataset.dim
-    lines = []
-    lines.append(f"# num_classes = {dataset.num_classes}")
-    lines.append(f"# domain_lower = {_fmt_vec(dataset.domain.lower_array())}")
-    lines.append(f"# domain_upper = {_fmt_vec(dataset.domain.upper_array())}")
-    for key in sorted(dataset.meta):
-        lines.append(f"# {key} = {dataset.meta[key]}")
-    lines.append(",".join([f"x{i}" for i in range(dim)] + ["label"]))
-    pts, labs = dataset.points.data, dataset.labels
-    for row, lab in zip(pts, labs):
-        lines.append(",".join([_fmt(v) for v in row] + [str(int(lab))]))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    comments = [
+        ("num_classes", dataset.num_classes),
+        ("domain_lower", fmt_vec(dataset.domain.lower_array())),
+        ("domain_upper", fmt_vec(dataset.domain.upper_array())),
+        *((key, dataset.meta[key]) for key in sorted(dataset.meta)),
+    ]
+    header = [f"x{i}" for i in range(dataset.dim)] + ["label"]
+    rows = ([fmt(v) for v in row] + [str(int(lab))] for row, lab in zip(dataset.points.data, dataset.labels))
+    write_table(path, comments, header, rows)
 
 
 def load_csv(path) -> Dataset:
@@ -277,35 +266,13 @@ def load_csv(path) -> Dataset:
     Raises ParseError with the offending line number for malformed content
     and SchemaError for declared-schema violations (e.g. a label >= C).
     """
-    try:
-        text = Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise ParseError("file is not valid UTF-8", offset=e.start) from None
-    meta: dict[str, str] = {}
-    header: list[str] | None = None
-    header_line = 0
-    rows: list[tuple[int, str]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            body = stripped[1:].strip()
-            if "=" not in body:
-                raise ParseError(f"comment is not 'key = value': {body!r}", line=lineno)
-            key, value = body.split("=", 1)
-            meta[key.strip()] = value.strip()
-            continue
-        if header is None:
-            header = stripped.split(",")
-            header_line = lineno
-            continue
-        rows.append((lineno, stripped))
+    meta, header, rows = read_table(path)
     if header is None:
         raise ParseError("missing header row")
-    dim = len(header) - 1
-    if dim < 1 or header != [f"x{i}" for i in range(dim)] + ["label"]:
-        raise ParseError(f"bad header {','.join(header)!r}", line=header_line)
+    header_line, header_text = header
+    dim = header_text.count(",")
+    if dim < 1 or header_text != ",".join([f"x{i}" for i in range(dim)] + ["label"]):
+        raise ParseError(f"bad header {header_text!r}", line=header_line)
 
     for key in ("num_classes", "domain_lower", "domain_upper"):
         if key not in meta:

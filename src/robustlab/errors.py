@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the seed check every seeded entry uses."""
+"""Exception types shared across the package, and the seed and size checks the entry points share."""
+
+MAX_ENTRIES = 2**24  # the most entries an array sized by input may have
 
 
 class RobustlabError(Exception):
@@ -54,3 +56,10 @@ def check_seed(seed, error: type[RobustlabError] = ParameterError):
     if seed < 0:
         raise error(f"seed must be >= 0, got {seed}")
     return seed
+
+
+def check_size(entries: int, what: str) -> None:
+    """Refuse an array sized by input (a weight matrix, a dataset, a PGD trace, a kappa
+    histogram, an alpha grid) before it is allocated: ParameterError "<what> of more than ..."."""
+    if entries > MAX_ENTRIES:
+        raise ParameterError(f"{what} of more than {MAX_ENTRIES} entries")

@@ -16,7 +16,8 @@ import numpy as np
 from .attacks import AttackConfig, pgd_attack, pgd_plus_verdict
 from .datasets import Dataset
 from .errors import ParameterError, ParseError, SchemaError
-from .model import MlpParams, predict, write_text_atomic
+from .model import MlpParams, predict
+from .textfile import fmt, read_table, write_table
 
 VERDICTS = ("best_iterate", "all_iterates")
 DEFAULT_ALPHA_GRID = tuple(float(a) for a in np.logspace(-2.0, 2.0, 9))
@@ -91,16 +92,10 @@ class EvalReport:
                 raise SchemaError(f"row count {row.n} must be non-negative")
 
     def worst_alpha_for(self, attack: str) -> float | None:
-        for name, alpha in self.worst_alpha:
-            if name == attack:
-                return alpha
-        return None
+        return next((alpha for name, alpha in self.worst_alpha if name == attack), None)
 
     def accuracy_at(self, attack: str, alpha: float) -> float | None:
-        for row in self.rows:
-            if row.attack == attack and row.alpha == alpha:
-                return row.robust_accuracy
-        return None
+        return next((r.robust_accuracy for r in self.rows if r.attack == attack and r.alpha == alpha), None)
 
 
 def eval_natural(model: MlpParams, dataset: Dataset) -> float:
@@ -174,10 +169,6 @@ def alpha_sweep(
     )
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def write_report(report: EvalReport, path) -> None:
     """Report CSV with metadata in comments.
 
@@ -185,24 +176,19 @@ def write_report(report: EvalReport, path) -> None:
     non-deterministic output; `read_report` drops it, so write -> read is
     the identity on the report itself.
     """
-    extra = dict(report.extra)
-    extra.pop(_TIMESTAMP_KEY, None)
-    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    lines = ["# format = robustlab-report-v1"]
-    lines.append(f"# {_TIMESTAMP_KEY} = {stamp}")
-    lines.append(f"# model = {report.model_id}")
-    lines.append(f"# checkpoint_sha256 = {report.checkpoint_hash}")
-    lines.append(f"# dataset = {report.dataset_id}")
-    lines.append(f"# dataset_seed = {report.dataset_seed}")
-    lines.append(f"# natural_accuracy = {_fmt(report.natural_accuracy)}")
-    for name, alpha in report.worst_alpha:
-        lines.append(f"# worst_alpha.{name} = {_fmt(alpha)}")
-    for key, value in extra.items():
-        lines.append(f"# {key} = {value}")
-    lines.append(REPORT_HEADER)
-    for row in report.rows:
-        lines.append(f"{row.attack},{_fmt(row.alpha)},{_fmt(row.robust_accuracy)},{row.n}")
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    comments = [
+        ("format", "robustlab-report-v1"),
+        (_TIMESTAMP_KEY, datetime.datetime.now(datetime.timezone.utc).isoformat()),
+        ("model", report.model_id),
+        ("checkpoint_sha256", report.checkpoint_hash),
+        ("dataset", report.dataset_id),
+        ("dataset_seed", report.dataset_seed),
+        ("natural_accuracy", fmt(report.natural_accuracy)),
+        *((f"worst_alpha.{name}", fmt(alpha)) for name, alpha in report.worst_alpha),
+        *((key, value) for key, value in dict(report.extra).items() if key != _TIMESTAMP_KEY),
+    ]
+    rows = ([row.attack, fmt(row.alpha), fmt(row.robust_accuracy), str(row.n)] for row in report.rows)
+    write_table(path, comments, REPORT_HEADER.split(","), rows)
 
 
 _RESERVED_KEYS = (
@@ -213,30 +199,14 @@ _RESERVED_KEYS = (
 
 def read_report(path) -> EvalReport:
     """Parse a report CSV back; inverse of write_report."""
-    try:
-        text = Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as e:
-        raise ParseError("file is not valid UTF-8", offset=e.start) from None
-    meta: dict[str, str] = {}
+    meta, header, lines = read_table(path)
+    if header is None:
+        raise ParseError(f"missing header {REPORT_HEADER!r}")
+    if header[1] != REPORT_HEADER:
+        raise ParseError(f"expected header {REPORT_HEADER!r}, got {header[1]!r}", line=header[0])
     rows: list[ReportRow] = []
-    header_seen = False
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            body = stripped[1:].strip()
-            if "=" not in body:
-                raise ParseError(f"comment is not 'key = value': {body!r}", line=lineno)
-            key, value = body.split("=", 1)
-            meta[key.strip()] = value.strip()
-            continue
-        if not header_seen:
-            if stripped != REPORT_HEADER:
-                raise ParseError(f"expected header {REPORT_HEADER!r}, got {stripped!r}", line=lineno)
-            header_seen = True
-            continue
-        cells = stripped.split(",")
+    for lineno, line in lines:
+        cells = line.split(",")
         if len(cells) != 4:
             raise ParseError(f"expected 4 cells, got {len(cells)}", line=lineno)
         try:
@@ -247,22 +217,17 @@ def read_report(path) -> EvalReport:
                 n=int(cells[3]),
             )
         except ValueError:
-            raise ParseError(f"non-numeric cell in row {stripped!r}", line=lineno) from None
+            raise ParseError(f"non-numeric cell in row {line!r}", line=lineno) from None
         if not 0.0 <= row.robust_accuracy <= 1.0:
             raise SchemaError(f"robust accuracy {row.robust_accuracy} outside [0, 1] (line {lineno})")
         rows.append(row)
-    if not header_seen:
-        raise ParseError(f"missing header {REPORT_HEADER!r}")
     if "natural_accuracy" not in meta:
         raise ParseError("missing natural_accuracy comment")
     try:
         natural = float(meta["natural_accuracy"])
     except ValueError:
         raise ParseError("natural_accuracy is not numeric") from None
-    if not 0.0 <= natural <= 1.0:
-        raise SchemaError(f"natural accuracy {natural} outside [0, 1]")
-    worst = []
-    extra = []
+    worst, extra = [], []
     for key, value in meta.items():
         if key.startswith("worst_alpha."):
             try:

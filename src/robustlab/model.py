@@ -2,23 +2,17 @@
 from __future__ import annotations
 
 import math
-import os
-import stat
-import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errors import ParameterError, ParseError, SchemaError, ShapeError
+from .errors import ParameterError, ParseError, SchemaError, ShapeError, check_size
 from .tensor import ACTIVATION_KINDS, Tensor, mlp_forward
+from .textfile import fmt_vec, write_text_atomic
 
 CHECKPOINT_HEADER = "MLPCKPT v1"
-FLOAT_FMT = ".17g"  # 17 significant digits round-trip float64 exactly
-# The most entries one layer's weight matrix may have: a wider layer (say one
-# sized by a corrupt class count) is refused before anything is allocated.
-MAX_LAYER_ENTRIES = 2**24
 
 
 @dataclass(frozen=True)
@@ -39,8 +33,7 @@ class MlpConfig:
             raise ParameterError(f"layer sizes must be positive, got {sizes}")
         if sizes[-1] < 2:
             raise ParameterError(f"output layer needs at least 2 classes, got {sizes[-1]}")
-        if any(a * b > MAX_LAYER_ENTRIES for a, b in zip(sizes, sizes[1:])):
-            raise ParameterError(f"layer sizes {sizes} give a weight matrix of more than {MAX_LAYER_ENTRIES} entries")
+        check_size(max(a * b for a, b in zip(sizes, sizes[1:])), f"layer sizes {sizes} give a weight matrix")
         if self.activation not in ACTIVATION_KINDS:
             raise ParameterError(f"unsupported activation {self.activation!r}")
         if not (0 <= self.init_seed < 2**64):
@@ -128,53 +121,14 @@ class Checkpoint:
 
 
 def _tensor_names(config: MlpConfig) -> list[str]:
-    names = []
-    for i in range(config.num_layers):
-        names.extend((f"w{i}", f"b{i}"))
-    return names
-
-
-def _format_values(arr: np.ndarray) -> str:
-    return " ".join(format(v, FLOAT_FMT) for v in arr.reshape(-1))
-
-
-def write_text_atomic(path, text: str) -> None:
-    """Write UTF-8 `text` to `path` so that `path` never holds a partial file.
-
-    The text goes to a fresh file in the same directory and is flushed to
-    disk (fsync), and that file then replaces `path` in one `os.replace`.
-    After a crash, even of the operating system, `path` holds either the old
-    or the new content in full. If anything fails first, `path` keeps its
-    previous content (or stays absent) and the temporary file is removed.
-    As with a plain write, a symlink at `path` is written through (its
-    target is replaced) and an existing file keeps its permission bits; a
-    new file gets mode 0o666 less the umask. Every file writer of the
-    package goes through here.
-    """
-    path = Path(os.path.realpath(path))
-    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
-    try:
-        with open(tmp, "x", encoding="utf-8") as f:
-            f.write(text)
-            f.flush()
-            os.fsync(f.fileno())
-        if path.exists():
-            os.chmod(tmp, stat.S_IMODE(path.stat().st_mode))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    return [f"{kind}{i}" for i in range(config.num_layers) for kind in "wb"]
 
 
 def save_checkpoint(params: MlpParams, metadata: Mapping[str, object], path) -> None:
     """Write the text checkpoint format; round-trips float64 bit-exactly."""
     cfg = params.config
-    lines = [CHECKPOINT_HEADER]
-    lines.append(
-        "config layer_sizes={} activation={} init_seed={}".format(
-            ",".join(str(s) for s in cfg.layer_sizes), cfg.activation, cfg.init_seed
-        )
-    )
+    sizes = ",".join(str(s) for s in cfg.layer_sizes)
+    lines = [CHECKPOINT_HEADER, f"config layer_sizes={sizes} activation={cfg.activation} init_seed={cfg.init_seed}"]
     for key, value in metadata.items():
         key = str(key)
         if not key or "=" in key or any(c.isspace() for c in key):
@@ -186,7 +140,7 @@ def save_checkpoint(params: MlpParams, metadata: Mapping[str, object], path) -> 
     tensors = dict(zip(_tensor_names(cfg), params.leaves()))
     for name, tensor in tensors.items():
         shape = "x".join(str(s) for s in tensor.shape)
-        lines.append(f"{name} {shape} {_format_values(tensor.data)}")
+        lines.append(f"{name} {shape} {fmt_vec(tensor.data.reshape(-1))}")
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -224,9 +178,9 @@ def load_checkpoint(path, expected_config: MlpConfig | None = None) -> Checkpoin
             text = bline.decode("utf-8").rstrip("\r")
         except UnicodeDecodeError as e:
             raise ParseError("checkpoint is not valid UTF-8", line=i, offset=pos + e.start) from None
-        entries.append((i, pos, text))
+        if text.strip():
+            entries.append((i, pos, text))
         pos += len(bline) + 1
-    entries = [e for e in entries if e[2].strip()]
     if not entries or entries[0][2] != CHECKPOINT_HEADER:
         raise ParseError(f"expected header {CHECKPOINT_HEADER!r}", line=1, offset=0)
     if len(entries) < 2 or not entries[1][2].startswith("config "):

@@ -16,9 +16,10 @@ import numpy as np
 
 from .attacks import AttackConfig, pgd_attack
 from .datasets import Dataset
-from .errors import ConfigError, ContractError, ParameterError, ShapeError, check_seed
-from .model import MlpConfig, MlpParams, init_params, predict, write_text_atomic
+from .errors import ConfigError, ContractError, ParameterError, ShapeError, check_seed, check_size
+from .model import MlpConfig, MlpParams, init_params, predict
 from .tensor import Tensor, mlp_loss_and_grad
+from .textfile import fmt, write_table
 
 TRAIN_METHODS = ("erm", "at", "fat", "gairat")
 
@@ -60,6 +61,8 @@ class TrainConfig:
             raise ConfigError(f"method {self.method!r} needs an inner_attack config")
         if self.method == "gairat" and self.omega_lambda is None:
             raise ConfigError("gairat needs omega_lambda (the weight-shape parameter)")
+        if self.method == "gairat":
+            check_size(self.inner_attack.steps + 1, f"{self.inner_attack.steps} inner steps give a kappa histogram")
         if self.fat_slack < 0:
             raise ConfigError(f"fat_slack must be >= 0, got {self.fat_slack}")
         check_seed(self.seed, ConfigError)
@@ -154,20 +157,14 @@ class TrainHistory:
 
 def write_history(history: TrainHistory, path, comments: dict[str, str] | None = None) -> None:
     """History CSV: epoch, loss, nat_acc, plus kappa_0..kappa_K when present."""
-    lines = [f"# {k} = {v}" for k, v in (comments or {}).items()]
-    hist_width = 0
-    for rec in history:
-        if rec.kappa_hist is not None:
-            hist_width = max(hist_width, len(rec.kappa_hist))
+    hist_width = max((len(rec.kappa_hist) for rec in history if rec.kappa_hist is not None), default=0)
     header = ["epoch", "loss", "nat_acc"] + [f"kappa_{i}" for i in range(hist_width)]
-    lines.append(",".join(header))
+    rows = []
     for rec in history:
-        row = [str(rec.epoch), format(rec.mean_loss, ".17g"), format(rec.natural_accuracy, ".17g")]
-        if hist_width:
-            hist = rec.kappa_hist or ()
-            row += [str(hist[i]) if i < len(hist) else "0" for i in range(hist_width)]
-        lines.append(",".join(row))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+        hist = [str(k) for k in rec.kappa_hist or ()]
+        rows.append([str(rec.epoch), fmt(rec.mean_loss), fmt(rec.natural_accuracy), *hist]
+                    + ["0"] * (hist_width - len(hist)))
+    write_table(path, (comments or {}).items(), header, rows)
 
 
 def _batches(n: int, batch_size: int, perm: np.ndarray) -> Iterable[np.ndarray]:

@@ -1,10 +1,10 @@
-"""Every file writer replaces its target atomically (model.write_text_atomic)."""
+"""Every file writer replaces its target atomically (textfile.write_text_atomic)."""
 import stat
 from dataclasses import replace
 
 import pytest
 
-from robustlab import model
+from robustlab import textfile
 from robustlab.datasets import gen_two_moons, save_csv
 from robustlab.evaluate import EvalReport, write_report
 from robustlab.model import MlpConfig, init_params, save_checkpoint
@@ -56,22 +56,22 @@ def test_failed_write_creates_no_file(tmp_path, write):
 
 def test_failed_replace_keeps_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "out.txt"
-    model.write_text_atomic(path, "old\n")
+    textfile.write_text_atomic(path, "old\n")
 
     def fail(src, dst):
         raise OSError("disk gone")
 
-    monkeypatch.setattr(model.os, "replace", fail)
+    monkeypatch.setattr(textfile.os, "replace", fail)
     with pytest.raises(OSError, match="disk gone"):
-        model.write_text_atomic(path, "new\n")
+        textfile.write_text_atomic(path, "new\n")
     assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 def test_replaces_existing_content(tmp_path):
     path = tmp_path / "out.txt"
-    model.write_text_atomic(path, "old\n")
-    model.write_text_atomic(path, "néw\n")
+    textfile.write_text_atomic(path, "old\n")
+    textfile.write_text_atomic(path, "néw\n")
     assert path.read_bytes() == "néw\n".encode("utf-8")
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
@@ -79,29 +79,29 @@ def test_replaces_existing_content(tmp_path):
 def test_content_reaches_disk_before_the_replace(tmp_path, monkeypatch):
     path = tmp_path / "out.txt"
     events = []
-    real_fsync, real_replace = model.os.fsync, model.os.replace
+    real_fsync, real_replace = textfile.os.fsync, textfile.os.replace
 
     def fsync(fd):
-        events.append(("fsync", model.os.fstat(fd).st_size))
+        events.append(("fsync", textfile.os.fstat(fd).st_size))
         real_fsync(fd)
 
     def replace_(src, dst):
         events.append(("replace", dst))
         real_replace(src, dst)
 
-    monkeypatch.setattr(model.os, "fsync", fsync)
-    monkeypatch.setattr(model.os, "replace", replace_)
-    model.write_text_atomic(path, "abc\n")
+    monkeypatch.setattr(textfile.os, "fsync", fsync)
+    monkeypatch.setattr(textfile.os, "replace", replace_)
+    textfile.write_text_atomic(path, "abc\n")
     assert events == [("fsync", 4), ("replace", path)]
 
 
 def test_writes_through_a_symlink_and_keeps_the_mode(tmp_path):
     target = tmp_path / "target.txt"
-    model.write_text_atomic(target, "old\n")
+    textfile.write_text_atomic(target, "old\n")
     target.chmod(0o640)
     link = tmp_path / "link.txt"
     link.symlink_to(target)
-    model.write_text_atomic(link, "new\n")
+    textfile.write_text_atomic(link, "new\n")
     assert link.is_symlink()
     assert target.read_text() == "new\n"
     assert stat.S_IMODE(target.stat().st_mode) == 0o640

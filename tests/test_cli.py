@@ -64,6 +64,14 @@ class TestGenData:
             "error: noise sigma 1e+308 is too large: the noisy points overflow float64\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["two-moons", "blobs", "rings"])
+    def test_n_over_the_size_bound_exits_2_with_one_line(self, tmp_path, capsys, kind):
+        out = tmp_path / "x.csv"
+        assert run("gen-data", "--kind", kind, "--n", str(2**62), "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {2**62} points in 2 dimensions give a dataset of more than 16777216 entries\n")
+        assert not out.exists()
+
     def test_label_beyond_int64_exits_2_naming_its_line(self, tmp_path, capsys):
         data = tmp_path / "big.csv"
         data.write_text("# num_classes = 2\n# domain_lower = 0 0\n# domain_upper = 1 1\n"
@@ -230,6 +238,45 @@ class TestAttackEvalSweep:
         capsys.readouterr()
         assert run("report", "--in", str(out)) == 0
         assert "natural_accuracy" in capsys.readouterr().out
+
+
+class TestRefusedBeforeWriting:
+    """Requests a command cannot carry out exit 2 with one line and write no file."""
+
+    @pytest.fixture
+    def newline_data(self, tmp_path, data_csv):
+        # A file name with a line break: a comment naming it would read back as two lines.
+        path = tmp_path / "d\nx.csv"
+        path.write_bytes(data_csv.read_bytes())
+        return path
+
+    def test_attack_refuses_an_adversarial_csv_its_reader_would_refuse(self, tmp_path, newline_data,
+                                                                        ckpt, capsys):
+        out = tmp_path / "adv.csv"
+        assert run("attack", "--model", str(ckpt), "--data", str(newline_data), "--out-adv", str(out)) == 2
+        assert capsys.readouterr().err == "error: comment 'adversarial_of' must not hold a line break\n"
+        assert not out.exists()
+
+    def test_eval_refuses_a_report_its_reader_would_refuse(self, tmp_path, newline_data, ckpt, capsys):
+        out = tmp_path / "r.csv"
+        assert run("eval", "--model", str(ckpt), "--data", str(newline_data), "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: comment 'dataset' must not hold a line break\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--method", "at", "--batch-size", "20", "--inner-steps", str(2**62)],
+         f"20 points x 1 restarts x {2**62 + 1} iterates give a PGD trace"),
+        (["train", "--method", "gairat", "--inner-steps", str(2**62)],
+         f"{2**62} inner steps give a kappa histogram"),
+        (["eval", "--restarts", str(2**62)], f"60 points x {2**62} restarts x 21 iterates give a PGD trace"),
+        (["sweep", "--alpha-grid", "1:2:100000000000"], "alpha grid count 100000000000 gives a grid"),
+    ])
+    def test_pgd_run_or_alpha_grid_over_the_size_bound(self, tmp_path, data_csv, ckpt, capsys, argv, message):
+        out = tmp_path / "out"
+        model = [] if argv[0] == "train" else ["--model", str(ckpt)]
+        assert run(*argv, *model, "--data", str(data_csv), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {message} of more than 16777216 entries\n"
+        assert not list(tmp_path.iterdir())
 
 
 class TestOracleCheck:
