@@ -15,7 +15,7 @@ import numpy as np
 from .datasets import DomainBox
 from .errors import CapabilityError, ContractError, ParameterError, ShapeError, check_seed, check_size
 from .model import MlpParams, forward_logits, predict
-from .tensor import Tensor, _check_labels, _loss_and_grad
+from .tensor import Tensor, _check_labels, _loss_and_grad, _Workspace
 from .textfile import fmt
 
 
@@ -178,6 +178,7 @@ def pgd_attack(
     best_correct = natural_correct.copy()
     better = np.empty(n, dtype=bool)
     traj = np.empty((T + 1, n, d)) if friendly_slack is not None else None
+    ws = _Workspace.for_batch(model.config.layer_sizes, n)
 
     for r in range(R):
         if config.random_start:
@@ -189,7 +190,7 @@ def pgd_attack(
         for t in range(T + 1):
             if traj is not None and r == 0:
                 traj[t] = x
-            step = _loss_and_grad(model, x, lab, config.alpha, None, t < T, False)
+            step = _loss_and_grad(model, x, lab, config.alpha, None, t < T, False, ws)
             correct = np.equal(step.logits.argmax(axis=1), lab, out=trace[:, r, t])
             # Strict > keeps the earliest (restart-major, then iteration)
             # max-loss iterate on ties.

@@ -134,8 +134,8 @@ def save_checkpoint(params: MlpParams, metadata: Mapping[str, object], path) -> 
         if not key or "=" in key or any(c.isspace() for c in key):
             raise ParameterError(f"metadata key {key!r} must be a single token without '='")
         text = str(value)
-        if "\n" in text:
-            raise ParameterError(f"metadata value for {key!r} must not contain newlines")
+        if "".join(text.splitlines()) != text:  # any line break, as in textfile.write_table
+            raise ParameterError(f"metadata value for {key!r} must not hold a line break")
         lines.append(f"meta {key}={text}")
     tensors = dict(zip(_tensor_names(cfg), params.leaves()))
     for name, tensor in tensors.items():

@@ -64,7 +64,8 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-def _affine(xd: np.ndarray, xf: np.ndarray, wd: np.ndarray, bd: np.ndarray) -> np.ndarray:
+def _affine(xd: np.ndarray, xf: np.ndarray, wd: np.ndarray, bd: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
     """x @ w + b, with xf the same values as xd in Fortran order.
 
     einsum (not BLAS matmul) keeps each output row's summation order
@@ -74,12 +75,13 @@ def _affine(xd: np.ndarray, xf: np.ndarray, wd: np.ndarray, bd: np.ndarray) -> n
     faster, and each output still adds its products in ascending j: the
     bits are those of the C-ordered einsum. The result is Fortran-ordered.
     A single output column takes einsum's dot-product loop, whose order
-    differs, so that case stays on the C-ordered input.
+    differs, so that case stays on the C-ordered input and ignores `out`,
+    the Fortran-ordered array the result is otherwise written into.
     """
     if wd.shape[1] == 1:
         out = np.einsum("ij,jk->ik", xd, wd)
     else:
-        out = np.einsum("ij,jk->ik", xf, wd, order="F")
+        out = np.einsum("ij,jk->ik", xf, wd, order="F", out=out)
     out += bd
     return out
 
@@ -167,17 +169,58 @@ def _check_input(params: MlpParams, x: np.ndarray) -> None:
         )
 
 
-def _forward(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
+# The smallest layer array worth a workspace. glibc gives a freed block of
+# 128 KiB or more back to the system, so each pass faulted it in again;
+# smaller blocks come back from its free lists still in cache. On the README
+# model (2-vCPU machine, 1 BLAS thread) 64- and 800-row PGD runs were 2-4 %
+# faster on fresh arrays, 1000 and 1100 rows even, 1300 to 4000 rows 18-25 %
+# slower.
+_WORKSPACE_MIN_BYTES = 2**17
+
+
+class _Workspace(NamedTuple):
+    """The arrays every pass of one PGD run writes into, per layer: its
+    Fortran-ordered affine output, the C-ordered copy the reverse pass
+    keeps, and the gradient with respect to its input. `pgd_attack` makes
+    one for its batch and drops it when it returns; `for_batch` gives None,
+    fresh arrays on every pass, when the widest layer array is smaller than
+    `_WORKSPACE_MIN_BYTES`.
+
+    Layer i's affine output and input gradient are views of scratch buffer
+    i % 2: each is read only by the next layer in its pass's direction, and
+    the reverse pass reads only the kept copies, so no view is overwritten
+    while it is still to be read.
+    """
+
+    affine: list[np.ndarray]
+    kept: list[np.ndarray]
+    grads: list[np.ndarray]
+
+    @classmethod
+    def for_batch(cls, sizes: tuple[int, ...], n: int) -> "_Workspace | None":
+        if n * max(sizes) * 8 < _WORKSPACE_MIN_BYTES:
+            return None
+        scratch = np.empty(n * max(sizes)), np.empty(n * max(sizes))
+        return cls([scratch[i % 2][:n * k].reshape((n, k), order="F") for i, k in enumerate(sizes[1:])],
+                   [np.empty((n, k)) for k in sizes[1:]],
+                   [scratch[i % 2][:n * k].reshape(n, k) for i, k in enumerate(sizes[:-1])])
+
+
+def _forward(params: MlpParams, x: np.ndarray, ws: _Workspace | None = None) -> list[np.ndarray]:
     kind = params.config.activation
     last = params.config.num_layers - 1
     hs, hf = [x], np.asfortranarray(x)
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        hf = _affine(hs[-1], hf, w.data, b.data)
+        hf = _affine(hs[-1], hf, w.data, b.data, None if ws is None else ws.affine[i])
         if i != last:
             _activate(hf, kind, out=hf)
         # The reverse pass's BLAS kernels round differently on Fortran-
         # ordered operands, so the kept layer inputs are C-ordered.
-        hs.append(np.ascontiguousarray(hf))
+        if ws is None:
+            hs.append(np.ascontiguousarray(hf))
+        else:
+            np.copyto(ws.kept[i], hf)
+            hs.append(ws.kept[i])
     return hs
 
 
@@ -246,13 +289,18 @@ def _loss_and_grad(
     weights: np.ndarray | None,
     want_input: bool,
     want_params: bool,
+    ws: _Workspace | None = None,
 ) -> LossAndGrad:
     """The pass of `mlp_loss_and_grad`, on arguments it has already checked:
     `lab` from `_check_labels`, `a` from `_check_alpha` and `weights` None or
     a float64 length-n vector. Callers that reuse one batch's labels for many
     passes (a PGD run) check them once and call this directly.
+
+    Given a workspace for x's row count, the layer outputs and input
+    gradients are written into it, so the returned logits and input gradient
+    hold until the next pass with that workspace.
     """
-    hs = _forward(params, x)
+    hs = _forward(params, x, ws)
     logits = hs[-1]
     logp, losses = _cross_entropy(logits, lab, a)
     n = losses.shape[0]
@@ -263,10 +311,10 @@ def _loss_and_grad(
     if not (want_input or want_params):
         return LossAndGrad(logits, losses, loss, None, None)
 
-    # The reverse pass uses BLAS @, so unlike the einsum forward pass its
-    # input gradients are not batch-invariant in the last bits.
-    # In-place updates: a fresh (n, width) array costs more in page faults
-    # than the arithmetic on it.
+    # The reverse pass uses BLAS matmul, so unlike the einsum forward pass
+    # its input gradients are not batch-invariant in the last bits.
+    # A PGD run on a large batch keeps these arrays in a workspace: freed,
+    # glibc trimmed them off the heap and every pass faulted them in again.
     g = np.exp(logp)
     g[np.arange(n), lab] -= 1.0
     g *= a
@@ -280,7 +328,7 @@ def _loss_and_grad(
             param_grads[2 * i + 1] = g.sum(axis=0)
         if i == 0 and not want_input:
             break
-        g = g @ params.weights[i].data.T
+        g = np.matmul(g, params.weights[i].data.T, out=None if ws is None else ws.grads[i])
         if i:
             h = hs[i]  # the activation's output: relu > 0 exactly where its input is
             if kind == "relu":

@@ -64,7 +64,9 @@ def write_table(path, comments: Iterable[tuple[object, object]], header: Sequenc
     A comment key or value, a header or a cell that holds a line break (any
     that `str.splitlines` splits on) raises ParameterError naming the
     comment's key, the header or the row (counted from 1), and nothing is
-    written: `read_table` would read that text back as other lines.
+    written: `read_table` would read that text back as other lines. So does
+    a comment key that is empty, holds '=' or has outer whitespace, which
+    `read_table` would read back as another key.
     """
     comments = list(comments)
     lines = [comment_line(k, v) for k, v in comments]
@@ -75,6 +77,9 @@ def write_table(path, comments: Iterable[tuple[object, object]], header: Sequenc
         k = len(comments)
         what = f"comment {comments[i][0]!r}" if i < k else "header" if i == k else f"row {i - k}"
         raise ParameterError(f"{what} must not hold a line break")
+    for key in (str(k) for k, _ in comments):
+        if not key or "=" in key or key != key.strip():
+            raise ParameterError(f"comment key {key!r} must be non-empty, without '=' or outer whitespace")
     write_text_atomic(path, text)
 
 
@@ -84,7 +89,7 @@ def read_table(path) -> tuple[dict[str, str], tuple[int, str] | None, list[tuple
 
     Blank lines are skipped and each line is stripped. Raises ParseError for
     text that is not UTF-8 (with its byte offset) and for a comment that is
-    not `key = value` (with its line number).
+    not `key = value` with a non-empty key (with its line number).
     """
     try:
         text = Path(path).read_bytes().decode("utf-8")
@@ -97,9 +102,9 @@ def read_table(path) -> tuple[dict[str, str], tuple[int, str] | None, list[tuple
             continue
         if stripped.startswith("#"):
             body = stripped[1:].strip()
-            if "=" not in body:
+            key, eq, value = body.partition("=")
+            if not eq or not key.strip():
                 raise ParseError(f"comment is not 'key = value': {body!r}", line=lineno)
-            key, value = body.split("=", 1)
             comments[key.strip()] = value.strip()
         elif header is None:
             header = (lineno, stripped)

@@ -1,10 +1,15 @@
 """PGD family: projection, traces, kappa, early stopping, verdicts, oracle."""
+import platform
+import sys
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from robustlab import attacks
+from robustlab import attacks, tensor
 from robustlab.attacks import (
     AttackConfig,
+    AttackResult,
     brute_force_attack,
     count_kappa,
     friendly_adversarial_search,
@@ -17,7 +22,7 @@ from robustlab.attacks import (
 )
 from robustlab.datasets import DomainBox
 from robustlab.errors import CapabilityError, ContractError, ParameterError, ShapeError
-from robustlab.model import predict
+from robustlab.model import MlpConfig, init_params, predict
 from robustlab.tensor import Tensor, mlp_loss_and_grad
 
 from conftest import linear_model, random_params
@@ -273,6 +278,65 @@ class TestPgdRunSetUp:
         params = random_params(rng, (2, 4, 3))
         with pytest.raises(ShapeError, match="input shape"):
             pgd_attack(params, Tensor(np.zeros((4, 3))), np.array([0.5] * 4), pgd20_config())
+
+
+class TestPgdWorkspace:
+    """A PGD run writes every pass into one workspace of its own."""
+
+    @pytest.mark.parametrize("sizes, activation", [
+        ((2, 16, 16, 4), "relu"), ((2, 16, 16, 4), "tanh"), ((2, 8, 1, 3), "relu"),
+    ], ids=["relu", "tanh", "one-column-layer"])
+    @pytest.mark.parametrize("alpha", [0.01, 1.0, 100.0])
+    def test_same_bits_as_the_allocating_pass(self, rng, monkeypatch, sizes, activation, alpha):
+        monkeypatch.setattr(tensor, "_WORKSPACE_MIN_BYTES", 0)  # a workspace at every batch size
+        params = random_params(rng, sizes, activation)
+        cfg = AttackConfig(epsilon=0.1, steps=5, step_size=0.03, restarts=2, alpha=alpha, random_start=True)
+        box = DomainBox.unit(2)
+        # Runs of different sizes, one after another: no run reads another's buffers.
+        batches = [(Tensor(rng.uniform(0, 1, size=(n, 2))), rng.integers(0, sizes[-1], size=n))
+                   for n in (4000, 1, 64, 2)]
+        got = [pgd_attack(params, x0, y, cfg, domain=box, seed=5, friendly_slack=1) for x0, y in batches]
+
+        def allocating(*args):
+            *checked, ws = args
+            assert isinstance(ws, tensor._Workspace)
+            return tensor._loss_and_grad(*checked)  # fresh arrays on every pass
+
+        monkeypatch.setattr(attacks, "_loss_and_grad", allocating)
+        for (x0, y), res in zip(batches, got):
+            want = pgd_attack(params, x0, y, cfg, domain=box, seed=5, friendly_slack=1)
+            for f in fields(AttackResult):
+                a, b = getattr(res, f.name), getattr(want, f.name)
+                if isinstance(a, Tensor):
+                    a, b = a.data, b.data
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+
+    def test_only_batches_with_large_layer_arrays_get_one(self):
+        sizes = (2, 16, 16, 4)  # 16 columns of 8 bytes: 128 KiB at 1024 rows
+        assert tensor._Workspace.for_batch(sizes, 1023) is None
+        assert tensor._Workspace.for_batch(sizes, 1024) is not None
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                        reason="page-fault counts are those of Linux with glibc's allocator")
+    def test_passes_do_not_fault_their_buffers_in_again(self):
+        """Linux with glibc only: a 4000-row pgdplus-shaped run (40 steps x 5
+        restarts, 205 passes) on the README model takes fewer than 100 minor
+        page faults per pass. Passes that free their 512 KB layer arrays let
+        glibc give the top of the heap back to the system and fault it in
+        again on the next pass, about 600 faults each. Skipped elsewhere,
+        where neither the allocator nor the fault counter is the same.
+        """
+        import resource
+
+        params = init_params(MlpConfig((2, 16, 16, 4), init_seed=1))
+        rng = np.random.default_rng(0)
+        x0, y = Tensor(rng.uniform(0, 1, size=(4000, 2))), rng.integers(0, 4, size=4000)
+        cfg = pgd_plus_config()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        pgd_attack(params, x0, y, cfg, domain=DomainBox.unit(2), seed=1)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        passes = cfg.restarts * (cfg.steps + 1)
+        assert faults < 100 * passes, f"{faults / passes:.0f} faults per pass"
 
 
 class TestKappa:

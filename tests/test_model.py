@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from robustlab.errors import ParameterError, ParseError, SchemaError, ShapeError
+from robustlab.errors import ParameterError, ParseError, RobustlabError, SchemaError, ShapeError
 from robustlab.model import (
+    Checkpoint,
     MlpConfig,
     MlpParams,
     forward_logits,
@@ -215,6 +218,90 @@ class TestCheckpoint:
         params = self._params(rng)
         with pytest.raises(ParameterError):
             save_checkpoint(params, {"bad key": "x"}, tmp_path / "m.ckpt")
+
+    @given(value=st.text(max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_metadata_value_round_trips_or_is_refused(self, tmp_path_factory, value):
+        # A line break of any kind is refused, "v\r" included, which the
+        # reader would strip; every other value reads back as written.
+        path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+        params = init_params(MlpConfig((2, 2)))
+        if "".join(value.splitlines()) != value:
+            with pytest.raises(ParameterError) as exc:
+                save_checkpoint(params, {"note": value}, path)
+            assert str(exc.value) == "metadata value for 'note' must not hold a line break"
+            assert not path.exists()
+        else:
+            save_checkpoint(params, {"note": value}, path)
+            assert load_checkpoint(path).metadata == {"note": value}
+
+
+def _valid_checkpoint_body() -> bytes:
+    cfg = MlpConfig((2, 3, 2), activation="tanh", init_seed=5)
+    lines = ["MLPCKPT v1", "config layer_sizes=2,3,2 activation=tanh init_seed=5", "meta method=at"]
+    for name, tensor in zip(("w0", "b0", "w1", "b1"), init_params(cfg).leaves()):
+        shape = "x".join(str(s) for s in tensor.shape)
+        lines.append(f"{name} {shape} " + " ".join(repr(float(v)) for v in tensor.data.reshape(-1)))
+    return ("\n".join(lines) + "\n").encode()
+
+
+VALID_BODY = _valid_checkpoint_body()
+
+
+# Tokens that sit on the parser's edges: shapes, counts, non-finite and
+# out-of-range numbers, separators and line kinds.
+EDGE_TOKENS = ["", "0", "-1", "2x", "x3", "2x-3", "-2x-3", "3x2", "1e999", "nan", "-inf", "1_0",
+               "9" * 30, "=", "meta", "config", "w0", "b1", "w2", "layer_sizes=2,3", "activation=relu",
+               "init_seed=-1", "\r", "\xff", "\t"]
+
+
+@st.composite
+def mutated_checkpoints(draw) -> bytes:
+    """A valid checkpoint body with a few byte-level or token-level edits."""
+    body = VALID_BODY
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(body)))
+            j = draw(st.integers(i, min(len(body), i + 8)))
+            chunk = draw(st.one_of(st.binary(max_size=8), st.text(max_size=8).map(str.encode)))
+            body = body[:i] + chunk + body[j:]
+        else:
+            lines = body.split(b"\n")
+            k = draw(st.integers(0, len(lines) - 1))
+            tokens = lines[k].split(b" ")
+            t = draw(st.integers(0, len(tokens)))
+            edit = draw(st.sampled_from(["replace", "insert", "drop", "repeat_line", "drop_line"]))
+            new = draw(st.sampled_from(EDGE_TOKENS)).encode()
+            if edit == "replace" and t < len(tokens):
+                tokens[t] = new
+            elif edit == "insert":
+                tokens.insert(t, new)
+            elif edit == "drop":
+                del tokens[t:t + 1]
+            lines[k] = b" ".join(tokens)
+            if edit == "repeat_line":
+                lines.insert(k, lines[k])
+            elif edit == "drop_line":
+                del lines[k]
+            body = b"\n".join(lines)
+    return body
+
+
+@given(body=st.one_of(st.binary(max_size=200), mutated_checkpoints()))
+@settings(max_examples=400, deadline=None)
+def test_any_checkpoint_body_loads_whole_or_raises_a_package_error(tmp_path_factory, body):
+    path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+    path.write_bytes(body)
+    try:
+        ckpt = load_checkpoint(path)
+    except RobustlabError:
+        return
+    # Loaded: a whole model, every tensor shaped by the config and finite.
+    assert isinstance(ckpt, Checkpoint) and ckpt.params.config == ckpt.config
+    sizes = ckpt.config.layer_sizes
+    shapes = [s for a, b in zip(sizes, sizes[1:]) for s in ((a, b), (b,))]
+    assert [t.shape for t in ckpt.params.leaves()] == shapes
+    assert all(np.isfinite(t.data).all() for t in ckpt.params.leaves())
 
 
 class TestParamsInvariants:

@@ -11,6 +11,11 @@ def holds_line_break(text: str) -> bool:
     return "".join(text.splitlines()) != text
 
 
+def refused_key(key: str) -> bool:
+    """A comment key `read_table` would give back as another key."""
+    return not key or "=" in key or key != key.strip()
+
+
 # Text the format carries unchanged: no '=', comma or line break, no outer
 # whitespace. A cell is also non-empty and does not start with '#', so that no
 # row reads back as a blank line or a comment.
@@ -20,11 +25,18 @@ cell = plain.filter(lambda s: s and not s.startswith("#"))
 cells = st.lists(cell, min_size=1, max_size=4)
 
 
-@given(comments=st.dictionaries(plain, plain, max_size=4), header=cells,
-       rows=st.lists(cells, max_size=4))
-@settings(max_examples=200, deadline=None)
+@given(comments=st.dictionaries(st.text(max_size=8).filter(lambda s: not holds_line_break(s)), plain,
+                               max_size=4),
+       header=cells, rows=st.lists(cells, max_size=4))
+@settings(max_examples=300, deadline=None)
 def test_read_gives_back_what_was_written(tmp_path_factory, comments, header, rows):
+    # Any key without a line break: the writer refuses it, or it reads back.
     path = tmp_path_factory.mktemp("table") / "t.csv"
+    if any(refused_key(k) for k in comments):
+        with pytest.raises(ParameterError, match="must be non-empty, without '=' or outer whitespace"):
+            write_table(path, comments.items(), header, rows)
+        assert not path.exists()
+        return
     write_table(path, comments.items(), header, rows)
     read_comments, read_header, read_rows = read_table(path)
     assert read_comments == comments
@@ -33,7 +45,10 @@ def test_read_gives_back_what_was_written(tmp_path_factory, comments, header, ro
     assert [lineno for lineno, _ in read_rows] == list(range(len(comments) + 2, len(comments) + 2 + len(rows)))
 
 
-@given(comments=st.lists(st.tuples(st.text(max_size=6), st.text(max_size=6)), max_size=3),
+# Keys either hold a line break or are ones the format carries: the other
+# refused keys are the property above's.
+@given(comments=st.lists(st.tuples(st.text(max_size=6).filter(lambda k: holds_line_break(k) or not refused_key(k)),
+                                   st.text(max_size=6)), max_size=3),
        header=st.lists(st.text(max_size=6), max_size=3),
        rows=st.lists(st.lists(st.text(max_size=6), max_size=3), max_size=3))
 @settings(max_examples=300, deadline=None)
@@ -62,6 +77,14 @@ def test_refusal_names_what_holds_the_line_break(tmp_path, comments, header, row
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("key", ["", "a=b", " pad ", "pad ", "\tpad"])
+def test_refusal_names_the_key_read_back_as_another(tmp_path, key):
+    with pytest.raises(ParameterError) as exc:
+        write_table(tmp_path / "t.csv", [("ok", "1"), (key, "x")], ["h"], [])
+    assert str(exc.value) == f"comment key {key!r} must be non-empty, without '=' or outer whitespace"
+    assert not list(tmp_path.iterdir())
+
+
 def test_reader_skips_blank_lines_and_strips_each_line(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("\n  # k =  v w \n\n a,b \n# later = 1\n1,2\n\n")
@@ -78,6 +101,16 @@ def test_reader_errors_name_their_place(tmp_path):
     with pytest.raises(ParseError, match="not valid UTF-8") as exc:
         read_table(path)
     assert exc.value.offset == 10
+
+
+@pytest.mark.parametrize("comment", ["# = v", "#  =", "#="])
+def test_reader_refuses_a_comment_without_a_key(tmp_path, comment):
+    # The writer refuses an empty key, so a file holding one was not written by it.
+    path = tmp_path / "t.csv"
+    path.write_text(f"# k = v\n{comment}\nh\n")
+    with pytest.raises(ParseError, match="comment is not 'key = value'") as exc:
+        read_table(path)
+    assert exc.value.line == 2
 
 
 def test_fmt_round_trips_float64():
