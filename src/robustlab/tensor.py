@@ -169,22 +169,11 @@ def _check_input(params: MlpParams, x: np.ndarray) -> None:
         )
 
 
-# The smallest layer array worth a workspace. glibc gives a freed block of
-# 128 KiB or more back to the system, so each pass faulted it in again;
-# smaller blocks come back from its free lists still in cache. On the README
-# model (2-vCPU machine, 1 BLAS thread) 64- and 800-row PGD runs were 2-4 %
-# faster on fresh arrays, 1000 and 1100 rows even, 1300 to 4000 rows 18-25 %
-# slower.
-_WORKSPACE_MIN_BYTES = 2**17
-
-
 class _Workspace(NamedTuple):
     """The arrays every pass of one PGD run writes into, per layer: its
     Fortran-ordered affine output, the C-ordered copy the reverse pass
     keeps, and the gradient with respect to its input. `pgd_attack` makes
-    one for its batch and drops it when it returns; `for_batch` gives None,
-    fresh arrays on every pass, when the widest layer array is smaller than
-    `_WORKSPACE_MIN_BYTES`.
+    one for its batch and drops it when it returns.
 
     Layer i's affine output and input gradient are views of scratch buffer
     i % 2: each is read only by the next layer in its pass's direction, and
@@ -197,9 +186,7 @@ class _Workspace(NamedTuple):
     grads: list[np.ndarray]
 
     @classmethod
-    def for_batch(cls, sizes: tuple[int, ...], n: int) -> "_Workspace | None":
-        if n * max(sizes) * 8 < _WORKSPACE_MIN_BYTES:
-            return None
+    def for_batch(cls, sizes: tuple[int, ...], n: int) -> "_Workspace":
         scratch = np.empty(n * max(sizes)), np.empty(n * max(sizes))
         return cls([scratch[i % 2][:n * k].reshape((n, k), order="F") for i, k in enumerate(sizes[1:])],
                    [np.empty((n, k)) for k in sizes[1:]],
@@ -313,7 +300,7 @@ def _loss_and_grad(
 
     # The reverse pass uses BLAS matmul, so unlike the einsum forward pass
     # its input gradients are not batch-invariant in the last bits.
-    # A PGD run on a large batch keeps these arrays in a workspace: freed,
+    # A PGD run keeps these arrays in a workspace: freed on a large batch,
     # glibc trimmed them off the heap and every pass faulted them in again.
     g = np.exp(logp)
     g[np.arange(n), lab] -= 1.0

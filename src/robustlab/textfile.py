@@ -66,7 +66,8 @@ def write_table(path, comments: Iterable[tuple[object, object]], header: Sequenc
     comment's key, the header or the row (counted from 1), and nothing is
     written: `read_table` would read that text back as other lines. So does
     a comment key that is empty, holds '=' or has outer whitespace, which
-    `read_table` would read back as another key.
+    `read_table` would read back as another key, and a comment value with
+    outer whitespace, which it would read back stripped.
     """
     comments = list(comments)
     lines = [comment_line(k, v) for k, v in comments]
@@ -77,9 +78,11 @@ def write_table(path, comments: Iterable[tuple[object, object]], header: Sequenc
         k = len(comments)
         what = f"comment {comments[i][0]!r}" if i < k else "header" if i == k else f"row {i - k}"
         raise ParameterError(f"{what} must not hold a line break")
-    for key in (str(k) for k, _ in comments):
+    for key, value in ((str(k), str(v)) for k, v in comments):
         if not key or "=" in key or key != key.strip():
             raise ParameterError(f"comment key {key!r} must be non-empty, without '=' or outer whitespace")
+        if value != value.strip():
+            raise ParameterError(f"value of comment {key!r} must not have outer whitespace")
     write_text_atomic(path, text)
 
 

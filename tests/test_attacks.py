@@ -288,7 +288,6 @@ class TestPgdWorkspace:
     ], ids=["relu", "tanh", "one-column-layer"])
     @pytest.mark.parametrize("alpha", [0.01, 1.0, 100.0])
     def test_same_bits_as_the_allocating_pass(self, rng, monkeypatch, sizes, activation, alpha):
-        monkeypatch.setattr(tensor, "_WORKSPACE_MIN_BYTES", 0)  # a workspace at every batch size
         params = random_params(rng, sizes, activation)
         cfg = AttackConfig(epsilon=0.1, steps=5, step_size=0.03, restarts=2, alpha=alpha, random_start=True)
         box = DomainBox.unit(2)
@@ -310,11 +309,6 @@ class TestPgdWorkspace:
                 if isinstance(a, Tensor):
                     a, b = a.data, b.data
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
-
-    def test_only_batches_with_large_layer_arrays_get_one(self):
-        sizes = (2, 16, 16, 4)  # 16 columns of 8 bytes: 128 KiB at 1024 rows
-        assert tensor._Workspace.for_batch(sizes, 1023) is None
-        assert tensor._Workspace.for_batch(sizes, 1024) is not None
 
     @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
                         reason="page-fault counts are those of Linux with glibc's allocator")

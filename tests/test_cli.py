@@ -263,6 +263,19 @@ class TestRefusedBeforeWriting:
         assert capsys.readouterr().err == "error: comment 'dataset' must not hold a line break\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, out_flag, key", [
+        ("attack", "--out-adv", "adversarial_of"), ("eval", "--out", "dataset"),
+    ])
+    def test_refuses_a_data_path_its_reader_would_give_back_stripped(self, tmp_path, data_csv, ckpt, capsys,
+                                                                     command, out_flag, key):
+        # A file name ending in a space: a comment naming it would read back without it.
+        padded = tmp_path / "d.csv "
+        padded.write_bytes(data_csv.read_bytes())
+        out = tmp_path / "out.csv"
+        assert run(command, "--model", str(ckpt), "--data", str(padded), out_flag, str(out)) == 2
+        assert capsys.readouterr().err == f"error: value of comment {key!r} must not have outer whitespace\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, message", [
         (["train", "--method", "at", "--batch-size", "20", "--inner-steps", str(2**62)],
          f"20 points x 1 restarts x {2**62 + 1} iterates give a PGD trace"),

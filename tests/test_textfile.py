@@ -16,6 +16,11 @@ def refused_key(key: str) -> bool:
     return not key or "=" in key or key != key.strip()
 
 
+def refused_value(value: str) -> bool:
+    """A comment value `read_table` would give back stripped."""
+    return value != value.strip()
+
+
 # Text the format carries unchanged: no '=', comma or line break, no outer
 # whitespace. A cell is also non-empty and does not start with '#', so that no
 # row reads back as a blank line or a comment.
@@ -25,15 +30,19 @@ cell = plain.filter(lambda s: s and not s.startswith("#"))
 cells = st.lists(cell, min_size=1, max_size=4)
 
 
-@given(comments=st.dictionaries(st.text(max_size=8).filter(lambda s: not holds_line_break(s)), plain,
-                               max_size=4),
+no_break = st.text(max_size=8).filter(lambda s: not holds_line_break(s))
+padded = no_break | no_break.map(lambda s: s + " ")  # draws more of the values refused for a space
+
+
+@given(comments=st.dictionaries(no_break, padded, max_size=4),
        header=cells, rows=st.lists(cells, max_size=4))
 @settings(max_examples=300, deadline=None)
 def test_read_gives_back_what_was_written(tmp_path_factory, comments, header, rows):
-    # Any key without a line break: the writer refuses it, or it reads back.
+    # Any key and value without a line break: the writer refuses them, or they read back.
     path = tmp_path_factory.mktemp("table") / "t.csv"
-    if any(refused_key(k) for k in comments):
-        with pytest.raises(ParameterError, match="must be non-empty, without '=' or outer whitespace"):
+    if any(refused_key(k) or refused_value(v) for k, v in comments.items()):
+        with pytest.raises(ParameterError, match="must be non-empty, without '=' or outer whitespace"
+                                                 "|must not have outer whitespace"):
             write_table(path, comments.items(), header, rows)
         assert not path.exists()
         return
@@ -45,10 +54,11 @@ def test_read_gives_back_what_was_written(tmp_path_factory, comments, header, ro
     assert [lineno for lineno, _ in read_rows] == list(range(len(comments) + 2, len(comments) + 2 + len(rows)))
 
 
-# Keys either hold a line break or are ones the format carries: the other
-# refused keys are the property above's.
+# Keys and values either hold a line break or are ones the format carries:
+# the other refused keys and values are the property above's.
 @given(comments=st.lists(st.tuples(st.text(max_size=6).filter(lambda k: holds_line_break(k) or not refused_key(k)),
-                                   st.text(max_size=6)), max_size=3),
+                                   st.text(max_size=6).filter(lambda v: holds_line_break(v) or not refused_value(v))),
+                         max_size=3),
        header=st.lists(st.text(max_size=6), max_size=3),
        rows=st.lists(st.lists(st.text(max_size=6), max_size=3), max_size=3))
 @settings(max_examples=300, deadline=None)
@@ -82,6 +92,14 @@ def test_refusal_names_the_key_read_back_as_another(tmp_path, key):
     with pytest.raises(ParameterError) as exc:
         write_table(tmp_path / "t.csv", [("ok", "1"), (key, "x")], ["h"], [])
     assert str(exc.value) == f"comment key {key!r} must be non-empty, without '=' or outer whitespace"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("value", [" v", "v ", "\tv", " "])
+def test_refusal_names_the_key_whose_value_would_read_back_stripped(tmp_path, value):
+    with pytest.raises(ParameterError) as exc:
+        write_table(tmp_path / "t.csv", [("ok", "1"), ("k", value)], ["h"], [])
+    assert str(exc.value) == "value of comment 'k' must not have outer whitespace"
     assert not list(tmp_path.iterdir())
 
 
