@@ -15,7 +15,7 @@ import numpy as np
 from .datasets import DomainBox
 from .errors import CapabilityError, ContractError, ParameterError, ShapeError, check_seed, check_size
 from .model import MlpParams, forward_logits, predict
-from .tensor import Tensor, _check_labels, _loss_and_grad, _Workspace
+from .tensor import Tensor, _check_labels, _Workspace, mlp_loss_and_grad
 from .textfile import fmt
 
 
@@ -39,8 +39,9 @@ class AttackConfig:
         cast = {"float": float, "int": int, "bool": bool}
         for f in fields(self):  # each field to its annotated type
             object.__setattr__(self, f.name, cast[f.type](getattr(self, f.name)))
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ParameterError(f"epsilon must be > 0, got {self.epsilon}")
+        # The random start draws from [-epsilon, epsilon], a range numpy refuses past 2 * epsilon = inf.
+        if not (np.isfinite(2 * self.epsilon) and self.epsilon > 0):
+            raise ParameterError(f"epsilon must be > 0 with 2 * epsilon finite, got {self.epsilon}")
         if not (np.isfinite(self.step_size) and self.step_size > 0):
             raise ParameterError(f"step_size must be > 0, got {self.step_size}")
         if self.steps < 1:
@@ -180,31 +181,38 @@ def pgd_attack(
     traj = np.empty((T + 1, n, d)) if friendly_slack is not None else None
     ws = _Workspace.for_batch(model.config.layer_sizes, n)
 
-    for r in range(R):
-        if config.random_start:
-            x = rng.uniform(-eps, eps, size=(n, d))
-            x += x0d
-            np.clip(x, lo, hi, out=x)
-        else:
-            x = x0d.copy()
-        for t in range(T + 1):
-            if traj is not None and r == 0:
-                traj[t] = x
-            step = _loss_and_grad(model, x, lab, config.alpha, None, t < T, False, ws)
-            correct = np.equal(step.logits.argmax(axis=1), lab, out=trace[:, r, t])
-            # Strict > keeps the earliest (restart-major, then iteration)
-            # max-loss iterate on ties.
-            if np.greater(step.losses, best_loss, out=better).any():
-                np.copyto(best_loss, step.losses, where=better)
-                np.copyto(best_x, x, where=better[:, None])
-                np.copyto(best_correct, correct, where=better)
-            if t == T:
-                break
-            # The sign step overwrites the gradient, which no one reads again.
-            g = np.sign(step.input_grad, out=step.input_grad)
-            g *= config.step_size
-            x += g
-            np.clip(x, lo, hi, out=x)
+    # A large alpha drives the scaled losses to +inf, a limit the max-loss search compares
+    # correctly; a NaN, which it cannot compare, is refused at the pass that made it.
+    try:
+        with np.errstate(over="ignore", invalid="raise"):
+            for r in range(R):
+                if config.random_start:
+                    x = rng.uniform(-eps, eps, size=(n, d))
+                    x += x0d
+                    np.clip(x, lo, hi, out=x)
+                else:
+                    x = x0d.copy()
+                for t in range(T + 1):
+                    if traj is not None and r == 0:
+                        traj[t] = x
+                    step = mlp_loss_and_grad(model, x, lab, config.alpha, None, t < T, False, ws)
+                    correct = np.equal(step.logits.argmax(axis=1), lab, out=trace[:, r, t])
+                    # Strict > keeps the earliest (restart-major, then iteration)
+                    # max-loss iterate on ties.
+                    if np.greater(step.losses, best_loss, out=better).any():
+                        np.copyto(best_loss, step.losses, where=better)
+                        np.copyto(best_x, x, where=better[:, None])
+                        np.copyto(best_correct, correct, where=better)
+                    if t == T:
+                        break
+                    # The sign step overwrites the gradient, which no one reads again.
+                    g = np.sign(step.input_grad, out=step.input_grad)
+                    g *= config.step_size
+                    x += g
+                    np.clip(x, lo, hi, out=x)
+    except FloatingPointError:
+        raise ParameterError(f"PGD made a NaN at restart {r}, step {t} (alpha {config.alpha}): the "
+                             "model's logits or their scaled gradients left float64 range") from None
 
     # kappa counts from the natural point regardless of random starts, then
     # follows the first restart's iterates.

@@ -273,10 +273,13 @@ def cmd_train(args) -> int:
         "method": t.method, "seed": str(seed), "epochs": str(t.epochs),
         "dataset_sha256": dataset_sha256(dataset),
     }
+    hist_path = _out_path(args.history) if args.history else ckpt_path.with_suffix(".history.csv")
+    # Both files or neither: the history, whose comments its writer may refuse, goes first.
+    if ckpt_path.is_dir():
+        raise ConfigError(f"checkpoint path {ckpt_path} is a directory")
+    write_history(history, hist_path, comments={k: str(v) for k, v in resolved.items()})
     save_checkpoint(params, metadata, ckpt_path)
     print(f"wrote checkpoint {ckpt_path}")
-    hist_path = _out_path(args.history) if args.history else ckpt_path.with_suffix(".history.csv")
-    write_history(history, hist_path, comments={k: str(v) for k, v in resolved.items()})
     print(f"wrote history {hist_path}")
     if len(history):
         last = history.records[-1]

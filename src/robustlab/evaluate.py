@@ -86,8 +86,8 @@ class EvalReport:
         for row in self.rows:
             if not 0.0 <= row.robust_accuracy <= 1.0:
                 raise SchemaError(f"robust accuracy {row.robust_accuracy} outside [0, 1]")
-            if row.alpha <= 0:
-                raise SchemaError(f"alpha {row.alpha} must be positive")
+            if not 0 < row.alpha < np.inf:
+                raise SchemaError(f"alpha {row.alpha} must be positive and finite")
             if row.n < 0:
                 raise SchemaError(f"row count {row.n} must be non-negative")
 
@@ -220,6 +220,8 @@ def read_report(path) -> EvalReport:
             raise ParseError(f"non-numeric cell in row {line!r}", line=lineno) from None
         if not 0.0 <= row.robust_accuracy <= 1.0:
             raise SchemaError(f"robust accuracy {row.robust_accuracy} outside [0, 1] (line {lineno})")
+        if not 0 < row.alpha < np.inf:
+            raise SchemaError(f"alpha {row.alpha} must be positive and finite (line {lineno})")
         rows.append(row)
     if "natural_accuracy" not in meta:
         raise ParseError("missing natural_accuracy comment")
@@ -231,9 +233,12 @@ def read_report(path) -> EvalReport:
     for key, value in meta.items():
         if key.startswith("worst_alpha."):
             try:
-                worst.append((key[len("worst_alpha."):], float(value)))
+                alpha = float(value)
             except ValueError:
-                raise ParseError(f"worst_alpha value {value!r} is not numeric") from None
+                alpha = np.nan
+            if not 0 < alpha < np.inf:
+                raise ParseError(f"worst_alpha value {value!r} is not a positive finite number")
+            worst.append((key[len("worst_alpha."):], alpha))
         elif key not in _RESERVED_KEYS:
             extra.append((key, value))
     return EvalReport(

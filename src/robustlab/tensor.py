@@ -2,19 +2,19 @@
 
 `Tensor` is the validated boundary for user data; the scale-aware softmax
 and cross-entropy take tensors of logits. `mlp_forward` is the package's one
-MLP forward pass (affine layers, relu/tanh) and `mlp_loss_and_grad` the
-package-internal fast path on raw arrays: one forward pass, the alpha-scaled
-cross-entropy with a sum or weighted-mean reduction, and one reverse pass
-that computes only the gradients asked for. Scope is deliberately the
-minimum an MLP robustness lab needs.
+checked MLP forward entry (affine layers, relu/tanh). `mlp_loss_and_grad`
+runs the same forward pass on raw arrays its callers have already checked,
+then the alpha-scaled cross-entropy with a sum or weighted-mean reduction
+and one reverse pass that computes only the gradients asked for. Scope is
+deliberately the minimum an MLP robustness lab needs.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Collection, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import ContractError, ParameterError, ShapeError
+from .errors import ParameterError, ShapeError
 
 if TYPE_CHECKING:
     from .model import MlpParams
@@ -155,18 +155,15 @@ def scaled_softmax_cross_entropy(logits: Tensor, labels, alpha: float = 1.0) -> 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
     """Every layer's input, then the logits: [x, h_1, ..., h_{L-1}, logits].
 
-    The one forward pass of the package: `model.forward_logits` keeps the
-    last entry and `mlp_loss_and_grad` reads them all on its reverse pass.
+    The package's one checked forward entry, behind `model.forward_logits`:
+    it refuses an `x` that is not (n, input_dim). `mlp_loss_and_grad` runs
+    the same pass on inputs its callers have checked.
     """
-    _check_input(params, x)
-    return _forward(params, x)
-
-
-def _check_input(params: MlpParams, x: np.ndarray) -> None:
     if x.ndim != 2 or x.shape[1] != params.config.input_dim:
         raise ShapeError(
             f"input shape {x.shape} does not match model input dim {params.config.input_dim}"
         )
+    return _forward(params, x)
 
 
 class _Workspace(NamedTuple):
@@ -211,9 +208,6 @@ def _forward(params: MlpParams, x: np.ndarray, ws: _Workspace | None = None) -> 
     return hs
 
 
-GRAD_TARGETS = ("input", "params")
-
-
 class LossAndGrad(NamedTuple):
     """One fused pass: gradients that were not asked for are None.
 
@@ -230,58 +224,27 @@ class LossAndGrad(NamedTuple):
 def mlp_loss_and_grad(
     params: MlpParams,
     x: np.ndarray,
-    labels,
-    alpha: float = 1.0,
-    weights=None,
-    wrt: Collection[str] = ("params",),
-) -> LossAndGrad:
-    """Loss of an MLP on a batch and its gradients, in one pass each way.
-
-    Package-internal: `x` must be a float64 (n, d) ndarray already known to
-    be finite (a Tensor's data or a projected PGD iterate); it is not
-    checked again here, so that the per-step cost stays low. Public callers
-    reach this pass through `pgd_attack` and `train`, which take Tensors.
-
-    The per-example losses are -log softmax(alpha * logits)[label] on the
-    logits of `x`. They are reduced by their sum,
-    or, given per-example `weights` (constants), by
-    (1/n) * sum_i weights[i] * losses[i]. `wrt` names the gradients of that
-    reduced loss to compute, from GRAD_TARGETS: "input" (d loss / d x) and
-    "params". relu takes subgradient 0 at exactly 0. The reverse pass is a
-    fixed sequence of numpy kernels, so identical inputs give bit-identical
-    gradients.
-    """
-    unknown = set(wrt).difference(GRAD_TARGETS)
-    if unknown:
-        raise ContractError(f"cannot differentiate w.r.t. {sorted(unknown)}; expected some of {GRAD_TARGETS}")
-    a = _check_alpha(alpha)
-    _check_input(params, x)
-    n = x.shape[0]
-    lab = _check_labels(labels, n, params.config.num_classes)
-    w = None
-    if weights is not None:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (n,):
-            raise ShapeError(f"weights must be a length-{n} vector, got shape {w.shape}")
-        if n == 0:
-            raise ShapeError("weighted mean of an empty batch")
-    return _loss_and_grad(params, x, lab, a, w, "input" in wrt, "params" in wrt)
-
-
-def _loss_and_grad(
-    params: MlpParams,
-    x: np.ndarray,
     lab: np.ndarray,
-    a: float,
+    alpha: float,
     weights: np.ndarray | None,
     want_input: bool,
     want_params: bool,
     ws: _Workspace | None = None,
 ) -> LossAndGrad:
-    """The pass of `mlp_loss_and_grad`, on arguments it has already checked:
-    `lab` from `_check_labels`, `a` from `_check_alpha` and `weights` None or
-    a float64 length-n vector. Callers that reuse one batch's labels for many
-    passes (a PGD run) check them once and call this directly.
+    """Loss of an MLP on a batch and its gradients, in one pass each way.
+
+    Takes arguments its two callers have already checked, so that no pass
+    checks them again: `pgd_attack` (input gradients, every PGD step) and
+    `train` (parameter gradients, every batch). `x` is finite float64
+    (n, input_dim), `lab` n labels in [0, num_classes), `alpha` positive
+    and finite, and `weights` None or a float64 length-n vector.
+
+    The per-example losses -log softmax(alpha * logits)[label] are reduced
+    by their sum or, given `weights`, by (1/n) * sum_i weights[i] * losses[i];
+    `want_input` and `want_params` ask for that loss's gradients with respect
+    to x and to the parameters. relu takes subgradient 0 at exactly 0. The
+    reverse pass is a fixed sequence of numpy kernels, so identical inputs
+    give bit-identical gradients.
 
     Given a workspace for x's row count, the layer outputs and input
     gradients are written into it, so the returned logits and input gradient
@@ -289,7 +252,7 @@ def _loss_and_grad(
     """
     hs = _forward(params, x, ws)
     logits = hs[-1]
-    logp, losses = _cross_entropy(logits, lab, a)
+    logp, losses = _cross_entropy(logits, lab, alpha)
     n = losses.shape[0]
     if weights is None:
         loss, upstream = float(losses.sum()), None
@@ -304,7 +267,7 @@ def _loss_and_grad(
     # glibc trimmed them off the heap and every pass faulted them in again.
     g = np.exp(logp)
     g[np.arange(n), lab] -= 1.0
-    g *= a
+    g *= alpha
     if upstream is not None:
         g *= upstream[:, None]
     kind = params.config.activation

@@ -61,6 +61,8 @@ class TrainConfig:
             raise ConfigError(f"method {self.method!r} needs an inner_attack config")
         if self.method == "gairat" and self.omega_lambda is None:
             raise ConfigError("gairat needs omega_lambda (the weight-shape parameter)")
+        if self.omega_lambda is not None and not np.isfinite(self.omega_lambda):
+            raise ConfigError(f"omega_lambda must be finite, got {self.omega_lambda}")
         if self.method == "gairat":
             check_size(self.inner_attack.steps + 1, f"{self.inner_attack.steps} inner steps give a kappa histogram")
         if self.fat_slack < 0:
@@ -80,8 +82,8 @@ class WeightAssignment:
         w = np.asarray(self.omega, dtype=np.float64)
         if w.ndim != 1 or w.size == 0:
             raise ShapeError(f"weights must be a non-empty vector, got shape {w.shape}")
-        if w.min() < 0:
-            raise ContractError("weights must be non-negative")
+        if not (np.all(np.isfinite(w)) and w.min() >= 0):
+            raise ContractError("weights must be finite and non-negative")
         if abs(w.mean() - 1.0) > 1e-10:
             raise ContractError(f"weight mean must be 1 within 1e-10, got {w.mean()!r}")
         w.setflags(write=False)
@@ -172,6 +174,8 @@ def _batches(n: int, batch_size: int, perm: np.ndarray) -> Iterable[np.ndarray]:
         yield perm[start:start + batch_size]
 
 
+# A diverging run is reported by the non-finite loss's ConfigError, not by numpy warnings first.
+@np.errstate(over="ignore", invalid="ignore")
 def train(model_config: MlpConfig, dataset: Dataset, config: TrainConfig) -> tuple[MlpParams, TrainHistory]:
     """Run the configured outer-minimization loop.
 
@@ -233,7 +237,7 @@ def train(model_config: MlpConfig, dataset: Dataset, config: TrainConfig) -> tup
             if kappa_counts is not None:
                 kappa_counts += np.bincount(kappa, minlength=inner.steps + 1)
 
-            step = mlp_loss_and_grad(params, x_train, yb, 1.0, weights=omega)
+            step = mlp_loss_and_grad(params, x_train, yb, 1.0, omega, False, True)
             if not np.isfinite(step.loss):
                 raise ConfigError(
                     f"training diverged: non-finite loss {step.loss} at epoch {epoch}, batch {batch} "

@@ -38,7 +38,7 @@ def total_loss(params: MlpParams, x: Tensor, y: np.ndarray, alpha: float) -> flo
 
 def analytic_grads(params: MlpParams, x: Tensor, y: np.ndarray, alpha: float):
     """Fused-pass gradients of the summed loss w.r.t. every parameter and the input."""
-    res = mlp_loss_and_grad(params, x.data, y, alpha, wrt=("params", "input"))
+    res = mlp_loss_and_grad(params, x.data, y, alpha, None, True, True)
     return list(res.param_grads) + [res.input_grad]
 
 

@@ -25,7 +25,7 @@ from robustlab.errors import CapabilityError, ContractError, ParameterError, Sha
 from robustlab.model import MlpConfig, init_params, predict
 from robustlab.tensor import Tensor, mlp_loss_and_grad
 
-from conftest import linear_model, random_params
+from conftest import linear_model, make_params, random_params
 
 
 def scaled_ce_input_grad(x, w, b, y, alpha):
@@ -50,6 +50,16 @@ class TestAttackConfig:
             AttackConfig(epsilon=0.1, steps=1, step_size=0.1, restarts=0)
         with pytest.raises(ParameterError):
             AttackConfig(epsilon=0.1, steps=1, step_size=0.1, alpha=0.0)
+
+    def test_epsilon_bounded_by_its_random_start_range(self, rng):
+        # The random start draws from [-epsilon, epsilon]; numpy refuses a range of 2 * epsilon = inf.
+        widest = np.finfo(np.float64).max / 2
+        with pytest.raises(ParameterError, match="2 \\* epsilon finite"):
+            AttackConfig(epsilon=np.nextafter(widest, np.inf), steps=1, step_size=0.1)
+        cfg = AttackConfig(epsilon=widest, steps=2, step_size=0.1, random_start=True)
+        res = pgd_attack(random_params(rng, (2, 3)), Tensor(rng.uniform(0, 1, size=(5, 2))),
+                         np.zeros(5, dtype=int), cfg, domain=DomainBox.unit(2))
+        assert DomainBox.unit(2).contains(res.adversarial.data)
 
     def test_pgd20_preset_matches_protocol(self):
         cfg = pgd20_config(0.031)
@@ -230,7 +240,7 @@ def two_stage_pgd(params, x0, y, cfg, domain, seed):
     for _ in range(cfg.restarts):
         x = project(x0 + rng.uniform(-eps, eps, size=x0.shape)) if cfg.random_start else x0.copy()
         for t in range(cfg.steps + 1):
-            step = mlp_loss_and_grad(params, x, y, cfg.alpha, wrt=("input",))
+            step = mlp_loss_and_grad(params, x, y, cfg.alpha, None, True, False)
             better = step.losses > best_loss
             best_loss = np.where(better, step.losses, best_loss)
             best_x[better] = x[better]
@@ -280,6 +290,17 @@ class TestPgdRunSetUp:
             pgd_attack(params, Tensor(np.zeros((4, 3))), np.array([0.5] * 4), pgd20_config())
 
 
+class TestPgdOutOfRange:
+    def test_a_nan_is_refused_naming_the_pass_that_made_it(self):
+        # Class 0 wins by 2, label 1: at alpha 1e308 the scaled gradient (1e308, -1e308) times
+        # w1.T overflows to inf (not an error), and the dead relu unit's 0 * inf is NaN.
+        config = MlpConfig((2, 2, 2), activation="relu")
+        params = make_params(config, [np.eye(2), [[2.0, -2.0], [2.0, -2.0]]], [[0.0, -10.0], [0.0, 0.0]])
+        cfg = AttackConfig(epsilon=0.1, steps=3, step_size=0.01, alpha=1e308)
+        with pytest.raises(ParameterError, match=r"made a NaN at restart 0, step 0 \(alpha 1e\+308\)"):
+            pgd_attack(params, Tensor([[0.5, 0.5]]), np.array([1]), cfg)
+
+
 class TestPgdWorkspace:
     """A PGD run writes every pass into one workspace of its own."""
 
@@ -299,9 +320,9 @@ class TestPgdWorkspace:
         def allocating(*args):
             *checked, ws = args
             assert isinstance(ws, tensor._Workspace)
-            return tensor._loss_and_grad(*checked)  # fresh arrays on every pass
+            return tensor.mlp_loss_and_grad(*checked, ws=None)  # fresh arrays on every pass
 
-        monkeypatch.setattr(attacks, "_loss_and_grad", allocating)
+        monkeypatch.setattr(attacks, "mlp_loss_and_grad", allocating)
         for (x0, y), res in zip(batches, got):
             want = pgd_attack(params, x0, y, cfg, domain=box, seed=5, friendly_slack=1)
             for f in fields(AttackResult):
@@ -503,7 +524,7 @@ class TestLargeAlphaMarginLimit:
             margin_grad = w[:, runner_up] - w[:, y]
             if not (0.01 < gap < 0.3 and z[runner_up] - z[third] > 0.2 and np.abs(margin_grad).min() > 1e-3):
                 continue
-            ce = mlp_loss_and_grad(params, x[None, :], np.array([y]), alpha, wrt=("input",))
+            ce = mlp_loss_and_grad(params, x[None, :], np.array([y]), alpha, None, True, False)
             np.testing.assert_array_equal(np.sign(ce.input_grad[0]), np.sign(margin_grad))
             checked += 1
         assert checked >= 50

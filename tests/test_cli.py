@@ -292,6 +292,33 @@ class TestRefusedBeforeWriting:
         assert not list(tmp_path.iterdir())
 
 
+    def test_train_writes_its_checkpoint_and_history_or_neither(self, tmp_path, data_csv, capsys):
+        # The history, whose comments name the data path, used to be refused after the checkpoint was written.
+        padded, kept, folder = tmp_path / "d.csv ", tmp_path / "m.ckpt", tmp_path / "dir"
+        padded.write_bytes(data_csv.read_bytes())
+        kept.write_text("an earlier checkpoint")
+        folder.mkdir()
+        erm = ["train", "--method", "erm", "--epochs", "1", "--hidden", "4"]
+        assert run(*erm, "--data", str(padded), "--out", str(kept)) == 2
+        assert capsys.readouterr().err == "error: value of comment 'data' must not have outer whitespace\n"
+        assert run(*erm, "--data", str(data_csv), "--out", str(folder)) == 2
+        assert capsys.readouterr().err == f"error: checkpoint path {folder} is a directory\n"
+        assert kept.read_text() == "an earlier checkpoint"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv ", "dir", "m.ckpt"] and not any(folder.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["attack", "--out-adv"], ["eval", "--out"], ["sweep", "--out"], ["oracle-check"],
+        *(["train", "--method", method, "--out"] for method in ("at", "fat", "gairat")),
+    ], ids=lambda argv: "-".join(argv[::2]))
+    def test_epsilon_whose_random_start_range_overflows(self, tmp_path, data_csv, ckpt, capsys, argv):
+        # Every command's PGD runs draw their random start from [-eps, eps].
+        out = [] if argv[0] == "oracle-check" else [str(tmp_path / "out")]
+        model = [] if argv[0] == "train" else ["--model", str(ckpt)]
+        assert run(*argv, *out, *model, "--data", str(data_csv), "--eps", "1e308") == 2
+        assert capsys.readouterr().err == "error: epsilon must be > 0 with 2 * epsilon finite, got 1e+308\n"
+        assert not list(tmp_path.iterdir())
+
+
 class TestOracleCheck:
     def test_runs_clean_on_tiny_subset(self, data_csv, ckpt, capsys):
         code = run("oracle-check", "--model", str(ckpt), "--data", str(data_csv),

@@ -2,20 +2,27 @@
 
 Whatever an INI file or a report file holds, the CLI exits 0 or 2, writes
 at most one `error:` line to stderr, and on exit 2 creates no output file.
-Whatever a dataset CSV holds, `load_csv` returns a `Dataset` or raises a
-`RobustlabError`.
+Whatever flags a command line holds, the CLI exits 0, 1 or 2, no exception
+escapes it, and on exit 2 it writes one `error:` line and no file. Whatever a dataset CSV holds, `load_csv` returns a
+`Dataset` or raises a `RobustlabError`.
 """
+import argparse
 import contextlib
 import io
+import math
+import os
+import re
+import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from robustlab.cli import _SETTINGS, main
-from robustlab.datasets import Dataset, load_csv
+from robustlab.cli import _SETTINGS, build_parser, main
+from robustlab.datasets import Dataset, gen_two_moons, load_csv, save_csv
 from robustlab.errors import RobustlabError
 from robustlab.evaluate import EvalReport, ReportRow, write_report
+from robustlab.model import MlpConfig, init_params, save_checkpoint
 
 SECTIONS = {"data": "data", "train": "train", "sweep": "sweep", "attack": "attack.pgd20"}
 LINE = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\r\n"), max_size=24)
@@ -149,3 +156,78 @@ def test_load_csv_returns_a_dataset_or_raises_a_robustlab_error(workdir, body):
     except RobustlabError:
         return
     assert isinstance(dataset, Dataset)
+
+
+# Flags that name files take one of these names in a fresh directory, never drawn text: the
+# dataset and checkpoint fixtures, a missing name, a directory and a copy of the dataset whose
+# name has outer whitespace.
+PATH_DESTS = {"data", "model", "config", "out", "history", "out_adv", "infile"}
+PATH_NAMES = ("d.csv", "m.ckpt", "missing", "a-dir", " d.csv ")
+USUAL_PATHS = {"data": "d.csv", "model": "m.ckpt"}  # the other file flags name outputs or a file no fixture is
+INT = st.integers(-3, 12).map(str)  # counts, epochs and widths small enough that every run is quick
+FLOAT = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308]), st.floats(0.001, 1.0)).map(repr)
+SUBCOMMANDS = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+NUMBER_LISTS = st.tuples(st.lists(st.one_of(INT, FLOAT), min_size=1, max_size=3), st.sampled_from([",", ":"]))
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand and some of its flags: (flag, value, whether the value names a file).
+
+    The files a command reads and writes are always given. A config file is one of the
+    fixtures, which it refuses, so one is given rarely; any other flag one time in two.
+    """
+    name = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    flags = []
+    for action in SUBCOMMANDS[name]._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        if action.dest == "config":
+            given = rarely(draw, st.just(False), st.just(True))
+        else:
+            given = action.required or action.dest in {"data", "model", "out", "infile"} or draw(st.booleans())
+        if not given:
+            continue
+        if action.dest in PATH_DESTS:
+            value = rarely(draw, st.just(USUAL_PATHS.get(action.dest, "missing")), st.sampled_from(PATH_NAMES))
+        elif action.choices:
+            value = rarely(draw, st.sampled_from(action.choices), LINE)
+        elif action.type in (int, float):
+            value = rarely(draw, INT if action.type is int else FLOAT, LINE)
+        else:
+            value = draw(st.one_of(LINE, NUMBER_LISTS.map(lambda parts_sep: parts_sep[1].join(parts_sep[0]))))
+        flags.append((action.option_strings[0], value, action.dest in PATH_DESTS))
+    return name, flags
+
+
+@pytest.fixture(scope="module")
+def fixture_files(workdir) -> dict[str, bytes]:
+    save_csv(gen_two_moons(8, 0.1, seed=3), workdir / "argv-d.csv")
+    save_checkpoint(init_params(MlpConfig((2, 4, 2), init_seed=1)), {}, workdir / "argv-m.ckpt")
+    data = (workdir / "argv-d.csv").read_bytes()
+    return {"d.csv": data, " d.csv ": data, "m.ckpt": (workdir / "argv-m.ckpt").read_bytes()}
+
+
+@given(command_lines())
+# The random start's range overflowed past epsilon = 8.99e307 into a traceback; the search finds it
+# only in some runs, so it is also given as an example.
+@example(("attack", [("--model", "m.ckpt", True), ("--data", "d.csv", True), ("--eps", "1e+308", False)]))
+@settings(max_examples=300, deadline=None)
+def test_any_command_line_exits_0_1_or_2_and_exit_2_writes_one_error_line_and_no_file(fixture_files, case):
+    name, flags = case
+    with tempfile.TemporaryDirectory() as tmp:
+        for file_name, body in fixture_files.items():
+            with open(os.path.join(tmp, file_name), "wb") as f:
+                f.write(body)
+        os.mkdir(os.path.join(tmp, "a-dir"))
+        before = sorted(os.listdir(tmp))
+        argv = [name, *(f"{flag}={os.path.join(tmp, v) if is_path else v}" for flag, v, is_path in flags)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        # oracle-check's verdict on a PGD flip the grid oracle missed is exit 2 with no error line.
+        violations = re.search(r"^violations = [1-9]\d* / \d+$", out.getvalue(), re.MULTILINE)
+        if code == 2 and not (name == "oracle-check" and violations):
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert sorted(os.listdir(tmp)) == before

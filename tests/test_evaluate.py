@@ -231,7 +231,33 @@ class TestReportIO:
             read_report(path)
         assert exc.value.line == len(lines)
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "0"])
+    def test_row_alpha_must_be_positive_and_finite_naming_its_line(self, tmp_path, alpha):
+        path = tmp_path / "r.csv"
+        write_report(self._report(), path)
+        lines = path.read_text().splitlines()
+        lines.append(f"pgd20,{alpha},0.5,100")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=f"must be positive and finite \\(line {len(lines)}\\)"):
+            read_report(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "ten"])
+    def test_worst_alpha_must_be_a_positive_finite_number(self, tmp_path, value):
+        path = tmp_path / "r.csv"
+        write_report(self._report(), path)
+        text = path.read_text()
+        assert "# worst_alpha.pgd20 = 10\n" in text
+        path.write_text(text.replace("# worst_alpha.pgd20 = 10\n", f"# worst_alpha.pgd20 = {value}\n"))
+        with pytest.raises(ParseError, match=f"worst_alpha value '{value}' is not a positive finite number"):
+            read_report(path)
+
     def test_report_invariants(self):
         with pytest.raises(SchemaError):
             EvalReport(model_id="", checkpoint_hash="", dataset_id="", dataset_seed="",
                        natural_accuracy=1.5)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, 0.0])
+    def test_row_alpha_invariant(self, alpha):
+        with pytest.raises(SchemaError, match="alpha"):
+            EvalReport(model_id="", checkpoint_hash="", dataset_id="", dataset_seed="",
+                       natural_accuracy=0.5, rows=(ReportRow("pgd20", alpha, 0.5, 10),))

@@ -12,6 +12,7 @@ from robustlab.model import MlpConfig, init_params
 from robustlab.tensor import Tensor, mlp_loss_and_grad
 from robustlab.training import (
     TrainConfig,
+    WeightAssignment,
     compute_weights,
     sgd_step,
     train,
@@ -63,6 +64,12 @@ class TestComputeWeights:
     def test_empty_batch(self):
         with pytest.raises(ContractError):
             compute_weights(np.array([], dtype=int), 10, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_refused(self, bad):
+        # NaN passes both a `min() < 0` and a `mean` test.
+        with pytest.raises(ContractError, match="finite"):
+            WeightAssignment(np.array([1.0, bad, 1.0]))
 
     def test_underflow_falls_back_to_uniform(self):
         # tanh saturates to exactly -1 for arguments below about -19.1
@@ -137,6 +144,13 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(method="gairat", epochs=1, batch_size=8, learning_rate=0.1,
                         inner_attack=inner_cfg())
+
+    @pytest.mark.parametrize("omega_lambda", [np.nan, np.inf, -np.inf])
+    def test_non_finite_omega_lambda_refused(self, omega_lambda):
+        # With burn-in over the whole run it used to train and write `omega_lambda = nan`.
+        with pytest.raises(ConfigError, match="omega_lambda must be finite"):
+            TrainConfig(method="gairat", epochs=2, batch_size=8, learning_rate=0.1,
+                        inner_attack=inner_cfg(), burn_in_epochs=2, omega_lambda=omega_lambda)
 
     def test_burn_in_bounded_by_epochs(self):
         with pytest.raises(ConfigError):
@@ -225,7 +239,7 @@ class TestTrain:
         w = np.random.default_rng(0).uniform(0.1, 2.0, size=len(y))
 
         def grads_with(weights):
-            return mlp_loss_and_grad(params, x, y, 1.0, weights=weights).param_grads
+            return mlp_loss_and_grad(params, x, y, 1.0, weights, False, True).param_grads
 
         for a, b in zip(grads_with(2.0 * w), grads_with(w)):
             np.testing.assert_array_equal(a, 2.0 * b)
@@ -244,9 +258,9 @@ class TestTrain:
             seen["pgd_runs"] += 1
             return pgd_attack(*args, **kwargs)
 
-        def spy_step(params, x, y, alpha, weights=None, wrt=("params",)):
-            seen["steps"].append((params, x.copy(), np.array(y)))
-            return mlp_loss_and_grad(params, x, y, alpha, weights, wrt)
+        def spy_step(params, x, *args):
+            seen["steps"].append((params, x.copy(), np.array(args[0])))
+            return mlp_loss_and_grad(params, x, *args)
 
         def spy_weights(kappa, steps, omega_lambda):
             seen["kappa"].append(np.array(kappa))
