@@ -36,6 +36,7 @@ from .errors import (
     CapabilityError,
     ConfigError,
     ContractError,
+    NumericalError,
     ParameterError,
     ParseError,
     RobustlabError,

@@ -13,7 +13,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .datasets import DomainBox
-from .errors import CapabilityError, ContractError, ParameterError, ShapeError, check_seed, check_size
+from .errors import (
+    CapabilityError, ContractError, NumericalError, ParameterError, ShapeError, check_seed, check_size,
+)
 from .model import MlpParams, forward_logits, predict
 from .tensor import Tensor, _check_labels, _Workspace, mlp_loss_and_grad
 from .textfile import fmt
@@ -153,6 +155,7 @@ def pgd_attack(
     seeded PGD run of the package: given friendly_slack, it also keeps the
     first restart's iterates and picks the points
     `friendly_adversarial_search` with that slack returns for the same seed.
+    A pass that makes a NaN raises NumericalError naming its restart and step.
     """
     if friendly_slack is not None and int(friendly_slack) < 0:
         raise ParameterError(f"slack_steps must be >= 0, got {friendly_slack}")
@@ -179,7 +182,7 @@ def pgd_attack(
     best_correct = natural_correct.copy()
     better = np.empty(n, dtype=bool)
     traj = np.empty((T + 1, n, d)) if friendly_slack is not None else None
-    ws = _Workspace.for_batch(model.config.layer_sizes, n)
+    ws = _Workspace.for_batch(model.config.layer_sizes, lab)
 
     # A large alpha drives the scaled losses to +inf, a limit the max-loss search compares
     # correctly; a NaN, which it cannot compare, is refused at the pass that made it.
@@ -211,7 +214,7 @@ def pgd_attack(
                     x += g
                     np.clip(x, lo, hi, out=x)
     except FloatingPointError:
-        raise ParameterError(f"PGD made a NaN at restart {r}, step {t} (alpha {config.alpha}): the "
+        raise NumericalError(f"PGD made a NaN at restart {r}, step {t} (alpha {config.alpha}): the "
                              "model's logits or their scaled gradients left float64 range") from None
 
     # kappa counts from the natural point regardless of random starts, then

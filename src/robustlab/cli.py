@@ -16,6 +16,7 @@ import configparser
 import os
 import sys
 from dataclasses import replace
+from itertools import combinations
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -41,11 +42,14 @@ from .training import TRAIN_METHODS, TrainConfig, train, write_history
 _USAGE_ERROR, _DATA_ERROR = 1, 2
 
 
-def _out_path(p: str) -> Path:
+def _redirect(p: str) -> Path:
     base = os.environ.get("ROBUSTLAB_OUT")
     path = Path(p)
-    if base and not path.is_absolute():
-        path = Path(base) / path
+    return Path(base) / path if base and not path.is_absolute() else path
+
+
+def _out_path(p: str) -> Path:
+    path = _redirect(p)
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -237,6 +241,15 @@ def cmd_train(args) -> int:
     t = _settings(args, _load_ini(args.config), "train")
     if t.data is None or t.out is None:
         raise ConfigError("train needs --data and --out")
+    ckpt_path = _redirect(t.out)
+    # Both files or neither: a checkpoint path that cannot be written is refused before training.
+    if ckpt_path.is_dir():
+        raise ConfigError(f"checkpoint path {ckpt_path} is a directory")
+    hist_path = _redirect(args.history) if args.history else ckpt_path.with_suffix(".history.csv")
+    files = {"data": Path(t.data), "checkpoint": ckpt_path, "history": hist_path}
+    for (role, path), (other, other_path) in combinations(files.items(), 2):
+        if path.resolve() == other_path.resolve():
+            raise ConfigError(f"{role} and {other} paths name the same file {path}")
     dataset = load_csv(t.data)
     seed = check_seed(t.seed)
     inner_step_size = t.epsilon / 4 if t.inner_step_size is None else t.inner_step_size
@@ -268,15 +281,13 @@ def cmd_train(args) -> int:
     _print_resolved(resolved)
 
     params, history = train(model_config, dataset, train_config)
-    ckpt_path = _out_path(t.out)
     metadata = {
         "method": t.method, "seed": str(seed), "epochs": str(t.epochs),
         "dataset_sha256": dataset_sha256(dataset),
     }
-    hist_path = _out_path(args.history) if args.history else ckpt_path.with_suffix(".history.csv")
-    # Both files or neither: the history, whose comments its writer may refuse, goes first.
-    if ckpt_path.is_dir():
-        raise ConfigError(f"checkpoint path {ckpt_path} is a directory")
+    for path in (ckpt_path, hist_path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+    # The history, whose comments its writer may refuse, goes first.
     write_history(history, hist_path, comments={k: str(v) for k, v in resolved.items()})
     save_checkpoint(params, metadata, ckpt_path)
     print(f"wrote checkpoint {ckpt_path}")

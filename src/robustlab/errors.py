@@ -15,6 +15,10 @@ class ParameterError(RobustlabError, ValueError):
     """An argument value is outside its allowed range."""
 
 
+class NumericalError(ParameterError):
+    """A computation made a NaN: its inputs drove float64 arithmetic out of range."""
+
+
 class ContractError(RobustlabError, ValueError):
     """An API precondition was violated by the caller."""
 

@@ -20,6 +20,8 @@ if TYPE_CHECKING:
     from .model import MlpParams
 
 ACTIVATION_KINDS = ("relu", "tanh")
+# numpy sums a contiguous row of at least this many terms pairwise.
+_PAIRWISE_FROM = 8
 
 
 class Tensor:
@@ -108,17 +110,26 @@ def _check_logits(logits: Tensor) -> np.ndarray:
     return ld
 
 
-def _log_softmax(logits: np.ndarray, alpha: float) -> np.ndarray:
+def _log_softmax(logits: np.ndarray, alpha: float, out: np.ndarray | None = None,
+                 exps: np.ndarray | None = None) -> np.ndarray:
+    """log softmax(alpha * logits) by rows, written into `out` if given.
+
+    The fused pass hands in the logits Fortran-ordered, as einsum writes
+    them: the row max and the row sum then run down contiguous columns,
+    several times faster than along C-ordered rows of a few entries. On
+    either order they give the bits of the C-ordered axis-1 reductions,
+    with one exception: numpy sums a C-ordered row of 8 or more terms
+    pairwise, and column by column it adds them in order. So from
+    `_PAIRWISE_FROM` classes on, the exponentials must go into a C-ordered
+    `exps` (or, given none, the logits must be C-ordered).
+    """
     # Stabilized by max-subtraction so exp() stays in [0, 1] even when the
     # scale pushes logits far apart (the sweep goes up to alpha = 100).
-    # The row max as a running maximum over the columns gives the bits of
-    # logits.max(axis=1) without numpy's slow reduction along a short axis.
-    top = logits[:, 0].copy()
-    for column in logits.T[1:]:
-        np.maximum(top, column, out=top)
-    shifted = alpha * (logits - top[:, None])
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return shifted - lse
+    shifted = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
+    shifted *= alpha
+    lse = np.exp(shifted, out=exps).sum(axis=1, keepdims=True)
+    shifted -= np.log(lse, out=lse)
+    return shifted
 
 
 def scaled_softmax(logits: Tensor, alpha: float = 1.0) -> Tensor:
@@ -139,17 +150,12 @@ def _check_labels(labels, n: int, num_classes: int) -> np.ndarray:
     return lab.astype(np.int64, copy=False)
 
 
-def _cross_entropy(ld: np.ndarray, lab: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray]:
-    """Log-probabilities and per-example losses, for labels `_check_labels` returned."""
-    logp = _log_softmax(ld, a)
-    return logp, -logp[np.arange(ld.shape[0]), lab]
-
-
 def scaled_softmax_cross_entropy(logits: Tensor, labels, alpha: float = 1.0) -> Tensor:
     """Per-example loss -log softmax(alpha * logits)[label], as a length-n tensor."""
     a = _check_alpha(alpha)
     ld = _check_logits(logits)
-    return Tensor._wrap(_cross_entropy(ld, _check_labels(labels, *ld.shape), a)[1])
+    lab = _check_labels(labels, *ld.shape)
+    return Tensor._wrap(-_log_softmax(ld, a)[np.arange(ld.shape[0]), lab])
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
@@ -167,56 +173,92 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
 
 
 class _Workspace(NamedTuple):
-    """The arrays every pass of one PGD run writes into, per layer: its
-    Fortran-ordered affine output, the C-ordered copy the reverse pass
-    keeps, and the gradient with respect to its input. `pgd_attack` makes
-    one for its batch and drops it when it returns.
+    """The arrays every pass of one PGD run writes into, and the run's
+    labels in the two forms the loss head reads. `pgd_attack` makes one for
+    its batch and drops it when it returns; `mlp_loss_and_grad` makes one
+    for a pass given none. (Freed after every pass, a large batch's arrays
+    were trimmed off the heap by glibc and faulted in again on the next.)
 
-    Layer i's affine output and input gradient are views of scratch buffer
-    i % 2: each is read only by the next layer in its pass's direction, and
-    the reverse pass reads only the kept copies, so no view is overwritten
-    while it is still to be read.
+    Orders: einsum writes each layer's affine output (`affine`) fastest in
+    Fortran order (`_affine`). The reverse pass's BLAS kernels round
+    differently on Fortran-ordered operands, so it reads C-ordered copies
+    of the hidden layers' outputs (`kept`), and its upstream gradient
+    (`upstream`) and input gradients (`grads`) are C-ordered. The logits
+    (the last `affine`) and log-probabilities (`logp`) stay Fortran-ordered
+    for the head's row reductions; `exps`, the head's exponentials, is
+    Fortran-ordered below `_PAIRWISE_FROM` classes and C-ordered from there
+    (`_log_softmax`).
+
+    Hidden layer i's affine output and layer i's input gradient are views
+    of scratch buffer i % 2: each is read only by the next layer in its
+    pass's direction, and the reverse pass reads only the kept copies, so
+    no view is overwritten while it is still to be read. `exps` and
+    `upstream` share one buffer: the exponentials are summed before the
+    upstream gradient is written. `onehot` holds 1.0 at each row's label
+    and `flat` each label's index into logp's Fortran-order flattening.
     """
 
     affine: list[np.ndarray]
     kept: list[np.ndarray]
     grads: list[np.ndarray]
+    logp: np.ndarray
+    exps: np.ndarray
+    upstream: np.ndarray
+    onehot: np.ndarray
+    flat: np.ndarray
 
     @classmethod
-    def for_batch(cls, sizes: tuple[int, ...], n: int) -> "_Workspace":
-        scratch = np.empty(n * max(sizes)), np.empty(n * max(sizes))
-        return cls([scratch[i % 2][:n * k].reshape((n, k), order="F") for i, k in enumerate(sizes[1:])],
-                   [np.empty((n, k)) for k in sizes[1:]],
-                   [scratch[i % 2][:n * k].reshape(n, k) for i, k in enumerate(sizes[:-1])])
+    def for_batch(cls, sizes: tuple[int, ...], lab: np.ndarray) -> "_Workspace":
+        """A workspace for `lab`, labels `_check_labels` returned, on a model of layer widths `sizes`."""
+        n, classes, rows = lab.shape[0], sizes[-1], np.arange(lab.shape[0])
+        scratch = np.empty(n * max(sizes[:-1])), np.empty(n * max(sizes[:-1]))
+        head = np.empty(n * classes)
+        onehot = np.zeros((n, classes))
+        onehot[rows, lab] = 1.0
+        return cls([scratch[i % 2][:n * k].reshape((n, k), order="F") for i, k in enumerate(sizes[1:-1])]
+                   + [np.empty((n, classes), order="F")],
+                   [np.empty((n, k)) for k in sizes[1:-1]],
+                   [scratch[i % 2][:n * k].reshape(n, k) for i, k in enumerate(sizes[:-1])],
+                   np.empty((n, classes), order="F"),
+                   head.reshape((n, classes), order="C" if classes >= _PAIRWISE_FROM else "F"),
+                   head.reshape(n, classes),
+                   onehot,
+                   lab * n + rows)
 
 
 def _forward(params: MlpParams, x: np.ndarray, ws: _Workspace | None = None) -> list[np.ndarray]:
+    """[x, h_1, ..., h_{L-1}, logits]: the hidden layers' outputs C-ordered,
+    for the reverse pass's BLAS kernels, and the logits Fortran-ordered, as
+    einsum writes them (see `_Workspace`)."""
     kind = params.config.activation
     last = params.config.num_layers - 1
     hs, hf = [x], np.asfortranarray(x)
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         hf = _affine(hs[-1], hf, w.data, b.data, None if ws is None else ws.affine[i])
-        if i != last:
-            _activate(hf, kind, out=hf)
-        # The reverse pass's BLAS kernels round differently on Fortran-
-        # ordered operands, so the kept layer inputs are C-ordered.
+        if i == last:
+            break
+        _activate(hf, kind, out=hf)
         if ws is None:
             hs.append(np.ascontiguousarray(hf))
         else:
             np.copyto(ws.kept[i], hf)
             hs.append(ws.kept[i])
+    hs.append(hf)
     return hs
 
 
 class LossAndGrad(NamedTuple):
     """One fused pass: gradients that were not asked for are None.
 
-    param_grads follows `MlpParams.leaves()` order: w0, b0, w1, b1, ...
+    logits are Fortran-ordered, the input gradient C-ordered. loss is the
+    weighted-mean reduction `train` descends, None for a pass without
+    weights. param_grads follows `MlpParams.leaves()` order: w0, b0, w1,
+    b1, ...
     """
 
     logits: np.ndarray
     losses: np.ndarray
-    loss: float
+    loss: float | None
     input_grad: np.ndarray | None
     param_grads: tuple[np.ndarray, ...] | None
 
@@ -236,40 +278,40 @@ def mlp_loss_and_grad(
     Takes arguments its two callers have already checked, so that no pass
     checks them again: `pgd_attack` (input gradients, every PGD step) and
     `train` (parameter gradients, every batch). `x` is finite float64
-    (n, input_dim), `lab` n labels in [0, num_classes), `alpha` positive
-    and finite, and `weights` None or a float64 length-n vector.
+    (n, input_dim), `lab` n labels in [0, num_classes) as `_check_labels`
+    returns them, `alpha` positive and finite, and `weights` None or a
+    float64 length-n vector.
 
     The per-example losses -log softmax(alpha * logits)[label] are reduced
     by their sum or, given `weights`, by (1/n) * sum_i weights[i] * losses[i];
     `want_input` and `want_params` ask for that loss's gradients with respect
-    to x and to the parameters. relu takes subgradient 0 at exactly 0. The
-    reverse pass is a fixed sequence of numpy kernels, so identical inputs
-    give bit-identical gradients.
+    to x and to the parameters. Only the weighted mean is returned as
+    `loss`. relu takes subgradient 0 at exactly 0. The reverse pass is a
+    fixed sequence of numpy kernels, so identical inputs give bit-identical
+    gradients.
 
-    Given a workspace for x's row count, the layer outputs and input
-    gradients are written into it, so the returned logits and input gradient
-    hold until the next pass with that workspace.
+    Given a workspace made for `lab`, the pass writes into it, so the
+    returned logits and input gradient hold until the next pass with that
+    workspace.
     """
+    if ws is None:
+        ws = _Workspace.for_batch(params.config.layer_sizes, lab)
     hs = _forward(params, x, ws)
     logits = hs[-1]
-    logp, losses = _cross_entropy(logits, lab, alpha)
+    logp = _log_softmax(logits, alpha, ws.logp, ws.exps)
+    losses = -logp.T.take(ws.flat)  # logp.T is C-contiguous: a flat take reads it in place
     n = losses.shape[0]
-    if weights is None:
-        loss, upstream = float(losses.sum()), None
-    else:
-        loss, upstream = float((weights * losses).sum() / n), weights / n
+    loss = None if weights is None else float((weights * losses).sum() / n)
     if not (want_input or want_params):
         return LossAndGrad(logits, losses, loss, None, None)
 
     # The reverse pass uses BLAS matmul, so unlike the einsum forward pass
     # its input gradients are not batch-invariant in the last bits.
-    # A PGD run keeps these arrays in a workspace: freed on a large batch,
-    # glibc trimmed them off the heap and every pass faulted them in again.
-    g = np.exp(logp)
-    g[np.arange(n), lab] -= 1.0
+    g = np.exp(logp, out=ws.upstream)
+    g -= ws.onehot  # exact off the label too: x - 0.0 is x
     g *= alpha
-    if upstream is not None:
-        g *= upstream[:, None]
+    if weights is not None:
+        g *= (weights / n)[:, None]
     kind = params.config.activation
     param_grads = [None] * (2 * params.config.num_layers)
     for i in range(params.config.num_layers - 1, -1, -1):
@@ -278,7 +320,7 @@ def mlp_loss_and_grad(
             param_grads[2 * i + 1] = g.sum(axis=0)
         if i == 0 and not want_input:
             break
-        g = np.matmul(g, params.weights[i].data.T, out=None if ws is None else ws.grads[i])
+        g = np.matmul(g, params.weights[i].data.T, out=ws.grads[i])
         if i:
             h = hs[i]  # the activation's output: relu > 0 exactly where its input is
             if kind == "relu":

@@ -16,7 +16,9 @@ import numpy as np
 
 from .attacks import AttackConfig, pgd_attack
 from .datasets import Dataset
-from .errors import ConfigError, ContractError, ParameterError, ShapeError, check_seed, check_size
+from .errors import (
+    ConfigError, ContractError, NumericalError, ParameterError, ShapeError, check_seed, check_size,
+)
 from .model import MlpConfig, MlpParams, init_params, predict
 from .tensor import Tensor, mlp_loss_and_grad
 from .textfile import fmt, write_table
@@ -174,7 +176,12 @@ def _batches(n: int, batch_size: int, perm: np.ndarray) -> Iterable[np.ndarray]:
         yield perm[start:start + batch_size]
 
 
-# A diverging run is reported by the non-finite loss's ConfigError, not by numpy warnings first.
+def _diverged(what: object, epoch: int, batch: int, config: TrainConfig) -> ConfigError:
+    return ConfigError(f"training diverged: {what} at epoch {epoch}, batch {batch} "
+                       f"(learning_rate {config.learning_rate})")
+
+
+# A diverging run is reported by its ConfigError, not by numpy warnings first.
 @np.errstate(over="ignore", invalid="ignore")
 def train(model_config: MlpConfig, dataset: Dataset, config: TrainConfig) -> tuple[MlpParams, TrainHistory]:
     """Run the configured outer-minimization loop.
@@ -184,7 +191,8 @@ def train(model_config: MlpConfig, dataset: Dataset, config: TrainConfig) -> tup
     weights (uniform except after the reweighted method's bootstrap
     period), then descend the weighted mean cross-entropy. Deterministic
     per seed: batch order and attack seeds all derive from one generator.
-    A non-finite batch loss raises ConfigError naming epoch and batch.
+    A non-finite batch loss, or a NaN in a batch's PGD run, raises
+    ConfigError naming epoch and batch.
     """
     if dataset.dim != model_config.input_dim:
         raise ConfigError(
@@ -223,11 +231,14 @@ def train(model_config: MlpConfig, dataset: Dataset, config: TrainConfig) -> tup
                 early_stop = config.method == "fat" or (
                     config.method == "gairat" and config.gairat_crafting == "fat"
                 )
-                res = pgd_attack(
-                    params, Tensor._wrap(points[idx]), yb, inner, domain=dataset.domain,
-                    seed=int(rng.integers(0, 2**63)),
-                    friendly_slack=config.fat_slack if early_stop else None,
-                )
+                try:
+                    res = pgd_attack(
+                        params, Tensor._wrap(points[idx]), yb, inner, domain=dataset.domain,
+                        seed=int(rng.integers(0, 2**63)),
+                        friendly_slack=config.fat_slack if early_stop else None,
+                    )
+                except NumericalError as e:  # the model an earlier step blew up
+                    raise _diverged(e, epoch, batch, config) from None
                 x_train = (res.friendly if early_stop else res.adversarial).data
                 kappa = res.kappa
             if config.method == "gairat" and epoch >= config.burn_in_epochs:
@@ -239,10 +250,7 @@ def train(model_config: MlpConfig, dataset: Dataset, config: TrainConfig) -> tup
 
             step = mlp_loss_and_grad(params, x_train, yb, 1.0, omega, False, True)
             if not np.isfinite(step.loss):
-                raise ConfigError(
-                    f"training diverged: non-finite loss {step.loss} at epoch {epoch}, batch {batch} "
-                    f"(learning_rate {config.learning_rate})"
-                )
+                raise _diverged(f"non-finite loss {step.loss}", epoch, batch, config)
             params = sgd_step(params, step.param_grads, config.learning_rate)
             losses.append(step.loss)
 

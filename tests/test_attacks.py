@@ -335,23 +335,26 @@ class TestPgdWorkspace:
                         reason="page-fault counts are those of Linux with glibc's allocator")
     def test_passes_do_not_fault_their_buffers_in_again(self):
         """Linux with glibc only: a 4000-row pgdplus-shaped run (40 steps x 5
-        restarts, 205 passes) on the README model takes fewer than 100 minor
-        page faults per pass. Passes that free their 512 KB layer arrays let
-        glibc give the top of the heap back to the system and fault it in
-        again on the next pass, about 600 faults each. Skipped elsewhere,
-        where neither the allocator nor the fault counter is the same.
+        restarts, 205 passes) on the README model, and on models of 16 and
+        33 classes, takes fewer than 100 minor page faults per pass. Passes
+        that free their 512 KB layer arrays, or (n, classes) loss-head
+        arrays as large, let glibc give the top of the heap back to the
+        system and fault it in again on the next pass, hundreds of faults
+        each. Skipped elsewhere, where neither the allocator nor the fault
+        counter is the same.
         """
         import resource
 
-        params = init_params(MlpConfig((2, 16, 16, 4), init_seed=1))
-        rng = np.random.default_rng(0)
-        x0, y = Tensor(rng.uniform(0, 1, size=(4000, 2))), rng.integers(0, 4, size=4000)
-        cfg = pgd_plus_config()
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        pgd_attack(params, x0, y, cfg, domain=DomainBox.unit(2), seed=1)
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-        passes = cfg.restarts * (cfg.steps + 1)
-        assert faults < 100 * passes, f"{faults / passes:.0f} faults per pass"
+        for classes in (4, 16, 33):
+            params = init_params(MlpConfig((2, 16, 16, classes), init_seed=1))
+            rng = np.random.default_rng(0)
+            x0, y = Tensor(rng.uniform(0, 1, size=(4000, 2))), rng.integers(0, classes, size=4000)
+            cfg = pgd_plus_config()
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            pgd_attack(params, x0, y, cfg, domain=DomainBox.unit(2), seed=1)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+            passes = cfg.restarts * (cfg.steps + 1)
+            assert faults < 100 * passes, f"{classes} classes: {faults / passes:.0f} faults per pass"
 
 
 class TestKappa:

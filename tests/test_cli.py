@@ -303,8 +303,46 @@ class TestRefusedBeforeWriting:
         assert capsys.readouterr().err == "error: value of comment 'data' must not have outer whitespace\n"
         assert run(*erm, "--data", str(data_csv), "--out", str(folder)) == 2
         assert capsys.readouterr().err == f"error: checkpoint path {folder} is a directory\n"
+        assert run(*erm, "--data", str(data_csv), "--out", "") == 2  # used to leave a traceback
+        assert capsys.readouterr().err == "error: checkpoint path . is a directory\n"
         assert kept.read_text() == "an earlier checkpoint"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv ", "dir", "m.ckpt"] and not any(folder.iterdir())
+
+    @pytest.mark.parametrize("out_dir, files, roles", [
+        (None, ["--data", "d.csv", "--out", "./d.csv"], "data and checkpoint"),
+        (None, ["--data", "m.history.csv", "--out", "m.ckpt"], "data and history"),
+        (None, ["--data", "d.csv", "--out", "m.ckpt", "--history", "new/../m.ckpt"], "checkpoint and history"),
+        ("out", ["--data", "d.csv", "--out", "m.ckpt", "--history", "{tmp}/out/m.ckpt"], "checkpoint and history"),
+    ], ids=["data-checkpoint", "data-default-history", "checkpoint-history", "checkpoint-history-redirected"])
+    def test_train_refuses_to_write_over_its_own_files(self, tmp_path, data_csv, capsys, monkeypatch,
+                                                       out_dir, files, roles):
+        # The paths are compared once ROBUSTLAB_OUT has redirected the outputs and they are resolved.
+        monkeypatch.chdir(tmp_path)
+        if out_dir is None:
+            monkeypatch.delenv("ROBUSTLAB_OUT", raising=False)
+        else:
+            monkeypatch.setenv("ROBUSTLAB_OUT", str(tmp_path / out_dir))
+        for name in ("d.csv", "m.history.csv", "m.ckpt"):
+            (tmp_path / name).write_bytes(data_csv.read_bytes())
+        argv = [arg.format(tmp=tmp_path) for arg in files]
+        assert run("train", "--method", "erm", "--epochs", "1", "--hidden", "4", *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {roles} paths name the same file ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "m.ckpt", "m.history.csv"]
+        assert all((tmp_path / p).read_bytes() == data_csv.read_bytes() for p in ("d.csv", "m.ckpt", "m.history.csv"))
+
+    @pytest.mark.parametrize("method", ["at", "fat", "gairat"])
+    def test_train_reports_a_nan_in_its_inner_attack_as_divergence(self, tmp_path, capsys, method):
+        # SGD at this rate blows the model up; the next batch's PGD run makes the NaN.
+        data, out = tmp_path / "m8.csv", tmp_path / "m.ckpt"
+        assert run("gen-data", "--kind", "two-moons", "--n", "8", "--seed", "1", "--out", str(data)) == 0
+        capsys.readouterr()
+        assert run("train", "--data", str(data), "--method", method, "--batch-size", "2", "--hidden", "4",
+                   "--lr", "1e308", "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "error: training diverged: PGD made a NaN at restart 0, step 0 (alpha 1.0): the model's logits "
+            "or their scaled gradients left float64 range at epoch 0, batch 1 (learning_rate 1e+308)\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["m8.csv"]
 
     @pytest.mark.parametrize("argv", [
         ["attack", "--out-adv"], ["eval", "--out"], ["sweep", "--out"], ["oracle-check"],

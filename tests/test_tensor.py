@@ -9,6 +9,7 @@ from robustlab.model import MlpConfig, forward_logits
 from robustlab.tensor import (
     Tensor,
     _activate,
+    _log_softmax,
     mlp_forward,
     mlp_loss_and_grad,
     scaled_softmax,
@@ -171,13 +172,15 @@ class TestSoftmaxProperties:
                 assert np.argmax(probs.data[0]) == np.argmax(logits[0])
 
     def test_ties_and_signed_zeros_keep_the_axis_max_bits(self):
-        # The row max is a running maximum over the columns; with equal
-        # entries and zeros of both signs it must give the bits that
-        # max(axis=1) gives.
+        # On the Fortran-ordered logits of the fused pass the row max runs
+        # down the columns; with equal entries and zeros of both signs it
+        # must give the bits that max(axis=1) gives on C-ordered ones.
         z = np.array([[0.0, -0.0, -1.0], [-0.0, 0.0, 0.0], [2.0, 2.0, -0.0], [-3.0, -3.0, -3.0], [-0.0, -7.5, 1e-300]])
         for alpha in (0.01, 1.0, 100.0):
             shifted = alpha * (z - z.max(axis=1, keepdims=True))
             logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+            np.testing.assert_array_equal(_log_softmax(np.asfortranarray(z), alpha).view(np.uint64),
+                                          logp.view(np.uint64))
             np.testing.assert_array_equal(scaled_softmax(Tensor(z), alpha).data, np.exp(logp))
             for label in range(3):
                 y = np.full(len(z), label)
@@ -199,6 +202,23 @@ def _relu_net(w0, b0):
     return make_params(config, [w0, w1], [np.asarray(b0, dtype=float), np.zeros(2)])
 
 
+def _assert_per_op_bits(params, x, y, alpha):
+    """The fused pass has the bits of the C-ordered per-op formulas: einsum
+    layers, h.max(axis=1) and np.exp(shifted).sum(axis=1), and per_op_grads."""
+    res = mlp_loss_and_grad(params, x, y, alpha, None, True, True)
+    h = x
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        h = np.einsum("ij,jk->ik", h, w.data) + b.data
+        if i < params.config.num_layers - 1:
+            h = np.maximum(h, 0.0) if params.config.activation == "relu" else np.tanh(h)
+    shifted = alpha * (h - h.max(axis=1, keepdims=True))
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    np.testing.assert_array_equal(res.logits, h)
+    np.testing.assert_array_equal(res.losses, -logp[np.arange(len(y)), y])
+    for got, want in zip(list(res.param_grads) + [res.input_grad], per_op_grads(params, x, y, alpha)):
+        np.testing.assert_array_equal(got, want)
+
+
 class TestBackward:
     def test_sum_gradient_is_ones(self, rng):
         # The sum reduction gives every example upstream gradient exactly 1:
@@ -208,7 +228,7 @@ class TestBackward:
         y = rng.integers(0, 3, size=5)
         summed = mlp_loss_and_grad(params, x, y, 2.0, None, True, True)
         as_mean = mlp_loss_and_grad(params, x, y, 2.0, np.full(5, 5.0), True, True)
-        assert summed.loss == summed.losses.sum()
+        assert summed.loss is None  # only the weighted mean, which train descends, is reduced
         for a, b in zip(summed.param_grads + (summed.input_grad,), as_mean.param_grads + (as_mean.input_grad,)):
             np.testing.assert_array_equal(a, b)
 
@@ -269,25 +289,28 @@ class TestBackward:
     @pytest.mark.parametrize("sizes", [(2, 16, 16, 4), (24, 1, 5, 2), (1, 9, 10)], ids=["readme", "width1", "10class"])
     def test_matches_per_op_pass_at_every_width_and_batch(self, rng, sizes, act, n):
         # The fused forward pass runs einsum on Fortran-ordered operands (a
-        # width-1 layer on C-ordered ones) and takes the row max column by
-        # column; logits, losses and gradients must keep the bits of the
-        # C-ordered einsum and the axis-1 max at every width and batch size.
+        # width-1 layer on C-ordered ones); logits, losses and gradients
+        # must keep the bits of the C-ordered einsum at every width and
+        # batch size.
         params = random_params(rng, sizes, activation=act)
         x = rng.uniform(-1, 1, size=(n, sizes[0]))
         x[0, 0] = 0.0
         y = rng.integers(0, sizes[-1], size=n)
-        res = mlp_loss_and_grad(params, x, y, 3.0, None, True, True)
-        h = x
-        for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-            h = np.einsum("ij,jk->ik", h, w.data) + b.data
-            if i < len(sizes) - 2:
-                h = np.maximum(h, 0.0) if act == "relu" else np.tanh(h)
-        shifted = 3.0 * (h - h.max(axis=1, keepdims=True))
-        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        np.testing.assert_array_equal(res.logits, h)
-        np.testing.assert_array_equal(res.losses, -logp[np.arange(n), y])
-        for got, want in zip(list(res.param_grads) + [res.input_grad], per_op_grads(params, x, y, 3.0)):
-            np.testing.assert_array_equal(got, want)
+        _assert_per_op_bits(params, x, y, 3.0)
+
+    @pytest.mark.parametrize("alpha", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 801])
+    @pytest.mark.parametrize("act", ["relu", "tanh"])
+    @pytest.mark.parametrize("classes", [2, 4, 7, 8, 9, 16, 33])
+    def test_head_keeps_the_c_ordered_row_reductions_bits(self, rng, classes, act, n, alpha):
+        # The loss head reduces the Fortran-ordered logits down their
+        # columns. A column-by-column sum adds a row's terms in order, and
+        # numpy sums a C-ordered row of 8 or more terms pairwise: 7, 8 and 9
+        # classes pin where the head switches to a C-ordered sum.
+        params = random_params(rng, (2, 16, 16, classes), activation=act)
+        x = rng.uniform(0, 1, size=(n, 2))
+        y = rng.integers(0, classes, size=n)
+        _assert_per_op_bits(params, x, y, alpha)
 
     def test_gradients_asked_for_alone_are_bit_identical(self, rng):
         params = random_params(rng, (3, 6, 3))
