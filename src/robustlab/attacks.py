@@ -5,10 +5,22 @@ trace plus the number of iterations survived before the first label flip
 (`kappa`). Downstream consumers: instance-reweighted training reads kappa,
 the all-iterates verdict reads the trace, and plain robust accuracy reads
 the returned max-loss points.
+
+Sign steps clipped to the ball soon park most rows at a fixed point or a
+2-cycle, so PGD stops computing a row once its new iterate repeats, bit for
+bit, its iterate two steps back. Every later pass on that row would repeat
+one already made: its losses never beat the best one again, and its trace
+and trajectory are filled in at once with period 2. This is exact because
+the forward pass is batch-invariant and the reverse pass gives the same
+bits for a row in any batch of at least 2 rows. So a run of 2 or more rows
+never makes a 1-row pass, where BLAS takes gemv: a settled row rides along
+instead. The rows still stepped move to a smaller batch, laid out in the
+run's own workspace, once they are at most half of the current one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,6 +148,61 @@ def project_linf(x: Tensor, x0: Tensor, epsilon: float, domain: DomainBox | None
     return Tensor._wrap(np.clip(x.data, *_ball_bounds(x0.data, epsilon, domain)))
 
 
+class _Rows(NamedTuple):
+    """Per row of a PGD restart's pass: the max-loss search's state, the
+    restart's correctness trace (rows, steps + 1) and, on the first restart
+    of a run with friendly points, its trajectory (rows, steps + 1, d)."""
+
+    loss: np.ndarray
+    x: np.ndarray
+    correct: np.ndarray
+    trace: np.ndarray
+    traj: np.ndarray | None
+
+
+def _rows_to_keep(new: np.ndarray, prev: np.ndarray | None) -> np.ndarray | None:
+    """The rows of a PGD pass still to step, as a mask, once at most half of
+    them are live and dropping the settled ones shrinks the pass; else None.
+
+    A row has settled when its new iterate repeats the one two steps back
+    bit for bit (a 2-cycle, or a fixed point reached a step ago): every later
+    pass on it repeats one already made. Bits, not float ==, so that -0.0
+    and 0.0 differ. A kept settled row pads a pass of one live row to two,
+    because BLAS takes gemv for a single row, whose last bits differ.
+    """
+    if prev is None:
+        return None
+    m, d = new.shape
+    differ = np.not_equal(new.view(np.int64), prev.view(np.int64))
+    if 2 * np.count_nonzero(differ) > m * d:  # at least count / d rows are live, over half
+        return None
+    keep = differ @ np.ones(d) != 0  # numpy's `any` along rows of a few entries is many times slower
+    live = np.count_nonzero(keep)
+    if 2 * live > m or live + (live == 1) == m:
+        return None
+    if live == 1:
+        keep[np.argmin(keep)] = True
+    return keep
+
+
+def _repeat_tails(own: _Rows, done: np.ndarray, t: int) -> None:
+    """Fill in the trace and trajectory of the rows `done` of `own` from
+    iterate t + 1 on: iterate t + 1 repeats iterate t - 1, and so on."""
+    for a in (own.trace, own.traj):
+        if a is not None:
+            tails = a[done]
+            tails[:, t + 1::2] = tails[:, t - 1:t]
+            tails[:, t + 2::2] = tails[:, t:t + 1]
+            a[done] = tails
+
+
+def _put_back(whole: _Rows, own: _Rows, rows: np.ndarray, which) -> None:
+    """Write the rows `which` of `own`, a gathered copy, to their places `rows[which]` in `whole`."""
+    for out, got in zip(whole, own):
+        if got is not None:
+            out[rows[which]] = got[which]
+
+
 def pgd_attack(
     model: MlpParams,
     x0: Tensor,
@@ -156,6 +223,8 @@ def pgd_attack(
     first restart's iterates and picks the points
     `friendly_adversarial_search` with that slack returns for the same seed.
     A pass that makes a NaN raises NumericalError naming its restart and step.
+    Rows that have settled are not computed again (see the module
+    docstring); every output has the bits of the run that computes them.
     """
     if friendly_slack is not None and int(friendly_slack) < 0:
         raise ParameterError(f"slack_steps must be >= 0, got {friendly_slack}")
@@ -181,7 +250,7 @@ def pgd_attack(
     # best iterate is what predict on the returned points gives.
     best_correct = natural_correct.copy()
     better = np.empty(n, dtype=bool)
-    traj = np.empty((T + 1, n, d)) if friendly_slack is not None else None
+    traj = np.empty((n, T + 1, d)) if friendly_slack is not None else None
     ws = _Workspace.for_batch(model.config.layer_sizes, lab)
 
     # A large alpha drives the scaled losses to +inf, a limit the max-loss search compares
@@ -195,24 +264,46 @@ def pgd_attack(
                     np.clip(x, lo, hi, out=x)
                 else:
                     x = x0d.copy()
+                # The rows this restart still steps, as indices into the batch, with their
+                # labels, bounds, workspace and results: the run's own arrays until the
+                # first shrink, gathered copies after it.
+                whole = _Rows(best_loss, best_x, best_correct, trace[:, r], traj if r == 0 else None)
+                rows, own, rlab, rlo, rhi, rws, beats = np.arange(n), whole, lab, lo, hi, ws, better
+                prev, new = None, np.empty_like(x)
                 for t in range(T + 1):
-                    if traj is not None and r == 0:
-                        traj[t] = x
-                    step = mlp_loss_and_grad(model, x, lab, config.alpha, None, t < T, False, ws)
-                    correct = np.equal(step.logits.argmax(axis=1), lab, out=trace[:, r, t])
+                    if own.traj is not None:
+                        own.traj[:, t] = x
+                    step = mlp_loss_and_grad(model, x, rlab, config.alpha, None, t < T, False, rws)
+                    correct = np.equal(step.logits.argmax(axis=1), rlab, out=own.trace[:, t])
                     # Strict > keeps the earliest (restart-major, then iteration)
                     # max-loss iterate on ties.
-                    if np.greater(step.losses, best_loss, out=better).any():
-                        np.copyto(best_loss, step.losses, where=better)
-                        np.copyto(best_x, x, where=better[:, None])
-                        np.copyto(best_correct, correct, where=better)
+                    if np.greater(step.losses, own.loss, out=beats).any():
+                        np.copyto(own.loss, step.losses, where=beats)
+                        np.copyto(own.x, x, where=beats[:, None])
+                        np.copyto(own.correct, correct, where=beats)
                     if t == T:
                         break
                     # The sign step overwrites the gradient, which no one reads again.
                     g = np.sign(step.input_grad, out=step.input_grad)
                     g *= config.step_size
-                    x += g
-                    np.clip(x, lo, hi, out=x)
+                    np.add(x, g, out=new)
+                    np.clip(new, rlo, rhi, out=new)
+                    keep = _rows_to_keep(new, prev)
+                    prev, x, new = x, new, np.empty_like(x) if prev is None else prev
+                    if keep is None:
+                        continue
+                    done = np.flatnonzero(~keep)
+                    _repeat_tails(own, done, t)
+                    if not keep.any():
+                        break
+                    if own is not whole:
+                        _put_back(whole, own, rows, done)
+                    rows, own = rows[keep], _Rows(*(None if a is None else a[keep] for a in own))
+                    rlab, rlo, rhi, beats = rlab[keep], rlo[keep], rhi[keep], better[:rows.size]
+                    rws = ws.narrowed(rlab)
+                    prev, x, new = prev[keep], x[keep], np.empty((rows.size, d))
+                if own is not whole:
+                    _put_back(whole, own, rows, slice(None))
     except FloatingPointError:
         raise NumericalError(f"PGD made a NaN at restart {r}, step {t} (alpha {config.alpha}): the "
                              "model's logits or their scaled gradients left float64 range") from None
@@ -228,7 +319,7 @@ def pgd_attack(
         chosen = np.minimum(wrong.argmax(axis=1) + int(friendly_slack), T)
         friendly = best_x.copy()
         idx = np.nonzero(wrong.any(axis=1))[0]
-        friendly[idx] = traj[chosen[idx], idx]
+        friendly[idx] = traj[idx, chosen[idx]]
         friendly = Tensor._wrap(friendly)
     return AttackResult(
         adversarial=Tensor._wrap(best_x),

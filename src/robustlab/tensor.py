@@ -175,9 +175,10 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
 class _Workspace(NamedTuple):
     """The arrays every pass of one PGD run writes into, and the run's
     labels in the two forms the loss head reads. `pgd_attack` makes one for
-    its batch and drops it when it returns; `mlp_loss_and_grad` makes one
-    for a pass given none. (Freed after every pass, a large batch's arrays
-    were trimmed off the heap by glibc and faulted in again on the next.)
+    its batch, narrows it when rows settle, and drops it when it returns;
+    `mlp_loss_and_grad` makes one for a pass given none. (Freed after every
+    pass, a large batch's arrays were trimmed off the heap by glibc and
+    faulted in again on the next.)
 
     Orders: einsum writes each layer's affine output (`affine`) fastest in
     Fortran order (`_affine`). The reverse pass's BLAS kernels round
@@ -210,11 +211,9 @@ class _Workspace(NamedTuple):
     @classmethod
     def for_batch(cls, sizes: tuple[int, ...], lab: np.ndarray) -> "_Workspace":
         """A workspace for `lab`, labels `_check_labels` returned, on a model of layer widths `sizes`."""
-        n, classes, rows = lab.shape[0], sizes[-1], np.arange(lab.shape[0])
+        n, classes = lab.shape[0], sizes[-1]
         scratch = np.empty(n * max(sizes[:-1])), np.empty(n * max(sizes[:-1]))
         head = np.empty(n * classes)
-        onehot = np.zeros((n, classes))
-        onehot[rows, lab] = 1.0
         return cls([scratch[i % 2][:n * k].reshape((n, k), order="F") for i, k in enumerate(sizes[1:-1])]
                    + [np.empty((n, classes), order="F")],
                    [np.empty((n, k)) for k in sizes[1:-1]],
@@ -222,8 +221,33 @@ class _Workspace(NamedTuple):
                    np.empty((n, classes), order="F"),
                    head.reshape((n, classes), order="C" if classes >= _PAIRWISE_FROM else "F"),
                    head.reshape(n, classes),
-                   onehot,
-                   lab * n + rows)
+                   *_label_forms(lab, classes))
+
+    def narrowed(self, lab: np.ndarray) -> "_Workspace":
+        """A workspace for fewer rows, labelled `lab`, laid out at the start of this one's buffers.
+
+        Each array keeps its order and its place in the shared buffers, and the
+        buffers are already faulted in; only the labels' one-hot and flat
+        indices are new. A pass with either workspace overwrites the other's
+        results.
+        """
+        m = lab.shape[0]
+
+        def lay(a: np.ndarray) -> np.ndarray:
+            order = "F" if a.flags.f_contiguous else "C"
+            return a.ravel(order="K")[:m * a.shape[1]].reshape((m, a.shape[1]), order=order)
+
+        return _Workspace([lay(a) for a in self.affine], [lay(a) for a in self.kept],
+                          [lay(a) for a in self.grads], lay(self.logp), lay(self.exps),
+                          lay(self.upstream), *_label_forms(lab, self.onehot.shape[1]))
+
+
+def _label_forms(lab: np.ndarray, classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """A workspace's `onehot` and `flat` for labels `lab`."""
+    n, rows = lab.shape[0], np.arange(lab.shape[0])
+    onehot = np.zeros((n, classes))
+    onehot[rows, lab] = 1.0
+    return onehot, lab * n + rows
 
 
 def _forward(params: MlpParams, x: np.ndarray, ws: _Workspace | None = None) -> list[np.ndarray]:

@@ -21,7 +21,7 @@ from robustlab.attacks import (
     project_linf,
 )
 from robustlab.datasets import DomainBox
-from robustlab.errors import CapabilityError, ContractError, ParameterError, ShapeError
+from robustlab.errors import CapabilityError, ContractError, NumericalError, ParameterError, ShapeError
 from robustlab.model import MlpConfig, init_params, predict
 from robustlab.tensor import Tensor, mlp_loss_and_grad
 
@@ -249,6 +249,59 @@ def two_stage_pgd(params, x0, y, cfg, domain, seed):
     return best_x
 
 
+def full_batch_pgd(params, x0, y, cfg, domain, seed, friendly_slack=None):
+    """Every `AttackResult` field of best-iterate PGD written out the long
+    way: every pass on the whole batch with fresh arrays, every restart to
+    its last step, projecting into the ball and then into the box. Also
+    returns the iterates, shape (restarts, steps + 1, n, d)."""
+    eps, T, R = cfg.epsilon, cfg.steps, cfg.restarts
+    rng = np.random.default_rng(seed)
+    box = domain if cfg.clip_to_domain else None
+
+    def project(x):
+        x = np.clip(x, x0 - eps, x0 + eps)
+        return x if box is None else np.clip(x, box.lower_array(), box.upper_array())
+
+    n = len(y)
+    natural = predict(params, Tensor(x0)) == y
+    trace = np.zeros((n, R, T + 1), dtype=bool)
+    paths = np.empty((R, T + 1) + x0.shape)
+    best_loss, best_x, best_correct = np.full(n, -np.inf), x0.copy(), natural.copy()
+    with np.errstate(over="ignore"):
+        for r in range(R):
+            x = project(x0 + rng.uniform(-eps, eps, size=x0.shape)) if cfg.random_start else x0.copy()
+            for t in range(T + 1):
+                paths[r, t] = x
+                step = mlp_loss_and_grad(params, x, y, cfg.alpha, None, True, False)
+                trace[:, r, t] = correct = step.logits.argmax(axis=1) == y
+                better = step.losses > best_loss
+                best_loss = np.where(better, step.losses, best_loss)
+                best_x[better], best_correct[better] = x[better], correct[better]
+                x = project(x + cfg.step_size * np.sign(step.input_grad))
+    wrong = ~np.column_stack([natural, trace[:, 0, 1:]])
+    kappa = np.where(wrong.any(axis=1), wrong.argmax(axis=1), T).astype(np.int64)
+    friendly = None
+    if friendly_slack is not None:
+        friendly = best_x.copy()
+        for i in range(n):
+            flips = np.flatnonzero(~trace[i, 0])
+            if flips.size:
+                friendly[i] = paths[0, min(flips[0] + friendly_slack, T), i]
+        friendly = Tensor(friendly)
+    return AttackResult(Tensor(best_x), kappa, trace, natural, best_correct, friendly), paths
+
+
+def assert_same_result(got, want):
+    for f in fields(AttackResult):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(a, Tensor):
+            a, b = a.data, b.data
+        if a is None or b is None:
+            assert a is b, f.name
+        else:
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+
+
 class TestPgdRunSetUp:
     """Labels are checked and projection bounds computed once per run."""
 
@@ -299,6 +352,25 @@ class TestPgdOutOfRange:
         cfg = AttackConfig(epsilon=0.1, steps=3, step_size=0.01, alpha=1e308)
         with pytest.raises(ParameterError, match=r"made a NaN at restart 0, step 0 \(alpha 1e\+308\)"):
             pgd_attack(params, Tensor([[0.5, 0.5]]), np.array([1]), cfg)
+
+    def test_a_nan_after_other_rows_settled_names_the_full_batch_pass(self, monkeypatch):
+        # One hidden unit h = relu(x1 + x2) and logits (1e308 h, -1e308 h). Row 0 is
+        # misclassified and climbs by 2 * 0.1 in h per step: h = 1.5, 1.7, 1.9, and at
+        # step 2 its logits overflow to inf, whose row max makes a NaN. Rows 1 and 2 have
+        # a dead unit, a zero input gradient and so a fixed point: they settle at step 1,
+        # and the pass of step 2 runs on row 0 and one settled row.
+        config = MlpConfig((2, 1, 2), activation="relu")
+        params = make_params(config, [[[1.0], [1.0]], [[1e308, -1e308]]], [[0.0], [0.0, 0.0]])
+        cfg = AttackConfig(epsilon=1.0, steps=5, step_size=0.1, clip_to_domain=False)
+        x0, y = Tensor([[0.75, 0.75], [-0.5, -0.5], [-0.25, -0.5]]), np.array([1, 1, 1])
+        rows = spy_on_passes(monkeypatch)
+        with pytest.raises(NumericalError, match=r"made a NaN at restart 0, step 2 \(alpha 1\.0\)"):
+            pgd_attack(params, x0, y, cfg)
+        assert rows == [3, 3, 2]
+        rows.clear()  # row 0 alone, whose every pass is its whole batch, names the same pass
+        with pytest.raises(NumericalError, match=r"made a NaN at restart 0, step 2 "):
+            pgd_attack(params, Tensor(x0.data[:1]), y[:1], cfg)
+        assert rows == [1, 1, 1]
 
 
 class TestPgdWorkspace:
@@ -355,6 +427,134 @@ class TestPgdWorkspace:
             faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
             passes = cfg.restarts * (cfg.steps + 1)
             assert faults < 100 * passes, f"{classes} classes: {faults / passes:.0f} faults per pass"
+
+
+def spy_on_passes(monkeypatch):
+    """The row count of every pass `pgd_attack` makes from now on."""
+    rows = []
+
+    def spy(params, x, *args):
+        rows.append(x.shape[0])
+        return mlp_loss_and_grad(params, x, *args)
+
+    monkeypatch.setattr(attacks, "mlp_loss_and_grad", spy)
+    return rows
+
+
+SETTLING_MODELS = {
+    "relu": ((2, 16, 16, 4), "relu"), "tanh": ((2, 16, 16, 4), "tanh"),
+    "one-column-layer": ((2, 8, 1, 3), "relu"), "10-classes": ((2, 16, 16, 10), "relu"),
+}
+
+
+def settling_batches(name):
+    """A random model and batches of 1, 2, 3, 5 and 40 rows in the unit box."""
+    sizes, activation = SETTLING_MODELS[name]
+    rng = np.random.default_rng(7)
+    params = random_params(rng, sizes, activation)
+    return params, [(rng.uniform(0, 1, size=(k, 2)), rng.integers(0, sizes[-1], size=k)) for k in (1, 2, 3, 5, 40)]
+
+
+def settling_config(alpha=1.0, random_start=True, clip_to_domain=True):
+    return AttackConfig(epsilon=0.1, steps=12, step_size=0.03, restarts=2, alpha=alpha,
+                        random_start=random_start, clip_to_domain=clip_to_domain)
+
+
+class TestSettledRows:
+    """PGD stops computing a row once its iterate repeats the one two steps
+    back, and keeps every output bit of the full-batch loop."""
+
+    @pytest.mark.parametrize("model", list(SETTLING_MODELS))
+    @pytest.mark.parametrize("alpha", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("random_start, clip_to_domain", [(False, False), (False, True), (True, False), (True, True)])
+    def test_same_bits_as_the_full_batch_loop(self, model, alpha, random_start, clip_to_domain):
+        params, batches = settling_batches(model)
+        cfg = settling_config(alpha, random_start, clip_to_domain)
+        for x0, y in batches:
+            for slack in (None, 0, 2):
+                got = pgd_attack(params, Tensor(x0), y, cfg, domain=DomainBox.unit(2), seed=5, friendly_slack=slack)
+                want, _ = full_batch_pgd(params, x0, y, cfg, DomainBox.unit(2), 5, slack)
+                assert_same_result(got, want)
+
+    def test_the_batches_hit_every_case(self, monkeypatch):
+        # Fixed points, 2-cycles and live rows are read off the full-batch iterates, so
+        # they do not depend on the code under test; the spy shows the passes it made.
+        rows = spy_on_passes(monkeypatch)
+        cfg = settling_config()
+        hit = set()
+        for model in SETTLING_MODELS:
+            params, batches = settling_batches(model)
+            for x0, y in batches:
+                rows.clear()
+                pgd_attack(params, Tensor(x0), y, cfg, domain=DomainBox.unit(2), seed=5)
+                _, paths = full_batch_pgd(params, x0, y, cfg, DomainBox.unit(2), 5)
+                bits = paths.view(np.int64)
+                fixed = (bits[:, 1:] == bits[:, :-1]).all(axis=-1)  # x[t + 1] == x[t]
+                settled = (bits[:, 2:] == bits[:, :-2]).all(axis=-1)  # x[t + 1] == x[t - 1]
+                live = (~settled).sum(axis=-1)
+                hit |= {case for case, seen in [
+                    ("fixed point", fixed.any()),
+                    ("2-cycle", (settled & ~fixed[:, 1:]).any()),
+                    ("every row settled before the last step", len(rows) < cfg.restarts * (cfg.steps + 1)),
+                    ("one live row padded to two", len(y) >= 3 and (live == 1).any() and 2 in rows),
+                    ("one row", len(y) == 1), ("two rows", len(y) == 2),
+                ] if seen}
+        assert len(hit) == 6, hit
+
+    def test_a_two_cycle_across_the_boundary_fills_in_alternating_tails(self, monkeypatch):
+        # h = (relu(0.53 - x1), relu(x1 - 0.53)) and logits (100 h1 + h2, 0.05): label 0's
+        # loss peaks at x1 = 0.53. Steps of 1/16 from x1 = 0.25 end in a 2-cycle between
+        # 0.5, correct, and 0.5625, wrong, which settles at step 5 of 10.
+        config = MlpConfig((2, 2, 2), activation="relu")
+        params = make_params(config, [[[-1.0, 1.0], [0.0, 0.0]], [[100.0, 0.0], [1.0, 0.0]]],
+                             [[0.53, -0.53], [0.0, 0.05]])
+        cfg = AttackConfig(epsilon=0.5, steps=10, step_size=0.0625, clip_to_domain=False)
+        rows = spy_on_passes(monkeypatch)
+        for x0 in ([[0.25, 0.5]], [[0.25, 0.5], [0.3125, 0.25]]):
+            x0, y = np.array(x0), np.zeros(len(x0), dtype=int)
+            for slack in (None, 0, 1, 2, 3):
+                rows.clear()
+                want, _ = full_batch_pgd(params, x0, y, cfg, None, 0, slack)
+                assert_same_result(pgd_attack(params, Tensor(x0), y, cfg, friendly_slack=slack), want)
+                assert want.correct_trace[0, 0, 4:].tolist() == [True, False] * 3 + [True]
+                assert rows == [len(y)] * 6
+
+    def test_a_fixed_point_reached_right_after_a_shrink(self, monkeypatch):
+        # Logits (0, 10 (x1 - 0.47)) and label 0: every row walks right in steps of 1/16.
+        # Rows 0 and 1 stop at the box's face after two steps, and settle at step 3. Row 2
+        # crosses the boundary on its last step, to its ball's face at x1 = 0.5, and then
+        # stays there: it is live in the 2-row pass of step 4 and settles at step 5.
+        params = linear_model([[0.0, 10.0], [0.0, 0.0]], [0.0, -4.7])
+        cfg = AttackConfig(epsilon=0.25, steps=8, step_size=0.0625)
+        x0, y = np.array([[0.875, 0.5], [0.875, 0.25], [0.25, 0.5]]), np.zeros(3, dtype=int)
+        rows = spy_on_passes(monkeypatch)
+        for slack in (None, 0, 1, 2):
+            rows.clear()
+            want, _ = full_batch_pgd(params, x0, y, cfg, DomainBox.unit(2), 0, slack)
+            got = pgd_attack(params, Tensor(x0), y, cfg, domain=DomainBox.unit(2), friendly_slack=slack)
+            assert_same_result(got, want)
+            assert want.correct_trace[2, 0, 3:].tolist() == [True] + [False] * 5
+            assert rows == [3, 3, 3, 3, 2, 2]
+
+    def test_no_one_row_pass_and_most_row_passes_skipped(self, monkeypatch):
+        rows = spy_on_passes(monkeypatch)
+        cfg = settling_config()
+        for model in SETTLING_MODELS:
+            params, batches = settling_batches(model)
+            for x0, y in batches[1:]:
+                rows.clear()
+                pgd_attack(params, Tensor(x0), y, cfg, domain=DomainBox.unit(2), seed=5)
+                assert min(rows) >= 2, (model, len(y))
+        # A 4000-row pgdplus-shaped run on the README model: sign steps of 0.01 reach the
+        # 0.031-ball's corners within a few steps, and about 18 % of the rows are computed.
+        params = init_params(MlpConfig((2, 16, 16, 4), init_seed=1))
+        rng = np.random.default_rng(0)
+        x0, y = Tensor(rng.uniform(0, 1, size=(4000, 2))), rng.integers(0, 4, size=4000)
+        cfg = pgd_plus_config()
+        rows.clear()
+        pgd_attack(params, x0, y, cfg, domain=DomainBox.unit(2), seed=1)
+        assert min(rows) >= 2
+        assert sum(rows) <= 0.25 * 4000 * cfg.restarts * (cfg.steps + 1)
 
 
 class TestKappa:

@@ -355,6 +355,22 @@ class TestBackward:
             sub = mlp_loss_and_grad(params, x[rows], y[rows], 3.0, None, True, False).input_grad
             np.testing.assert_array_equal(sub, full[rows])
 
+    @pytest.mark.parametrize("act", ["relu", "tanh"])
+    @pytest.mark.parametrize("n", [800, 4000])
+    def test_input_gradient_of_a_row_subset_of_every_size_is_bit_identical(self, rng, act, n):
+        # PGD moves the rows it still steps into a smaller batch of any size from 2
+        # up, so the reverse pass must give each row's bits at every size, not only
+        # at the few above. 1-row batches stay excluded (gemv).
+        params = random_params(rng, (2, 16, 16, 4), activation=act)
+        x = rng.uniform(0, 1, size=(n, 2))
+        y = rng.integers(0, 4, size=n)
+        full = mlp_loss_and_grad(params, x, y, 3.0, None, True, False).input_grad
+        sample = rng.choice(np.arange(71, n), size=100, replace=False)
+        for size in [*range(2, 71), *sample, n - 1]:
+            rows = np.sort(rng.choice(n, size=size, replace=False))
+            sub = mlp_loss_and_grad(params, x[rows], y[rows], 3.0, None, True, False).input_grad
+            assert sub.tobytes() == full[rows].tobytes(), size
+
     def test_weighted_mean_gradient_linear_in_weights(self, rng):
         # doubling the weights exactly doubles the gradient (power of two,
         # so float scaling is exact)
