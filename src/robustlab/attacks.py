@@ -11,11 +11,10 @@ Sign steps clipped to the ball soon park most rows at a fixed point or a
 bit, its iterate two steps back. Every later pass on that row would repeat
 one already made: its losses never beat the best one again, and its trace
 and trajectory are filled in at once with period 2. This is exact because
-the forward pass is batch-invariant and the reverse pass gives the same
-bits for a row in any batch of at least 2 rows. So a run of 2 or more rows
-never makes a 1-row pass, where BLAS takes gemv: a settled row rides along
-instead. The rows still stepped move to a smaller batch, laid out in the
-run's own workspace, once they are at most half of the current one.
+the fused pass gives a row the same logits and input gradient in a batch
+of any size, one row included. The rows still stepped move to a smaller
+batch, laid out in the run's own workspace, once they are at most half of
+the current one.
 """
 from __future__ import annotations
 
@@ -167,8 +166,7 @@ def _rows_to_keep(new: np.ndarray, prev: np.ndarray | None) -> np.ndarray | None
     A row has settled when its new iterate repeats the one two steps back
     bit for bit (a 2-cycle, or a fixed point reached a step ago): every later
     pass on it repeats one already made. Bits, not float ==, so that -0.0
-    and 0.0 differ. A kept settled row pads a pass of one live row to two,
-    because BLAS takes gemv for a single row, whose last bits differ.
+    and 0.0 differ.
     """
     if prev is None:
         return None
@@ -177,12 +175,7 @@ def _rows_to_keep(new: np.ndarray, prev: np.ndarray | None) -> np.ndarray | None
     if 2 * np.count_nonzero(differ) > m * d:  # at least count / d rows are live, over half
         return None
     keep = differ @ np.ones(d) != 0  # numpy's `any` along rows of a few entries is many times slower
-    live = np.count_nonzero(keep)
-    if 2 * live > m or live + (live == 1) == m:
-        return None
-    if live == 1:
-        keep[np.argmin(keep)] = True
-    return keep
+    return None if 2 * np.count_nonzero(keep) > m else keep
 
 
 def _repeat_tails(own: _Rows, done: np.ndarray, t: int) -> None:

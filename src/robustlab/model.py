@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -77,6 +78,12 @@ class MlpParams:
                 )
             if not (np.all(np.isfinite(w.data)) and np.all(np.isfinite(b.data))):
                 raise ParameterError(f"layer {i} contains non-finite parameters")
+
+    @cached_property
+    def transposed_weights(self) -> tuple[np.ndarray, ...]:
+        """Each layer's w.T, C-ordered: the operand of the reverse pass's
+        products, which BLAS runs several times faster than on the view."""
+        return tuple(np.ascontiguousarray(w.data.T) for w in self.weights)
 
     def leaves(self) -> Iterator[Tensor]:
         """Parameter tensors in the fixed order w0, b0, w1, b1, ..."""

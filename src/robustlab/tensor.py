@@ -7,6 +7,16 @@ runs the same forward pass on raw arrays its callers have already checked,
 then the alpha-scaled cross-entropy with a sum or weighted-mean reduction
 and one reverse pass that computes only the gradients asked for. Scope is
 deliberately the minimum an MLP robustness lab needs.
+
+Every layer product that maps rows to rows (x @ w forward, g @ w.T back)
+runs as one stacked `np.matmul` over blocks of `_BLOCK` rows, the batch's
+rows padded with finite values to a whole number of blocks. BLAS then makes
+the same call, on the same shapes, for every block of every batch, so a
+row's logits and input gradient have the same bits in a batch of any size,
+one row included, as long as BLAS treats every row of a block alike (the
+README gives the layer sizes for which that was measured). A plain 2-D
+product lets BLAS pick its kernel by the batch's size (gemv for one row,
+tail kernels for others), and its last bits follow.
 """
 from __future__ import annotations
 
@@ -22,6 +32,8 @@ if TYPE_CHECKING:
 ACTIVATION_KINDS = ("relu", "tanh")
 # numpy sums a contiguous row of at least this many terms pairwise.
 _PAIRWISE_FROM = 8
+# The rows of every block a layer product runs on.
+_BLOCK = 64
 
 
 class Tensor:
@@ -66,28 +78,6 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-def _affine(xd: np.ndarray, xf: np.ndarray, wd: np.ndarray, bd: np.ndarray,
-            out: np.ndarray | None = None) -> np.ndarray:
-    """x @ w + b, with xf the same values as xd in Fortran order.
-
-    einsum (not BLAS matmul) keeps each output row's summation order
-    independent of batch size, so batch results are bit-identical to
-    per-example results. On Fortran-ordered operands its inner loop runs
-    down the batch rather than along a row's few outputs, several times
-    faster, and each output still adds its products in ascending j: the
-    bits are those of the C-ordered einsum. The result is Fortran-ordered.
-    A single output column takes einsum's dot-product loop, whose order
-    differs, so that case stays on the C-ordered input and ignores `out`,
-    the Fortran-ordered array the result is otherwise written into.
-    """
-    if wd.shape[1] == 1:
-        out = np.einsum("ij,jk->ik", xd, wd)
-    else:
-        out = np.einsum("ij,jk->ik", xf, wd, order="F", out=out)
-    out += bd
-    return out
-
-
 def _activate(h: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
     if kind == "relu":
         return np.maximum(h, 0.0, out=out)
@@ -114,12 +104,12 @@ def _log_softmax(logits: np.ndarray, alpha: float, out: np.ndarray | None = None
                  exps: np.ndarray | None = None) -> np.ndarray:
     """log softmax(alpha * logits) by rows, written into `out` if given.
 
-    The fused pass hands in the logits Fortran-ordered, as einsum writes
-    them: the row max and the row sum then run down contiguous columns,
-    several times faster than along C-ordered rows of a few entries. On
-    either order they give the bits of the C-ordered axis-1 reductions,
-    with one exception: numpy sums a C-ordered row of 8 or more terms
-    pairwise, and column by column it adds them in order. So from
+    The fused pass hands in a Fortran-ordered copy of the logits: the row
+    max and the row sum then run down contiguous columns, several times
+    faster than along C-ordered rows of a few entries. On either order
+    they give the bits of the C-ordered axis-1 reductions, with one
+    exception: numpy sums a C-ordered row of 8 or more terms pairwise,
+    and column by column it adds them in order. So from
     `_PAIRWISE_FROM` classes on, the exponentials must go into a C-ordered
     `exps` (or, given none, the logits must be C-ordered).
     """
@@ -158,18 +148,36 @@ def scaled_softmax_cross_entropy(logits: Tensor, labels, alpha: float = 1.0) -> 
     return Tensor._wrap(-_log_softmax(ld, a)[np.arange(ld.shape[0]), lab])
 
 
+def _padded(n: int) -> int:
+    """n rounded up to a whole number of blocks."""
+    return -(-n // _BLOCK) * _BLOCK
+
+
+def _blocks(a: np.ndarray) -> np.ndarray:
+    """A C-ordered (rows, k) array, rows a whole number of blocks, as a (blocks, _BLOCK, k) view."""
+    return a.reshape(-1, _BLOCK, a.shape[1])
+
+
+def _layers(sizes: tuple[int, ...], rows: int) -> list[np.ndarray]:
+    """C-ordered (rows, k) arrays for the input and every layer's output, the input zeroed."""
+    return [np.zeros((rows, sizes[0]))] + [np.empty((rows, k)) for k in sizes[1:]]
+
+
 def mlp_forward(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
     """Every layer's input, then the logits: [x, h_1, ..., h_{L-1}, logits].
 
     The package's one checked forward entry, behind `model.forward_logits`:
     it refuses an `x` that is not (n, input_dim). `mlp_loss_and_grad` runs
-    the same pass on inputs its callers have checked.
+    the same pass on inputs its callers have checked. The layers are
+    C-ordered views of the first n rows of padded arrays.
     """
     if x.ndim != 2 or x.shape[1] != params.config.input_dim:
         raise ShapeError(
             f"input shape {x.shape} does not match model input dim {params.config.input_dim}"
         )
-    return _forward(params, x)
+    acts = _layers(params.config.layer_sizes, _padded(x.shape[0]))
+    _forward(params, x, acts, [_blocks(a) for a in acts])
+    return [x] + [a[:x.shape[0]] for a in acts[1:]]
 
 
 class _Workspace(NamedTuple):
@@ -180,31 +188,37 @@ class _Workspace(NamedTuple):
     pass, a large batch's arrays were trimmed off the heap by glibc and
     faulted in again on the next.)
 
-    Orders: einsum writes each layer's affine output (`affine`) fastest in
-    Fortran order (`_affine`). The reverse pass's BLAS kernels round
-    differently on Fortran-ordered operands, so it reads C-ordered copies
-    of the hidden layers' outputs (`kept`), and its upstream gradient
-    (`upstream`) and input gradients (`grads`) are C-ordered. The logits
-    (the last `affine`) and log-probabilities (`logp`) stay Fortran-ordered
-    for the head's row reductions; `exps`, the head's exponentials, is
-    Fortran-ordered below `_PAIRWISE_FROM` classes and C-ordered from there
-    (`_log_softmax`).
+    Layer products: `acts` holds the input and every layer's output, and
+    `grads` every layer's input gradient and then the upstream gradient
+    (the loss's gradient with respect to the logits). Each is C-ordered,
+    with the batch's n rows and then padding up to a whole number of
+    blocks; `act_blocks` and `grad_blocks` are their 3-D block views, the
+    operands of the stacked products. The padding rows of the input and of
+    the upstream gradient are zeros, so every padding row stays finite: the
+    forward pass computes the layers of a zero input, and the reverse pass
+    carries zeros. Only the products and the bias and activation read
+    them; the loss head, the masks of the reverse pass and the parameter
+    gradients read the first n rows.
 
-    Hidden layer i's affine output and layer i's input gradient are views
-    of scratch buffer i % 2: each is read only by the next layer in its
-    pass's direction, and the reverse pass reads only the kept copies, so
-    no view is overwritten while it is still to be read. `exps` and
-    `upstream` share one buffer: the exponentials are summed before the
-    upstream gradient is written. `onehot` holds 1.0 at each row's label
-    and `flat` each label's index into logp's Fortran-order flattening.
+    The head: `logp` is Fortran-ordered, for the head's row reductions, and
+    first receives a copy of the logits; `exps`, the head's exponentials,
+    is Fortran-ordered below `_PAIRWISE_FROM` classes and C-ordered from
+    there (`_log_softmax`). `exps` is laid over the upstream gradient's
+    first n rows, which it leaves before the upstream gradient is written,
+    and never over its padding. `onehot` holds 1.0 at each row's label and
+    `flat` each label's index into logp's Fortran-order flattening.
+
+    Layer i's input gradient is a view of scratch buffer i % 2: each is
+    read only by the next product in the reverse pass's direction, so no
+    view is overwritten while it is still to be read.
     """
 
-    affine: list[np.ndarray]
-    kept: list[np.ndarray]
+    acts: list[np.ndarray]
     grads: list[np.ndarray]
+    act_blocks: list[np.ndarray]
+    grad_blocks: list[np.ndarray]
     logp: np.ndarray
     exps: np.ndarray
-    upstream: np.ndarray
     onehot: np.ndarray
     flat: np.ndarray
 
@@ -212,15 +226,15 @@ class _Workspace(NamedTuple):
     def for_batch(cls, sizes: tuple[int, ...], lab: np.ndarray) -> "_Workspace":
         """A workspace for `lab`, labels `_check_labels` returned, on a model of layer widths `sizes`."""
         n, classes = lab.shape[0], sizes[-1]
-        scratch = np.empty(n * max(sizes[:-1])), np.empty(n * max(sizes[:-1]))
-        head = np.empty(n * classes)
-        return cls([scratch[i % 2][:n * k].reshape((n, k), order="F") for i, k in enumerate(sizes[1:-1])]
-                   + [np.empty((n, classes), order="F")],
-                   [np.empty((n, k)) for k in sizes[1:-1]],
-                   [scratch[i % 2][:n * k].reshape(n, k) for i, k in enumerate(sizes[:-1])],
+        rows = _padded(n)
+        scratch = np.empty(rows * max(sizes[:-1])), np.empty(rows * max(sizes[:-1]))
+        head = np.zeros(rows * classes)
+        acts = _layers(sizes, rows)
+        grads = [scratch[i % 2][:rows * k].reshape(rows, k) for i, k in enumerate(sizes[:-1])]
+        grads.append(head.reshape(rows, classes))
+        return cls(acts, grads, [_blocks(a) for a in acts], [_blocks(g) for g in grads],
                    np.empty((n, classes), order="F"),
-                   head.reshape((n, classes), order="C" if classes >= _PAIRWISE_FROM else "F"),
-                   head.reshape(n, classes),
+                   head[:n * classes].reshape((n, classes), order="C" if classes >= _PAIRWISE_FROM else "F"),
                    *_label_forms(lab, classes))
 
     def narrowed(self, lab: np.ndarray) -> "_Workspace":
@@ -228,18 +242,22 @@ class _Workspace(NamedTuple):
 
         Each array keeps its order and its place in the shared buffers, and the
         buffers are already faulted in; only the labels' one-hot and flat
-        indices are new. A pass with either workspace overwrites the other's
-        results.
+        indices, the block views and the zeroed padding are new. A pass with
+        either workspace overwrites the other's results.
         """
         m = lab.shape[0]
+        rows = _padded(m)
 
-        def lay(a: np.ndarray) -> np.ndarray:
+        def lay(a: np.ndarray, rows: int) -> np.ndarray:
             order = "F" if a.flags.f_contiguous else "C"
-            return a.ravel(order="K")[:m * a.shape[1]].reshape((m, a.shape[1]), order=order)
+            return a.ravel(order="K")[:rows * a.shape[1]].reshape((rows, a.shape[1]), order=order)
 
-        return _Workspace([lay(a) for a in self.affine], [lay(a) for a in self.kept],
-                          [lay(a) for a in self.grads], lay(self.logp), lay(self.exps),
-                          lay(self.upstream), *_label_forms(lab, self.onehot.shape[1]))
+        acts = [lay(a, rows) for a in self.acts]
+        grads = [lay(g, rows) for g in self.grads]
+        acts[0][m:] = 0.0
+        grads[-1][m:] = 0.0
+        return _Workspace(acts, grads, [_blocks(a) for a in acts], [_blocks(g) for g in grads],
+                          lay(self.logp, m), lay(self.exps, m), *_label_forms(lab, self.onehot.shape[1]))
 
 
 def _label_forms(lab: np.ndarray, classes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -250,34 +268,27 @@ def _label_forms(lab: np.ndarray, classes: int) -> tuple[np.ndarray, np.ndarray]
     return onehot, lab * n + rows
 
 
-def _forward(params: MlpParams, x: np.ndarray, ws: _Workspace | None = None) -> list[np.ndarray]:
-    """[x, h_1, ..., h_{L-1}, logits]: the hidden layers' outputs C-ordered,
-    for the reverse pass's BLAS kernels, and the logits Fortran-ordered, as
-    einsum writes them (see `_Workspace`)."""
+def _forward(params: MlpParams, x: np.ndarray, acts: list[np.ndarray], blocks: list[np.ndarray]) -> None:
+    """Write x into the first rows of acts[0], then every layer's output
+    into the next of `acts`, padding rows included; `blocks` are their
+    block views (see `_Workspace`)."""
+    np.copyto(acts[0][:x.shape[0]], x)
     kind = params.config.activation
     last = params.config.num_layers - 1
-    hs, hf = [x], np.asfortranarray(x)
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        hf = _affine(hs[-1], hf, w.data, b.data, None if ws is None else ws.affine[i])
-        if i == last:
-            break
-        _activate(hf, kind, out=hf)
-        if ws is None:
-            hs.append(np.ascontiguousarray(hf))
-        else:
-            np.copyto(ws.kept[i], hf)
-            hs.append(ws.kept[i])
-    hs.append(hf)
-    return hs
+        np.matmul(blocks[i], w.data, out=blocks[i + 1])
+        h = acts[i + 1]
+        h += b.data
+        if i < last:
+            _activate(h, kind, out=h)
 
 
 class LossAndGrad(NamedTuple):
     """One fused pass: gradients that were not asked for are None.
 
-    logits are Fortran-ordered, the input gradient C-ordered. loss is the
-    weighted-mean reduction `train` descends, None for a pass without
-    weights. param_grads follows `MlpParams.leaves()` order: w0, b0, w1,
-    b1, ...
+    logits and the input gradient are C-ordered. loss is the weighted-mean
+    reduction `train` descends, None for a pass without weights.
+    param_grads follows `MlpParams.leaves()` order: w0, b0, w1, b1, ...
     """
 
     logits: np.ndarray
@@ -312,7 +323,7 @@ def mlp_loss_and_grad(
     to x and to the parameters. Only the weighted mean is returned as
     `loss`. relu takes subgradient 0 at exactly 0. The reverse pass is a
     fixed sequence of numpy kernels, so identical inputs give bit-identical
-    gradients.
+    gradients, and a row's input gradient has the same bits in any batch.
 
     Given a workspace made for `lab`, the pass writes into it, so the
     returned logits and input gradient hold until the next pass with that
@@ -320,18 +331,17 @@ def mlp_loss_and_grad(
     """
     if ws is None:
         ws = _Workspace.for_batch(params.config.layer_sizes, lab)
-    hs = _forward(params, x, ws)
-    logits = hs[-1]
-    logp = _log_softmax(logits, alpha, ws.logp, ws.exps)
+    _forward(params, x, ws.acts, ws.act_blocks)
+    n = x.shape[0]
+    logits = ws.acts[-1][:n]
+    np.copyto(ws.logp, logits)
+    logp = _log_softmax(ws.logp, alpha, ws.logp, ws.exps)
     losses = -logp.T.take(ws.flat)  # logp.T is C-contiguous: a flat take reads it in place
-    n = losses.shape[0]
     loss = None if weights is None else float((weights * losses).sum() / n)
     if not (want_input or want_params):
         return LossAndGrad(logits, losses, loss, None, None)
 
-    # The reverse pass uses BLAS matmul, so unlike the einsum forward pass
-    # its input gradients are not batch-invariant in the last bits.
-    g = np.exp(logp, out=ws.upstream)
+    g = np.exp(logp, out=ws.grads[-1][:n])
     g -= ws.onehot  # exact off the label too: x - 0.0 is x
     g *= alpha
     if weights is not None:
@@ -340,13 +350,14 @@ def mlp_loss_and_grad(
     param_grads = [None] * (2 * params.config.num_layers)
     for i in range(params.config.num_layers - 1, -1, -1):
         if want_params:
-            param_grads[2 * i] = hs[i].T @ g
+            param_grads[2 * i] = ws.acts[i][:n].T @ g
             param_grads[2 * i + 1] = g.sum(axis=0)
         if i == 0 and not want_input:
             break
-        g = np.matmul(g, params.weights[i].data.T, out=ws.grads[i])
+        np.matmul(ws.grad_blocks[i + 1], params.transposed_weights[i], out=ws.grad_blocks[i])
+        g = ws.grads[i][:n]
         if i:
-            h = hs[i]  # the activation's output: relu > 0 exactly where its input is
+            h = ws.acts[i][:n]  # the activation's output: relu > 0 exactly where its input is
             if kind == "relu":
                 g *= h > 0.0
             else:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from robustlab.model import MlpConfig, MlpParams, forward_logits
-from robustlab.tensor import Tensor, mlp_loss_and_grad, scaled_softmax_cross_entropy
+from robustlab.tensor import _BLOCK, Tensor, mlp_loss_and_grad, scaled_softmax_cross_entropy
 
 
 def make_params(config: MlpConfig, weights, biases) -> MlpParams:
@@ -42,6 +42,16 @@ def analytic_grads(params: MlpParams, x: Tensor, y: np.ndarray, alpha: float):
     return list(res.param_grads) + [res.input_grad]
 
 
+def blocked_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b as the fused pass computes every layer product: a's rows padded
+    with zeros to whole blocks of the tensor module's block size, and one
+    stacked matmul of those blocks by a C-ordered b."""
+    n, k = a.shape
+    blocks = np.zeros((-(-n // _BLOCK), _BLOCK, k))
+    blocks.reshape(-1, k)[:n] = a
+    return np.matmul(blocks, np.ascontiguousarray(b)).reshape(-1, b.shape[1])[:n]
+
+
 def per_op_grads(params: MlpParams, x: np.ndarray, y: np.ndarray, alpha: float, weights=None):
     """Reference reverse pass: one vector-Jacobian product per op, replayed in reverse.
 
@@ -54,8 +64,8 @@ def per_op_grads(params: MlpParams, x: np.ndarray, y: np.ndarray, alpha: float, 
     last = params.config.num_layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         xd, wd = h, w.data
-        h = np.einsum("ij,jk->ik", xd, wd) + b.data
-        vjps.append(("linear", i, lambda g, xd=xd, wd=wd: (g @ wd.T, xd.T @ g, g.sum(axis=0))))
+        h = blocked_product(xd, wd) + b.data
+        vjps.append(("linear", i, lambda g, xd=xd, wd=wd: (blocked_product(g, wd.T), xd.T @ g, g.sum(axis=0))))
         if i != last:
             if params.config.activation == "relu":
                 mask = h > 0.0

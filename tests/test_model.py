@@ -19,7 +19,7 @@ from robustlab.model import (
 )
 from robustlab.tensor import Tensor
 
-from conftest import linear_model, make_params
+from conftest import blocked_product, linear_model, make_params
 
 
 class TestConfig:
@@ -88,10 +88,8 @@ class TestForward:
         w, b = rng.standard_normal((3, 2)), rng.standard_normal(2)
         params = linear_model(w, b)
         x = rng.standard_normal((4, 3))
-        # no activation on the last layer: exactly the einsum affine map
-        np.testing.assert_array_equal(
-            forward_logits(params, Tensor(x)).data, np.einsum("ij,jk->ik", x, w) + b
-        )
+        # no activation on the last layer: exactly the blocked affine map
+        np.testing.assert_array_equal(forward_logits(params, Tensor(x)).data, blocked_product(x, w) + b)
 
     def test_two_layer_matches_hand_rolled_oracle(self, rng):
         w0, b0 = rng.standard_normal((3, 5)), rng.standard_normal(5)

@@ -16,7 +16,7 @@ from robustlab.tensor import (
     scaled_softmax_cross_entropy,
 )
 
-from conftest import fd_max_rel_error, linear_model, make_params, per_op_grads, random_params
+from conftest import blocked_product, fd_max_rel_error, linear_model, make_params, per_op_grads, random_params
 
 # Frozen oracle values, computed with mpmath at 50 decimal digits.
 TANH_HALF = 0.46211715726000976
@@ -203,12 +203,12 @@ def _relu_net(w0, b0):
 
 
 def _assert_per_op_bits(params, x, y, alpha):
-    """The fused pass has the bits of the C-ordered per-op formulas: einsum
-    layers, h.max(axis=1) and np.exp(shifted).sum(axis=1), and per_op_grads."""
+    """The fused pass has the bits of the C-ordered per-op formulas: blocked
+    layer products, h.max(axis=1) and np.exp(shifted).sum(axis=1), and per_op_grads."""
     res = mlp_loss_and_grad(params, x, y, alpha, None, True, True)
     h = x
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = np.einsum("ij,jk->ik", h, w.data) + b.data
+        h = blocked_product(h, w.data) + b.data
         if i < params.config.num_layers - 1:
             h = np.maximum(h, 0.0) if params.config.activation == "relu" else np.tanh(h)
     shifted = alpha * (h - h.max(axis=1, keepdims=True))
@@ -217,6 +217,12 @@ def _assert_per_op_bits(params, x, y, alpha):
     np.testing.assert_array_equal(res.losses, -logp[np.arange(len(y)), y])
     for got, want in zip(list(res.param_grads) + [res.input_grad], per_op_grads(params, x, y, alpha)):
         np.testing.assert_array_equal(got, want)
+
+
+def row_outputs(params, x, y):
+    """Per row of x: every layer's output, the fused pass's logits, and the input gradient."""
+    res = mlp_loss_and_grad(params, x, y, 3.0, None, True, False)
+    return [*mlp_forward(params, x)[1:], res.logits, res.input_grad]
 
 
 class TestBackward:
@@ -288,10 +294,9 @@ class TestBackward:
     @pytest.mark.parametrize("act", ["relu", "tanh"])
     @pytest.mark.parametrize("sizes", [(2, 16, 16, 4), (24, 1, 5, 2), (1, 9, 10)], ids=["readme", "width1", "10class"])
     def test_matches_per_op_pass_at_every_width_and_batch(self, rng, sizes, act, n):
-        # The fused forward pass runs einsum on Fortran-ordered operands (a
-        # width-1 layer on C-ordered ones); logits, losses and gradients
-        # must keep the bits of the C-ordered einsum at every width and
-        # batch size.
+        # The fused pass pads every batch to whole blocks, a 1-row batch
+        # included; logits, losses and gradients must keep the bits of the
+        # per-op formulas at every width and batch size.
         params = random_params(rng, sizes, activation=act)
         x = rng.uniform(-1, 1, size=(n, sizes[0]))
         x[0, 0] = 0.0
@@ -341,11 +346,9 @@ class TestBackward:
     @pytest.mark.parametrize("act", ["relu", "tanh"])
     @pytest.mark.parametrize("n", [64, 800, 4000])
     def test_input_gradient_of_a_row_subset_is_bit_identical(self, rng, act, n):
-        # Attacking only some rows of a batch (ROADMAP item 3) relies on
-        # this, at the README model's shapes and the sweeps' batch sizes.
-        # 1-row batches are not pinned: BLAS takes gemv there, whose last
-        # bits differ; a batch-invariant reverse kernel (ROADMAP item 2)
-        # is still open.
+        # Attacking only some rows of a batch relies on this, at the README
+        # model's shapes and the sweeps' batch sizes; the test below adds
+        # every size, 1-row batches included, and other model shapes.
         params = random_params(rng, (2, 16, 16, 4), activation=act)
         x = rng.uniform(0, 1, size=(n, 2))
         y = rng.integers(0, 4, size=n)
@@ -355,21 +358,40 @@ class TestBackward:
             sub = mlp_loss_and_grad(params, x[rows], y[rows], 3.0, None, True, False).input_grad
             np.testing.assert_array_equal(sub, full[rows])
 
+    @pytest.mark.parametrize("sizes", [(2, 16, 16, 4), (24, 1, 5, 2), (1, 9, 10), (2, 16, 16, 33)],
+                             ids=["readme", "width1", "10class", "33class"])
     @pytest.mark.parametrize("act", ["relu", "tanh"])
     @pytest.mark.parametrize("n", [800, 4000])
-    def test_input_gradient_of_a_row_subset_of_every_size_is_bit_identical(self, rng, act, n):
-        # PGD moves the rows it still steps into a smaller batch of any size from 2
-        # up, so the reverse pass must give each row's bits at every size, not only
-        # at the few above. 1-row batches stay excluded (gemv).
-        params = random_params(rng, (2, 16, 16, 4), activation=act)
-        x = rng.uniform(0, 1, size=(n, 2))
-        y = rng.integers(0, 4, size=n)
-        full = mlp_loss_and_grad(params, x, y, 3.0, None, True, False).input_grad
+    def test_input_gradient_of_a_row_subset_of_every_size_is_bit_identical(self, rng, n, act, sizes):
+        # PGD moves the rows it still steps into a smaller batch of any size, one row
+        # included, so every layer's output and the input gradient must give each row
+        # its bits at every size, not only at the few above, and for every model shape:
+        # a 1-unit layer and 1 input take BLAS's vector kernels in a 2-D product.
+        params = random_params(rng, sizes, activation=act)
+        x = rng.uniform(0, 1, size=(n, sizes[0]))
+        y = rng.integers(0, sizes[-1], size=n)
+        full = row_outputs(params, x, y)
         sample = rng.choice(np.arange(71, n), size=100, replace=False)
-        for size in [*range(2, 71), *sample, n - 1]:
+        for size in [*range(1, 71), *sample, n - 1]:
             rows = np.sort(rng.choice(n, size=size, replace=False))
-            sub = mlp_loss_and_grad(params, x[rows], y[rows], 3.0, None, True, False).input_grad
-            assert sub.tobytes() == full[rows].tobytes(), size
+            for i, (got, want) in enumerate(zip(row_outputs(params, x[rows], y[rows]), full)):
+                assert got.tobytes() == want[rows].tobytes(), (size, i)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_output_of_a_row_subset_is_bit_identical_for_any_shape(self, data):
+        draw = data.draw
+        sizes = (draw(st.integers(1, 5)), *draw(st.lists(st.integers(1, 40), max_size=3)),
+                 draw(st.integers(2, 40)))
+        n = draw(st.integers(1, 300))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+        params = random_params(rng, sizes, activation=draw(st.sampled_from(["relu", "tanh"])))
+        x = rng.uniform(-1, 1, size=(n, sizes[0]))
+        y = rng.integers(0, sizes[-1], size=n)
+        rows = np.flatnonzero(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        full = row_outputs(params, x, y)
+        for got, want in zip(row_outputs(params, x[rows], y[rows]), full):
+            assert got.tobytes() == want[rows].tobytes()
 
     def test_weighted_mean_gradient_linear_in_weights(self, rng):
         # doubling the weights exactly doubles the gradient (power of two,
