@@ -13,12 +13,10 @@ from .attacks import (
     AttackResult,
     brute_force_attack,
     count_kappa,
-    friendly_adversarial_search,
     pgd20_config,
     pgd200_config,
     pgd_attack,
     pgd_plus_config,
-    pgd_plus_verdict,
     project_linf,
 )
 from .datasets import (

@@ -1,10 +1,11 @@
 """First-order adversarial attacks with optional logit scaling.
 
-The PGD loop records, for every example, a full prediction-correctness
-trace plus the number of iterations survived before the first label flip
-(`kappa`). Downstream consumers: instance-reweighted training reads kappa,
-the all-iterates verdict reads the trace, and plain robust accuracy reads
-the returned max-loss points.
+`pgd_attack` is the one attack entry. Its run records, for every example,
+a full prediction-correctness trace plus the number of iterations survived
+before the first label flip (`kappa`), and every consumer reads its view
+off the `AttackResult`: instance-reweighted training reads kappa, friendly
+training the friendly points, the all-iterates verdict the trace, and the
+best-iterate verdict the correctness at the returned max-loss points.
 
 Sign steps clipped to the ball soon park most rows at a fixed point or a
 2-cycle, so PGD stops computing a row once its new iterate repeats, bit for
@@ -109,8 +110,11 @@ class AttackResult:
     kappa counts from the natural point: kappa[i] = 0 means naturally
     misclassified, kappa[i] = steps means never flipped on the first
     restart. final_correct is correctness at the returned max-loss point.
-    friendly holds the friendly-search points of the same run (see
-    `friendly_adversarial_search`) when they were asked for, else None.
+    friendly holds, when a friendly_slack was given, the friendly (FAT)
+    points of the same run: per example, the first restart's iterate
+    friendly_slack steps after its first misclassified one (at slack 0, the
+    first iterate whose margin over the best competing label turned
+    positive); never-flipped rows keep the max-loss point. Else None.
     """
 
     adversarial: Tensor
@@ -213,14 +217,16 @@ def pgd_attack(
     cross-entropy, projecting after each. The returned point per example is
     the max-loss iterate over every restart and iteration. This is the one
     seeded PGD run of the package: given friendly_slack, it also keeps the
-    first restart's iterates and picks the points
-    `friendly_adversarial_search` with that slack returns for the same seed.
+    first restart's iterates and returns, as `friendly`, each row's iterate
+    friendly_slack steps after its first misclassified one on the first
+    restart (capped at the last step); never-flipped rows keep the max-loss
+    point.
     A pass that makes a NaN raises NumericalError naming its restart and step.
     Rows that have settled are not computed again (see the module
     docstring); every output has the bits of the run that computes them.
     """
     if friendly_slack is not None and int(friendly_slack) < 0:
-        raise ParameterError(f"slack_steps must be >= 0, got {friendly_slack}")
+        raise ParameterError(f"friendly_slack must be >= 0, got {friendly_slack}")
     x0d = x0.data
     if x0d.ndim != 2:
         raise ShapeError(f"attack input must be (n, d), got {x0d.shape}")
@@ -306,8 +312,6 @@ def pgd_attack(
     kappa_trace = np.concatenate([natural_correct[:, None], trace[:, 0, 1:]], axis=1)
     friendly = None
     if traj is not None:
-        # Per example, the first restart's iterate friendly_slack steps after
-        # its first misclassified one; never-flipped examples keep best_x.
         wrong = ~trace[:, 0, :]
         chosen = np.minimum(wrong.argmax(axis=1) + int(friendly_slack), T)
         friendly = best_x.copy()
@@ -339,43 +343,6 @@ def count_kappa(correct_trace, steps: int) -> np.ndarray:
     wrong = ~tr
     first = wrong.argmax(axis=1)
     return np.where(wrong.any(axis=1), first, steps).astype(np.int64)
-
-
-def friendly_adversarial_search(
-    model: MlpParams,
-    x0: Tensor,
-    y,
-    config: AttackConfig,
-    slack_steps: int = 0,
-    *,
-    domain: DomainBox | None = None,
-    seed: int = 0,
-) -> Tensor:
-    """Early-stopped PGD: per example, return the iterate `slack_steps`
-    after the first misclassified one on the first restart.
-
-    At slack 0 that is the first iterate whose loss margin over the
-    best competing label turned positive. Examples that never flip fall
-    back to the plain max-loss attack output.
-    """
-    return pgd_attack(model, x0, y, config, domain=domain, seed=seed, friendly_slack=slack_steps).friendly
-
-
-def pgd_plus_verdict(
-    model: MlpParams,
-    x0: Tensor,
-    y,
-    config: AttackConfig,
-    *,
-    domain: DomainBox | None = None,
-    seed: int = 0,
-) -> np.ndarray:
-    """All-iterates verdict: robust-correct iff correct at the natural point
-    and at every post-step iterate of every restart (restarts x steps
-    checks; 200 under the 40x5 configuration). One flip anywhere loses.
-    """
-    res = pgd_attack(model, x0, y, config, domain=domain, seed=seed)
-    return res.natural_correct & res.correct_trace[:, :, 1:].all(axis=(1, 2))
 
 
 def brute_force_attack(

@@ -25,15 +25,7 @@ import numpy as np
 from .attacks import ATTACK_PRESETS, AttackConfig, brute_force_attack, pgd_attack
 from .datasets import Dataset, gen_gaussian_blobs, gen_rings, gen_two_moons, load_csv, save_csv
 from .errors import ConfigError, ParameterError, RobustlabError, check_seed, check_size
-from .evaluate import (
-    SweepConfig,
-    alpha_sweep,
-    dataset_sha256,
-    eval_natural,
-    file_sha256,
-    read_report,
-    write_report,
-)
+from .evaluate import VERDICTS, SweepConfig, alpha_sweep, dataset_sha256, file_sha256, read_report, write_report
 from .model import MlpConfig, load_checkpoint, save_checkpoint
 from .tensor import ACTIVATION_KINDS, Tensor
 from .textfile import comment_line
@@ -302,7 +294,7 @@ def cmd_attack(args) -> int:
     ckpt, dataset, name, cfg, seed, _ = _attack_setup(args)
     result = pgd_attack(ckpt.params, dataset.points, dataset.labels, cfg,
                         domain=dataset.domain, seed=seed)
-    nat = eval_natural(ckpt.params, dataset)
+    nat = float(np.mean(result.natural_correct))
     rob = float(np.mean(result.final_correct))
     _print_resolved({"model": args.model, "data": args.data, "attack": name,
                      "seed": seed, **dict(kv.split(" = ") for kv in cfg.to_kv().splitlines())})
@@ -440,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (attack_parser("eval", cmd_eval, "natural + robust accuracy under one attack"),
               attack_parser("sweep", cmd_sweep, "robust accuracy across a logit-scale grid",
                             ("attack", "alpha_grid"))):
-        p.add_argument("--verdict", choices=["best_iterate", "all_iterates"])
+        p.add_argument("--verdict", choices=VERDICTS)
         p.add_argument("--out")
 
     p = sub.add_parser("oracle-check", help="cross-check PGD against the exhaustive grid oracle")

@@ -79,11 +79,13 @@ class Dataset:
             raise ShapeError(f"points shape {pts.shape} does not match domain dim {self.domain.dim}")
         if lab.ndim != 1 or lab.shape[0] != pts.shape[0]:
             raise ShapeError(f"labels shape {lab.shape} does not match {pts.shape[0]} points")
+        if not lab.size:
+            raise ParameterError("a dataset needs at least one point, got 0")
         if not np.issubdtype(lab.dtype, np.integer):
             raise ParameterError(f"labels must be integers, got dtype {lab.dtype}")
         if self.num_classes < 2:
             raise ParameterError("num_classes must be at least 2")
-        if lab.size and (lab.min() < 0 or lab.max() >= self.num_classes):
+        if lab.min() < 0 or lab.max() >= self.num_classes:
             raise ParameterError(f"labels must lie in [0, {self.num_classes})")
         if not self.domain.contains(pts):
             raise ParameterError("points must lie inside the domain box")

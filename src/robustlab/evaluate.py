@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .attacks import AttackConfig, pgd_attack, pgd_plus_verdict
+from .attacks import AttackConfig, pgd_attack
 from .datasets import Dataset
 from .errors import ParameterError, ParseError, SchemaError
 from .model import MlpParams, predict
@@ -113,19 +113,18 @@ def eval_robust(
 ) -> float:
     """Robust accuracy under one attack.
 
-    best_iterate scores predictions at the returned max-loss points;
-    all_iterates requires correctness at the natural point and every
-    iterate of every restart.
+    Both verdicts read one `pgd_attack` run. best_iterate scores predictions
+    at the returned max-loss points; all_iterates requires correctness at the
+    natural point and at every post-step iterate of every restart (restarts x
+    steps checks, 200 under pgdplus): one flip anywhere loses.
     """
     if verdict not in VERDICTS:
         raise ParameterError(f"verdict must be one of {VERDICTS}, got {verdict!r}")
-    if verdict == "all_iterates":
-        ok = pgd_plus_verdict(model, dataset.points, dataset.labels, attack,
-                              domain=dataset.domain, seed=seed)
-        return float(np.mean(ok))
     res = pgd_attack(model, dataset.points, dataset.labels, attack,
                      domain=dataset.domain, seed=seed)
-    return float(np.mean(res.final_correct))
+    ok = (res.final_correct if verdict == "best_iterate"
+          else res.natural_correct & res.correct_trace[:, :, 1:].all(axis=(1, 2)))
+    return float(np.mean(ok))
 
 
 def alpha_sweep(

@@ -12,12 +12,10 @@ from robustlab.attacks import (
     AttackResult,
     brute_force_attack,
     count_kappa,
-    friendly_adversarial_search,
     pgd20_config,
     pgd200_config,
     pgd_attack,
     pgd_plus_config,
-    pgd_plus_verdict,
     project_linf,
 )
 from robustlab.datasets import DomainBox
@@ -328,7 +326,7 @@ class TestPgdRunSetUp:
         ([0.0, 1.0, 2.0, 1.0], ParameterError),
         ([True, False, True, False], ParameterError),
     ], ids=["above-range", "negative", "length-1", "too-short", "too-long", "column", "float", "bool"])
-    @pytest.mark.parametrize("entry", [pgd_attack, pgd_plus_verdict, friendly_adversarial_search])
+    @pytest.mark.parametrize("entry", [pgd_attack])
     def test_bad_labels_raise_before_any_step(self, rng, labels, error, entry):
         # A wrong length used to escape from numpy's broadcasting as a plain
         # ValueError; ShapeError is one too.
@@ -336,6 +334,13 @@ class TestPgdRunSetUp:
         x0 = Tensor(rng.uniform(0, 1, size=(4, 2)))
         with pytest.raises(error):
             entry(params, x0, np.array(labels), pgd20_config(), domain=DomainBox.unit(2))
+
+    @pytest.mark.parametrize("entry", ["pgd_attack"])
+    def test_negative_seed_rejected(self, entry):
+        params = linear_model(np.eye(2), [0.0, 0.0])
+        cfg = AttackConfig(epsilon=0.1, steps=2, step_size=0.05, random_start=True)
+        with pytest.raises(ParameterError, match="seed must be >= 0"):
+            getattr(attacks, entry)(params, Tensor([[0.2, 0.7]]), np.array([1]), cfg, seed=-1)
 
     def test_input_shape_is_checked_before_the_labels(self, rng):
         params = random_params(rng, (2, 4, 3))
@@ -617,9 +622,8 @@ class TestFriendlySearch:
 
     def test_early_stop_returns_first_flip(self):
         params, x0, y, cfg = self._setup()
-        adv = friendly_adversarial_search(params, x0, y, cfg, slack_steps=0,
-                                          domain=DomainBox.unit(2))
-        res = pgd_attack(params, x0, y, cfg, domain=DomainBox.unit(2))
+        res = pgd_attack(params, x0, y, cfg, domain=DomainBox.unit(2), friendly_slack=0)
+        adv = res.friendly
         # flips happen within 2 steps here; the early-stopped points differ
         # from the full-run max-loss points
         assert np.all(predict(params, adv) != y)
@@ -629,8 +633,7 @@ class TestFriendlySearch:
 
     def test_margin_holds_at_stop_but_not_before(self):
         params, x0, y, cfg = self._setup()
-        adv = friendly_adversarial_search(params, x0, y, cfg, slack_steps=0,
-                                          domain=DomainBox.unit(2))
+        adv = pgd_attack(params, x0, y, cfg, domain=DomainBox.unit(2), friendly_slack=0).friendly
         # hand-step to find the same trajectory and locate the flip
         w, b = params.weights[0].data, params.biases[0].data
         x = x0.data.copy()
@@ -655,25 +658,21 @@ class TestFriendlySearch:
         x0 = Tensor([[0.9, 0.1], [0.1, 0.9]])
         y = np.array([0, 1])
         cfg = AttackConfig(epsilon=0.05, steps=5, step_size=0.01, restarts=2, random_start=True)
-        adv = friendly_adversarial_search(params, x0, y, cfg, domain=DomainBox.unit(2), seed=3)
-        res = pgd_attack(params, x0, y, cfg, domain=DomainBox.unit(2), seed=3)
+        res = pgd_attack(params, x0, y, cfg, domain=DomainBox.unit(2), seed=3, friendly_slack=0)
+        adv = res.friendly
         assert np.all(predict(params, Tensor._wrap(adv.data.copy())) == y)
         np.testing.assert_array_equal(adv.data, res.adversarial.data)
 
     def test_slack_continues_past_flip(self):
         params, x0, y, cfg = self._setup()
-        adv0 = friendly_adversarial_search(params, x0, y, cfg, slack_steps=0,
-                                           domain=DomainBox.unit(2))
-        adv2 = friendly_adversarial_search(params, x0, y, cfg, slack_steps=2,
-                                           domain=DomainBox.unit(2))
+        adv0 = pgd_attack(params, x0, y, cfg, domain=DomainBox.unit(2), friendly_slack=0).friendly
+        adv2 = pgd_attack(params, x0, y, cfg, domain=DomainBox.unit(2), friendly_slack=2).friendly
         assert np.all(np.abs(adv2.data - x0.data).max(axis=1) >= np.abs(adv0.data - x0.data).max(axis=1))
         assert not np.array_equal(adv0.data, adv2.data)
 
     def test_negative_slack_rejected(self):
         params, x0, y, cfg = self._setup()
-        with pytest.raises(ParameterError):
-            friendly_adversarial_search(params, x0, y, cfg, slack_steps=-1)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"^friendly_slack must be >= 0, got -1$"):
             pgd_attack(params, x0, y, cfg, friendly_slack=-1)
 
     @pytest.mark.parametrize("slack", [0, 2])
@@ -684,43 +683,8 @@ class TestFriendlySearch:
         cfg = AttackConfig(epsilon=0.1, steps=6, step_size=0.03, restarts=2, random_start=True)
         res = pgd_attack(params, x0, y, cfg, domain=DomainBox.unit(2), seed=4, friendly_slack=slack)
         plain = pgd_attack(params, x0, y, cfg, domain=DomainBox.unit(2), seed=4)
-        adv = friendly_adversarial_search(params, x0, y, cfg, slack, domain=DomainBox.unit(2), seed=4)
-        np.testing.assert_array_equal(res.friendly.data, adv.data)
         np.testing.assert_array_equal(res.adversarial.data, plain.adversarial.data)
         np.testing.assert_array_equal(res.kappa, plain.kappa)
-
-
-class TestPgdPlusVerdict:
-    def test_all_correct_is_robust(self):
-        params = linear_model(np.array([[2.0, -2.0], [-2.0, 2.0]]), [0.0, 0.0])
-        x0 = Tensor([[0.9, 0.1]])
-        y = np.array([0])
-        cfg = AttackConfig(epsilon=0.02, steps=5, step_size=0.005, restarts=3, random_start=True)
-        assert pgd_plus_verdict(params, x0, y, cfg, domain=DomainBox.unit(2), seed=1)[0]
-
-    def test_single_flip_anywhere_loses(self):
-        # margin small enough that the attack flips at some iterate
-        params = linear_model(np.array([[1.0, -1.0], [-1.0, 1.0]]), [0.0, 0.0])
-        x0 = Tensor([[0.51, 0.49]])
-        y = np.array([0])
-        cfg = AttackConfig(epsilon=0.1, steps=10, step_size=0.02, restarts=2, random_start=True)
-        res = pgd_attack(params, x0, y, cfg, domain=DomainBox.unit(2), seed=2)
-        assert not res.correct_trace[:, :, 1:].all()
-        assert not pgd_plus_verdict(params, x0, y, cfg, domain=DomainBox.unit(2), seed=2)[0]
-
-    def test_naturally_misclassified_loses_regardless(self):
-        params = linear_model(np.array([[1.0, 0.0], [0.0, 1.0]]), [0.0, 0.0])
-        x0 = Tensor([[0.3, 0.7]])
-        y = np.array([0])
-        cfg = AttackConfig(epsilon=0.01, steps=3, step_size=0.005, restarts=1, random_start=True)
-        assert not pgd_plus_verdict(params, x0, y, cfg, domain=DomainBox.unit(2), seed=0)[0]
-
-    @pytest.mark.parametrize("entry", ["pgd_attack", "pgd_plus_verdict", "friendly_adversarial_search"])
-    def test_negative_seed_rejected(self, entry):
-        params = linear_model(np.eye(2), [0.0, 0.0])
-        cfg = AttackConfig(epsilon=0.1, steps=2, step_size=0.05, random_start=True)
-        with pytest.raises(ParameterError, match="seed must be >= 0"):
-            getattr(attacks, entry)(params, Tensor([[0.2, 0.7]]), np.array([1]), cfg, seed=-1)
 
 
 class TestLargeAlphaMarginLimit:

@@ -356,6 +356,21 @@ class TestRefusedBeforeWriting:
         assert capsys.readouterr().err == "error: epsilon must be > 0 with 2 * epsilon finite, got 1e+308\n"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--method", "erm", "--out"], ["attack", "--out-adv"], ["eval", "--out"], ["sweep", "--out"],
+        ["oracle-check"],
+    ], ids=lambda argv: argv[0])
+    def test_a_dataset_with_no_points(self, tmp_path, data_csv, ckpt, capsys, argv):
+        # A header-only file used to train to a NaN loss, or print NaN accuracies after numpy warnings.
+        lines = data_csv.read_text().splitlines(keepends=True)
+        empty = tmp_path / "empty.csv"
+        empty.write_text("".join(lines[:lines.index("x0,x1,label\n") + 1]))
+        out = [] if argv[0] == "oracle-check" else [str(tmp_path / "out")]
+        model = [] if argv[0] == "train" else ["--model", str(ckpt)]
+        assert run(*argv, *out, *model, "--data", str(empty)) == 2
+        assert capsys.readouterr().err == "error: a dataset needs at least one point, got 0\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["empty.csv"]
+
 
 class TestOracleCheck:
     def test_runs_clean_on_tiny_subset(self, data_csv, ckpt, capsys):

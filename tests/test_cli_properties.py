@@ -4,7 +4,7 @@ Whatever an INI file or a report file holds, the CLI exits 0 or 2, writes
 at most one `error:` line to stderr, and on exit 2 creates no output file.
 Whatever flags a command line holds, the CLI exits 0, 1 or 2, no exception
 escapes it, and on exit 2 it writes one `error:` line and no file. Whatever a dataset CSV holds, `load_csv` returns a
-`Dataset` or raises a `RobustlabError`.
+`Dataset` of at least one point or raises a `RobustlabError`.
 """
 import argparse
 import contextlib
@@ -155,14 +155,14 @@ def test_load_csv_returns_a_dataset_or_raises_a_robustlab_error(workdir, body):
         dataset = load_csv(path)
     except RobustlabError:
         return
-    assert isinstance(dataset, Dataset)
+    assert isinstance(dataset, Dataset) and len(dataset) >= 1
 
 
 # Flags that name files take one of these names in a fresh directory, never drawn text: the
-# dataset and checkpoint fixtures, a missing name, a directory and a copy of the dataset whose
-# name has outer whitespace.
+# dataset and checkpoint fixtures, a missing name, a directory, a copy of the dataset whose
+# name has outer whitespace and the dataset's comments and header with no rows.
 PATH_DESTS = {"data", "model", "config", "out", "history", "out_adv", "infile"}
-PATH_NAMES = ("d.csv", "m.ckpt", "missing", "a-dir", " d.csv ")
+PATH_NAMES = ("d.csv", "m.ckpt", "missing", "a-dir", " d.csv ", "empty.csv")
 USUAL_PATHS = {"data": "d.csv", "model": "m.ckpt"}  # the other file flags name outputs or a file no fixture is
 INT = st.integers(-3, 12).map(str)  # counts, epochs and widths small enough that every run is quick
 FLOAT = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308]), st.floats(0.001, 1.0)).map(repr)
@@ -205,13 +205,17 @@ def fixture_files(workdir) -> dict[str, bytes]:
     save_csv(gen_two_moons(8, 0.1, seed=3), workdir / "argv-d.csv")
     save_checkpoint(init_params(MlpConfig((2, 4, 2), init_seed=1)), {}, workdir / "argv-m.ckpt")
     data = (workdir / "argv-d.csv").read_bytes()
-    return {"d.csv": data, " d.csv ": data, "m.ckpt": (workdir / "argv-m.ckpt").read_bytes()}
+    header_only = data[:data.index(b"x0,x1,label\n") + len(b"x0,x1,label\n")]
+    return {"d.csv": data, " d.csv ": data, "empty.csv": header_only,
+            "m.ckpt": (workdir / "argv-m.ckpt").read_bytes()}
 
 
 @given(command_lines())
 # The random start's range overflowed past epsilon = 8.99e307 into a traceback; the search finds it
 # only in some runs, so it is also given as an example.
 @example(("attack", [("--model", "m.ckpt", True), ("--data", "d.csv", True), ("--eps", "1e+308", False)]))
+# A dataset with no rows trained to a NaN loss after numpy's empty-mean warning.
+@example(("train", [("--data", "empty.csv", True), ("--method", "erm", False), ("--out", "missing", True)]))
 @settings(max_examples=300, deadline=None)
 def test_any_command_line_exits_0_1_or_2_and_exit_2_writes_one_error_line_and_no_file(fixture_files, case):
     name, flags = case

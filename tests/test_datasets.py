@@ -275,6 +275,13 @@ class TestDomainBox:
         with pytest.raises(ParameterError):
             DomainBox((0.0, 1.0), (1.0, 1.0))
 
+    def test_dataset_needs_at_least_one_point(self):
+        with pytest.raises(ParameterError, match=r"^a dataset needs at least one point, got 0$"):
+            Dataset(points=Tensor(np.empty((0, 2))), labels=np.array([], dtype=np.int64),
+                    domain=DomainBox.unit(2), num_classes=2)
+        with pytest.raises(ParameterError, match="at least one point"):
+            gen_two_moons(4, 0.0, seed=0).take([])
+
     def test_dataset_invariants(self):
         box = DomainBox.unit(2)
         with pytest.raises(ParameterError):

@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from robustlab.attacks import AttackConfig, pgd20_config
-from robustlab.datasets import gen_two_moons
+from robustlab.attacks import AttackConfig, pgd20_config, pgd_attack
+from robustlab.datasets import Dataset, DomainBox, gen_two_moons
 from robustlab.errors import ParameterError, ParseError, SchemaError
 from robustlab.evaluate import (
     DEFAULT_ALPHA_GRID,
@@ -117,6 +117,34 @@ class TestEvalRobust:
     def test_unknown_verdict(self, trained, moons):
         with pytest.raises(ParameterError):
             eval_robust(trained, moons, pgd20_config(), "last_iterate")
+
+
+def one_point(x, y):
+    return Dataset(points=Tensor([x]), labels=np.array([y]), domain=DomainBox.unit(2), num_classes=2)
+
+
+class TestAllIteratesVerdict:
+    """Robust-correct iff correct at the natural point and at every post-step
+    iterate of every restart; one flip anywhere loses."""
+
+    def test_all_correct_is_robust(self):
+        params = linear_model(np.array([[2.0, -2.0], [-2.0, 2.0]]), [0.0, 0.0])
+        cfg = AttackConfig(epsilon=0.02, steps=5, step_size=0.005, restarts=3, random_start=True)
+        assert eval_robust(params, one_point([0.9, 0.1], 0), cfg, "all_iterates", seed=1) == 1.0
+
+    def test_single_flip_anywhere_loses(self):
+        # margin small enough that the attack flips at some iterate
+        params = linear_model(np.array([[1.0, -1.0], [-1.0, 1.0]]), [0.0, 0.0])
+        ds = one_point([0.51, 0.49], 0)
+        cfg = AttackConfig(epsilon=0.1, steps=10, step_size=0.02, restarts=2, random_start=True)
+        res = pgd_attack(params, ds.points, ds.labels, cfg, domain=ds.domain, seed=2)
+        assert not res.correct_trace[:, :, 1:].all()
+        assert eval_robust(params, ds, cfg, "all_iterates", seed=2) == 0.0
+
+    def test_naturally_misclassified_loses_regardless(self):
+        params = linear_model(np.array([[1.0, 0.0], [0.0, 1.0]]), [0.0, 0.0])
+        cfg = AttackConfig(epsilon=0.01, steps=3, step_size=0.005, restarts=1, random_start=True)
+        assert eval_robust(params, one_point([0.3, 0.7], 0), cfg, "all_iterates", seed=0) == 0.0
 
 
 class TestAlphaSweep:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustlab import training
-from robustlab.attacks import AttackConfig, friendly_adversarial_search, pgd_attack
+from robustlab.attacks import AttackConfig, pgd_attack
 from robustlab.datasets import gen_gaussian_blobs, gen_two_moons
 from robustlab.errors import ConfigError, ContractError, ShapeError
 from robustlab.model import MlpConfig, init_params
@@ -246,8 +246,8 @@ class TestTrain:
 
     @pytest.mark.parametrize("crafting", ["pgd", "fat"])
     def test_gairat_batch_points_and_kappa_match_separate_attacks(self, moons, monkeypatch, crafting):
-        # Exactly one PGD run per batch, and it gives what pgd_attack and
-        # friendly_adversarial_search give on the same seed.
+        # Exactly one PGD run per batch, and it gives what a separate
+        # pgd_attack on the same seed gives (with the run's fat_slack for fat).
         inner = inner_cfg(steps=4)
         cfg = TrainConfig(method="gairat", epochs=2, batch_size=16, learning_rate=0.2, seed=4,
                           inner_attack=inner, burn_in_epochs=0, omega_lambda=0.0, fat_slack=1,
@@ -286,8 +286,8 @@ class TestTrain:
             pgd = pgd_attack(params, xb, y, inner, domain=moons.domain, seed=seed)
             np.testing.assert_array_equal(kappa, pgd.kappa)
             if crafting == "fat":
-                want = friendly_adversarial_search(params, xb, y, inner, cfg.fat_slack,
-                                                   domain=moons.domain, seed=seed).data
+                want = pgd_attack(params, xb, y, inner, domain=moons.domain, seed=seed,
+                                  friendly_slack=cfg.fat_slack).friendly.data
             else:
                 want = pgd.adversarial.data
             np.testing.assert_array_equal(x_train, want)
