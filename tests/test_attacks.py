@@ -2,6 +2,7 @@
 import platform
 import sys
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 import pytest
@@ -326,7 +327,11 @@ class TestPgdRunSetUp:
         ([0.0, 1.0, 2.0, 1.0], ParameterError),
         ([True, False, True, False], ParameterError),
     ], ids=["above-range", "negative", "length-1", "too-short", "too-long", "column", "float", "bool"])
-    @pytest.mark.parametrize("entry", [pgd_attack])
+    @pytest.mark.parametrize("entry", [
+        pytest.param(pgd_attack, id="pgd_attack"),
+        # the FAT path keeps a trajectory buffer; it is sized after the check
+        pytest.param(partial(pgd_attack, friendly_slack=2), id="pgd_attack-friendly_slack"),
+    ])
     def test_bad_labels_raise_before_any_step(self, rng, labels, error, entry):
         # A wrong length used to escape from numpy's broadcasting as a plain
         # ValueError; ShapeError is one too.
@@ -335,12 +340,15 @@ class TestPgdRunSetUp:
         with pytest.raises(error):
             entry(params, x0, np.array(labels), pgd20_config(), domain=DomainBox.unit(2))
 
-    @pytest.mark.parametrize("entry", ["pgd_attack"])
+    @pytest.mark.parametrize("entry", [
+        pytest.param(pgd_attack, id="pgd_attack"),
+        pytest.param(partial(pgd_attack, friendly_slack=0), id="pgd_attack-friendly_slack"),
+    ])
     def test_negative_seed_rejected(self, entry):
         params = linear_model(np.eye(2), [0.0, 0.0])
         cfg = AttackConfig(epsilon=0.1, steps=2, step_size=0.05, random_start=True)
         with pytest.raises(ParameterError, match="seed must be >= 0"):
-            getattr(attacks, entry)(params, Tensor([[0.2, 0.7]]), np.array([1]), cfg, seed=-1)
+            entry(params, Tensor([[0.2, 0.7]]), np.array([1]), cfg, seed=-1)
 
     def test_input_shape_is_checked_before_the_labels(self, rng):
         params = random_params(rng, (2, 4, 3))

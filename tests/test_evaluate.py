@@ -7,6 +7,7 @@ from robustlab.datasets import Dataset, DomainBox, gen_two_moons
 from robustlab.errors import ParameterError, ParseError, SchemaError
 from robustlab.evaluate import (
     DEFAULT_ALPHA_GRID,
+    VERDICTS,
     EvalReport,
     ReportRow,
     SweepConfig,
@@ -88,6 +89,23 @@ class TestEvalRobust:
         params = linear_model(np.zeros((2, 2)), [1.0, 0.0])
         cfg = AttackConfig(epsilon=0.1, steps=10, step_size=0.02, random_start=True)
         assert eval_robust(params, moons, cfg, seed=1) == eval_natural(params, moons)
+
+    @pytest.mark.parametrize("case", ["vanishing-epsilon", "constant-model"])
+    def test_all_iterates_reduces_to_natural(self, trained, moons, case):
+        # Where no iterate can flip a prediction, every restart's trace
+        # repeats the natural verdict.
+        if case == "vanishing-epsilon":
+            params = trained
+            cfg = AttackConfig(epsilon=1e-12, steps=5, step_size=1e-13, restarts=3, random_start=True)
+        else:
+            params = linear_model(np.zeros((2, 2)), [1.0, 0.0])
+            cfg = AttackConfig(epsilon=0.1, steps=10, step_size=0.02, restarts=3, random_start=True)
+        assert eval_robust(params, moons, cfg, "all_iterates", seed=1) == eval_natural(params, moons)
+
+    @pytest.mark.parametrize("verdict", VERDICTS)
+    def test_negative_seed_rejected(self, trained, moons, verdict):
+        with pytest.raises(ParameterError, match="seed must be >= 0"):
+            eval_robust(trained, moons, pgd20_config(), verdict, seed=-1)
 
     def test_all_iterates_not_above_best_iterate(self, trained, moons):
         from robustlab.attacks import pgd_plus_config
