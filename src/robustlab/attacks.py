@@ -14,8 +14,8 @@ one already made: its losses never beat the best one again, and its trace
 and trajectory are filled in at once with period 2. This is exact because
 the fused pass gives a row the same logits and input gradient in a batch
 of any size, one row included. The rows still stepped move to a smaller
-batch, laid out in the run's own workspace, once they are at most half of
-the current one.
+batch, on the first rows of the run's own workspace, once they are at most
+half of the current one.
 """
 from __future__ import annotations
 
@@ -28,8 +28,9 @@ from .datasets import DomainBox
 from .errors import (
     CapabilityError, ContractError, NumericalError, ParameterError, ShapeError, check_seed, check_size,
 )
-from .model import MlpParams, forward_logits, predict
-from .tensor import Tensor, _check_labels, _Workspace, mlp_loss_and_grad
+from .model import MlpParams, predict
+from .model import forward_logits  # noqa: F401 -- unused; perfbench's tracer shims this name here
+from .tensor import Tensor, _check_input, _check_labels, _forward, _Workspace, mlp_loss_and_grad
 from .textfile import fmt
 
 
@@ -221,6 +222,7 @@ def pgd_attack(
     friendly_slack steps after its first misclassified one on the first
     restart (capped at the last step); never-flipped rows keep the max-loss
     point.
+    natural_correct comes from a forward pass on x0 in the run's workspace.
     A pass that makes a NaN raises NumericalError naming its restart and step.
     Rows that have settled are not computed again (see the module
     docstring); every output has the bits of the run that computes them.
@@ -236,12 +238,14 @@ def pgd_attack(
     eps = config.epsilon
     rng = np.random.default_rng(check_seed(seed))
 
-    natural_logits = forward_logits(model, x0).data
+    _check_input(model, x0d)
     # Every step reuses the checked labels and the projection bounds;
     # AttackConfig has checked alpha.
     lab = _check_labels(y, n, model.config.num_classes)
     lo, hi = _ball_bounds(x0d, eps, domain if config.clip_to_domain else None)
-    natural_correct = np.argmax(natural_logits, axis=1) == lab
+    ws = _Workspace.for_batch(model.config.layer_sizes, lab)
+    _forward(model, x0d, ws.acts, ws.act_blocks)  # the natural pass
+    natural_correct = ws.acts[-1][:n].argmax(axis=1) == lab
     trace = np.zeros((n, R, T + 1), dtype=bool)
     best_loss = np.full(n, -np.inf)
     best_x = x0d.copy()
@@ -250,7 +254,6 @@ def pgd_attack(
     best_correct = natural_correct.copy()
     better = np.empty(n, dtype=bool)
     traj = np.empty((n, T + 1, d)) if friendly_slack is not None else None
-    ws = _Workspace.for_batch(model.config.layer_sizes, lab)
 
     # A large alpha drives the scaled losses to +inf, a limit the max-loss search compares
     # correctly; a NaN, which it cannot compare, is refused at the pass that made it.
@@ -362,7 +365,17 @@ def brute_force_attack(
     oracle that PGD verdicts can be checked against.
     """
     point = np.asarray(x0.data if isinstance(x0, Tensor) else x0, dtype=np.float64).reshape(-1)
-    d = point.size
+    d, G = point.size, _check_grid(point.size, grid_resolution)
+    lo, hi = _ball_bounds(point, epsilon, domain)
+    axes = [np.linspace(lo[j], hi[j], G) for j in range(d)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    grid = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    preds = predict(model, Tensor._wrap(grid))
+    return bool(np.all(preds == int(y)))
+
+
+def _check_grid(d: int, grid_resolution: int) -> int:
+    """The grid oracle's points per axis, refused unless 2..101 on points of at most 3 dimensions."""
     if d > 3:
         raise CapabilityError(f"brute force supports at most 3 dimensions, got {d}")
     G = int(grid_resolution)
@@ -370,9 +383,4 @@ def brute_force_attack(
         raise CapabilityError(f"grid resolution capped at 101 per axis, got {G}")
     if G < 2:
         raise ParameterError(f"need at least 2 grid points per axis, got {G}")
-    lo, hi = _ball_bounds(point, epsilon, domain)
-    axes = [np.linspace(lo[j], hi[j], G) for j in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.stack([m.reshape(-1) for m in mesh], axis=1)
-    preds = predict(model, Tensor._wrap(grid))
-    return bool(np.all(preds == int(y)))
+    return G

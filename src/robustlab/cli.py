@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .attacks import ATTACK_PRESETS, AttackConfig, brute_force_attack, pgd_attack
+from .attacks import ATTACK_PRESETS, AttackConfig, _check_grid, brute_force_attack, pgd_attack
 from .datasets import Dataset, gen_gaussian_blobs, gen_rings, gen_two_moons, load_csv, save_csv
 from .errors import ConfigError, ParameterError, RobustlabError, check_seed, check_size
 from .evaluate import VERDICTS, SweepConfig, alpha_sweep, dataset_sha256, file_sha256, read_report, write_report
@@ -44,6 +44,16 @@ def _out_path(p: str) -> Path:
     path = _redirect(p)
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _check_distinct(reads: dict[str, str | None], writes: dict[str, Path | None]) -> None:
+    """Refuse a written path (as `_redirect` gives it) that resolves to a file the
+    command reads or writes in another role. Empty and None paths are not given."""
+    files = {role: Path(p) for role, p in reads.items() if p}
+    files.update((role, p) for role, p in writes.items() if p is not None)
+    for (role, path), (other, other_path) in combinations(files.items(), 2):
+        if other in writes and path.resolve() == other_path.resolve():
+            raise ConfigError(f"{role} and {other} paths name the same file {path}")
 
 
 class _Setting(NamedTuple):
@@ -181,18 +191,21 @@ def _parse_alpha_grid(text: str) -> tuple[float, ...]:
             lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
             raise ParameterError(f"alpha grid must be lo:hi:count with an integer count, got {text!r}") from None
-        if lo <= 0 or hi <= lo or count < 1:
+        if not 0 < lo < hi < np.inf or count < 1:  # NaN fails every comparison
             raise ParameterError(f"bad alpha grid bounds {text!r}")
         check_size(count, f"alpha grid count {count} gives a grid")
         return tuple(float(a) for a in np.logspace(np.log10(lo), np.log10(hi), count))
     return tuple(_numbers(text, ",", "alpha grid"))
 
 
-def _attack_setup(args):
+def _attack_setup(args, role: str, out: str | None):
     """What attack, eval and sweep share: the checkpoint, the dataset, the preset's
     name, the attack (the preset, then `[attack.<preset>]` and flags over its
-    fields), the seed and the alpha grid text of `[sweep]`.
+    fields), the seed and the alpha grid text of `[sweep]`. First it refuses
+    an output path `out`, written as `role`, that names a file the command reads.
     """
+    _check_distinct({"data": args.data, "model": args.model, "config": args.config},
+                    {role: _redirect(out) if out else None})
     ini = _load_ini(args.config)
     ckpt = load_checkpoint(args.model)
     dataset = load_csv(args.data)
@@ -212,6 +225,7 @@ def cmd_gen_data(args) -> int:
     seed = check_seed(d.seed)
     if d.out is None:
         raise ConfigError("gen-data needs --out")
+    _check_distinct({"config": args.config}, {"dataset": _redirect(d.out)})
     if d.kind == "two-moons":
         ds = gen_two_moons(d.n, d.noise, seed)
     elif d.kind == "blobs":
@@ -238,10 +252,7 @@ def cmd_train(args) -> int:
     if ckpt_path.is_dir():
         raise ConfigError(f"checkpoint path {ckpt_path} is a directory")
     hist_path = _redirect(args.history) if args.history else ckpt_path.with_suffix(".history.csv")
-    files = {"data": Path(t.data), "checkpoint": ckpt_path, "history": hist_path}
-    for (role, path), (other, other_path) in combinations(files.items(), 2):
-        if path.resolve() == other_path.resolve():
-            raise ConfigError(f"{role} and {other} paths name the same file {path}")
+    _check_distinct({"data": t.data, "config": args.config}, {"checkpoint": ckpt_path, "history": hist_path})
     dataset = load_csv(t.data)
     seed = check_seed(t.seed)
     inner_step_size = t.epsilon / 4 if t.inner_step_size is None else t.inner_step_size
@@ -291,7 +302,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    ckpt, dataset, name, cfg, seed, _ = _attack_setup(args)
+    ckpt, dataset, name, cfg, seed, _ = _attack_setup(args, "adversarial", args.out_adv)
     result = pgd_attack(ckpt.params, dataset.points, dataset.labels, cfg,
                         domain=dataset.domain, seed=seed)
     nat = float(np.mean(result.natural_correct))
@@ -313,7 +324,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ckpt, dataset, name, cfg, seed, _ = _attack_setup(args)
+    ckpt, dataset, name, cfg, seed, _ = _attack_setup(args, "report", args.out)
     verdict = args.verdict or _default_verdict(name)
     # The report is the one-cell sweep at the attack's own alpha, less the sweep's worst-alpha line.
     report = replace(alpha_sweep(
@@ -332,7 +343,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    ckpt, dataset, name, cfg, seed, grid_text = _attack_setup(args)
+    ckpt, dataset, name, cfg, seed, grid_text = _attack_setup(args, "report", args.out)
     verdict = args.verdict or _default_verdict(name)
     grid = {} if grid_text is None else {"alpha_grid": _parse_alpha_grid(grid_text)}
     sweep_cfg = SweepConfig(base_attack=cfg, **grid)
@@ -364,6 +375,7 @@ def cmd_oracle_check(args) -> int:
     dataset = load_csv(args.data)
     if args.limit < 0:
         raise ParameterError(f"--limit must be >= 0, got {args.limit}")
+    _check_grid(dataset.dim, args.grid)  # before the first PGD run, whatever the limit
     limit = min(args.limit, len(dataset))
     seed = check_seed(args.seed)
     attack = AttackConfig(epsilon=args.eps, steps=50, step_size=args.eps / 10, restarts=5,

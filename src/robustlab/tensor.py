@@ -5,7 +5,9 @@ and cross-entropy take tensors of logits. `mlp_forward` is the package's one
 checked MLP forward entry (affine layers, relu/tanh). `mlp_loss_and_grad`
 runs the same forward pass on raw arrays its callers have already checked,
 then the alpha-scaled cross-entropy with a sum or weighted-mean reduction
-and one reverse pass that computes only the gradients asked for. Scope is
+and one reverse pass that computes only the gradients asked for. A PGD run
+makes every pass in one `_Workspace`, its natural forward pass on the clean
+points included; `mlp_forward` makes new arrays on every call. Scope is
 deliberately the minimum an MLP robustness lab needs.
 
 Every layer product that maps rows to rows (x @ w forward, g @ w.T back)
@@ -159,8 +161,13 @@ def _blocks(a: np.ndarray) -> np.ndarray:
 
 
 def _layers(sizes: tuple[int, ...], rows: int) -> list[np.ndarray]:
-    """C-ordered (rows, k) arrays for the input and every layer's output, the input zeroed."""
-    return [np.zeros((rows, sizes[0]))] + [np.empty((rows, k)) for k in sizes[1:]]
+    """Zeroed C-ordered (rows, k) arrays, one per layer width k in `sizes`."""
+    return [np.zeros((rows, k)) for k in sizes]
+
+
+def _check_input(params: MlpParams, x: np.ndarray) -> None:
+    if x.ndim != 2 or x.shape[1] != params.config.input_dim:
+        raise ShapeError(f"input shape {x.shape} does not match model input dim {params.config.input_dim}")
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
@@ -171,10 +178,7 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
     the same pass on inputs its callers have checked. The layers are
     C-ordered views of the first n rows of padded arrays.
     """
-    if x.ndim != 2 or x.shape[1] != params.config.input_dim:
-        raise ShapeError(
-            f"input shape {x.shape} does not match model input dim {params.config.input_dim}"
-        )
+    _check_input(params, x)
     acts = _layers(params.config.layer_sizes, _padded(x.shape[0]))
     _forward(params, x, acts, [_blocks(a) for a in acts])
     return [x] + [a[:x.shape[0]] for a in acts[1:]]
@@ -183,34 +187,29 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
 class _Workspace(NamedTuple):
     """The arrays every pass of one PGD run writes into, and the run's
     labels in the two forms the loss head reads. `pgd_attack` makes one for
-    its batch, narrows it when rows settle, and drops it when it returns;
+    its batch, runs its natural forward pass and then every step in it,
+    narrows it when rows settle, and drops it when it returns;
     `mlp_loss_and_grad` makes one for a pass given none. (Freed after every
     pass, a large batch's arrays were trimmed off the heap by glibc and
     faulted in again on the next.)
 
     Layer products: `acts` holds the input and every layer's output, and
     `grads` every layer's input gradient and then the upstream gradient
-    (the loss's gradient with respect to the logits). Each is C-ordered,
-    with the batch's n rows and then padding up to a whole number of
-    blocks; `act_blocks` and `grad_blocks` are their 3-D block views, the
-    operands of the stacked products. The padding rows of the input and of
-    the upstream gradient are zeros, so every padding row stays finite: the
-    forward pass computes the layers of a zero input, and the reverse pass
-    carries zeros. Only the products and the bias and activation read
-    them; the loss head, the masks of the reverse pass and the parameter
-    gradients read the first n rows.
+    (the loss's gradient with respect to the logits), one zeroed C-ordered
+    array per layer width each. They have the batch's n rows and then
+    padding up to a whole number of blocks; `act_blocks` and `grad_blocks`
+    are their 3-D block views, the operands of the stacked products. The
+    padding rows of the input and of the upstream gradient stay zero, so
+    every padding row stays finite: the forward pass computes the layers of
+    a zero input, and the reverse pass carries zeros. Only the products and
+    the bias and activation read them; the loss head, the masks of the
+    reverse pass and the parameter gradients read the first n rows.
 
     The head: `logp` is Fortran-ordered, for the head's row reductions, and
     first receives a copy of the logits; `exps`, the head's exponentials,
     is Fortran-ordered below `_PAIRWISE_FROM` classes and C-ordered from
-    there (`_log_softmax`). `exps` is laid over the upstream gradient's
-    first n rows, which it leaves before the upstream gradient is written,
-    and never over its padding. `onehot` holds 1.0 at each row's label and
+    there (`_log_softmax`). `onehot` holds 1.0 at each row's label and
     `flat` each label's index into logp's Fortran-order flattening.
-
-    Layer i's input gradient is a view of scratch buffer i % 2: each is
-    read only by the next product in the reverse pass's direction, so no
-    view is overwritten while it is still to be read.
     """
 
     acts: list[np.ndarray]
@@ -225,47 +224,33 @@ class _Workspace(NamedTuple):
     @classmethod
     def for_batch(cls, sizes: tuple[int, ...], lab: np.ndarray) -> "_Workspace":
         """A workspace for `lab`, labels `_check_labels` returned, on a model of layer widths `sizes`."""
-        n, classes = lab.shape[0], sizes[-1]
-        rows = _padded(n)
-        scratch = np.empty(rows * max(sizes[:-1])), np.empty(rows * max(sizes[:-1]))
-        head = np.zeros(rows * classes)
-        acts = _layers(sizes, rows)
-        grads = [scratch[i % 2][:rows * k].reshape(rows, k) for i, k in enumerate(sizes[:-1])]
-        grads.append(head.reshape(rows, classes))
-        return cls(acts, grads, [_blocks(a) for a in acts], [_blocks(g) for g in grads],
-                   np.empty((n, classes), order="F"),
-                   head[:n * classes].reshape((n, classes), order="C" if classes >= _PAIRWISE_FROM else "F"),
-                   *_label_forms(lab, classes))
+        rows = _padded(lab.shape[0])
+        return cls._over(_layers(sizes, rows), _layers(sizes, rows), lab)
 
     def narrowed(self, lab: np.ndarray) -> "_Workspace":
-        """A workspace for fewer rows, labelled `lab`, laid out at the start of this one's buffers.
+        """A workspace for fewer rows, labelled `lab`, on the first rows of this one's layers.
 
-        Each array keeps its order and its place in the shared buffers, and the
-        buffers are already faulted in; only the labels' one-hot and flat
-        indices, the block views and the zeroed padding are new. A pass with
-        either workspace overwrites the other's results.
+        The layer arrays are prefix views, already faulted in, with the
+        padding of the input and of the upstream gradient zeroed again; the
+        head's arrays are new. A pass with either workspace overwrites the
+        other's layers.
         """
-        m = lab.shape[0]
-        rows = _padded(m)
-
-        def lay(a: np.ndarray, rows: int) -> np.ndarray:
-            order = "F" if a.flags.f_contiguous else "C"
-            return a.ravel(order="K")[:rows * a.shape[1]].reshape((rows, a.shape[1]), order=order)
-
-        acts = [lay(a, rows) for a in self.acts]
-        grads = [lay(g, rows) for g in self.grads]
+        m, rows = lab.shape[0], _padded(lab.shape[0])
+        acts, grads = [a[:rows] for a in self.acts], [g[:rows] for g in self.grads]
         acts[0][m:] = 0.0
         grads[-1][m:] = 0.0
-        return _Workspace(acts, grads, [_blocks(a) for a in acts], [_blocks(g) for g in grads],
-                          lay(self.logp, m), lay(self.exps, m), *_label_forms(lab, self.onehot.shape[1]))
+        return self._over(acts, grads, lab)
 
-
-def _label_forms(lab: np.ndarray, classes: int) -> tuple[np.ndarray, np.ndarray]:
-    """A workspace's `onehot` and `flat` for labels `lab`."""
-    n, rows = lab.shape[0], np.arange(lab.shape[0])
-    onehot = np.zeros((n, classes))
-    onehot[rows, lab] = 1.0
-    return onehot, lab * n + rows
+    @classmethod
+    def _over(cls, acts: list[np.ndarray], grads: list[np.ndarray], lab: np.ndarray) -> "_Workspace":
+        """The workspace on layer arrays `acts` and `grads`, with new head arrays for `lab`."""
+        n, classes, rows = lab.shape[0], acts[-1].shape[1], np.arange(lab.shape[0])
+        onehot = np.zeros((n, classes))
+        onehot[rows, lab] = 1.0
+        return cls(acts, grads, [_blocks(a) for a in acts], [_blocks(g) for g in grads],
+                   np.empty((n, classes), order="F"),
+                   np.empty((n, classes), order="C" if classes >= _PAIRWISE_FROM else "F"),
+                   onehot, lab * n + rows)
 
 
 def _forward(params: MlpParams, x: np.ndarray, acts: list[np.ndarray], blocks: list[np.ndarray]) -> None:

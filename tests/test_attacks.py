@@ -3,6 +3,7 @@ import platform
 import sys
 from dataclasses import fields
 from functools import partial
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -415,6 +416,43 @@ class TestPgdWorkspace:
                 if isinstance(a, Tensor):
                     a, b = a.data, b.data
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), f.name
+
+    @pytest.mark.parametrize("classes", [4, 33])
+    @pytest.mark.parametrize("n", [1, 64, 65, 4000])
+    def test_no_two_arrays_of_a_workspace_share_memory(self, rng, classes, n):
+        # Apart from a layer array and its own block view, a pass may write any array of its
+        # workspace without changing another, in the full workspace and in a narrowed one.
+        sizes = (2, 16, 16, classes)
+        lab = rng.integers(0, classes, size=n)
+        full = tensor._Workspace.for_batch(sizes, lab)
+        for ws, m in ((full, n), (full.narrowed(lab[:(n + 1) // 2]), (n + 1) // 2)):
+            arrays = [(kind, i, a) for kind in ("acts", "grads", "act_blocks", "grad_blocks")
+                      for i, a in enumerate(getattr(ws, kind))]
+            arrays += [(name, 0, getattr(ws, name)) for name in ("logp", "exps", "onehot", "flat")]
+            for (k, i, a), (l, j, b) in combinations(arrays, 2):
+                if not ((k, l) in {("acts", "act_blocks"), ("grads", "grad_blocks")} and i == j):
+                    assert not np.shares_memory(a, b), (m, k, i, l, j)
+            # The padding rows the passes never write stay zero.
+            assert ws.acts[0].shape[0] == tensor._padded(m) and not ws.acts[0][m:].any()
+            assert not ws.grads[-1][m:].any()
+
+    @pytest.mark.parametrize("classes", [4, 33])
+    @pytest.mark.parametrize("n", [1, 64, 65, 4000])
+    def test_the_natural_pass_runs_in_the_workspace(self, monkeypatch, classes, n):
+        params = init_params(MlpConfig((2, 16, 16, classes), init_seed=1))
+        rng = np.random.default_rng(n)
+        x0, y = Tensor(rng.uniform(0, 1, size=(n, 2))), rng.integers(0, classes, size=n)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return tensor.mlp_forward(*args)
+
+        monkeypatch.setattr("robustlab.model.mlp_forward", counted)
+        res = pgd_attack(params, x0, y, pgd20_config(), domain=DomainBox.unit(2), seed=2)
+        assert calls == []  # forward_logits, behind predict, would allocate its own layers
+        monkeypatch.undo()
+        np.testing.assert_array_equal(res.natural_correct, predict(params, x0) == y)
 
     @pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
                         reason="page-fault counts are those of Linux with glibc's allocator")

@@ -331,6 +331,50 @@ class TestRefusedBeforeWriting:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "m.ckpt", "m.history.csv"]
         assert all((tmp_path / p).read_bytes() == data_csv.read_bytes() for p in ("d.csv", "m.ckpt", "m.history.csv"))
 
+    @pytest.mark.parametrize("out_dir, argv, roles", [
+        (None, ["sweep", "--model", "m.ckpt", "--data", "d.csv", "--out", "m.ckpt"], "model and report"),
+        (None, ["sweep", "--model", "m.ckpt", "--data", "d.csv", "--out", "./d.csv"], "data and report"),
+        (None, ["eval", "--model", "m.ckpt", "--data", "d.csv", "--out", "new/../m.ckpt"], "model and report"),
+        (None, ["attack", "--model", "m.ckpt", "--data", "d.csv", "--out-adv", "d.csv"], "data and adversarial"),
+        (None, ["attack", "--model", "m.ckpt", "--data", "d.csv", "--config", "c.ini", "--out-adv", "c.ini"],
+         "config and adversarial"),
+        (None, ["gen-data", "--config", "c.ini", "--n", "8", "--out", "c.ini"], "config and dataset"),
+        (None, ["train", "--method", "erm", "--data", "d.csv", "--config", "c.ini", "--out", "c.ini"],
+         "config and checkpoint"),
+        ("{tmp}", ["sweep", "--model", "{tmp}/m.ckpt", "--data", "{tmp}/d.csv", "--out", "m.ckpt"],
+         "model and report"),
+    ], ids=["sweep-model", "sweep-data", "eval-model", "attack-data", "attack-config", "gen-data-config",
+            "train-config", "sweep-model-redirected"])
+    def test_commands_refuse_to_write_over_their_inputs(self, tmp_path, data_csv, ckpt, capsys, monkeypatch,
+                                                       out_dir, argv, roles):
+        # Each written path is compared with each read one once ROBUSTLAB_OUT has redirected it and
+        # both are resolved. The commands run in an empty folder, so a write that is not redirected
+        # would land there, apart from the inputs.
+        (tmp_path / "run").mkdir()
+        monkeypatch.chdir(tmp_path if out_dir is None else tmp_path / "run")
+        if out_dir is None:
+            monkeypatch.delenv("ROBUSTLAB_OUT", raising=False)
+        else:
+            monkeypatch.setenv("ROBUSTLAB_OUT", out_dir.format(tmp=tmp_path))
+        inputs = {"d.csv": data_csv.read_bytes(), "m.ckpt": ckpt.read_bytes(), "c.ini": b"[data]\nn = 8\n"}
+        for name, body in inputs.items():
+            (tmp_path / name).write_bytes(body)
+        assert run(*(arg.format(tmp=tmp_path) for arg in argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {roles} paths name the same file ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ini", "d.csv", "m.ckpt", "run"]
+        assert not any((tmp_path / "run").iterdir())
+        assert all((tmp_path / name).read_bytes() == body for name, body in inputs.items())
+
+    @pytest.mark.parametrize("grid", ["1:inf:3", "nan:1:3", "1:nan:3"])
+    def test_a_non_finite_alpha_grid_bound(self, tmp_path, data_csv, ckpt, capsys, grid):
+        # 1:inf:3 used to print numpy's invalid-multiply warning and then an error naming (nan, inf, inf).
+        out = tmp_path / "r.csv"
+        assert run("sweep", "--model", str(ckpt), "--data", str(data_csv), "--alpha-grid", grid,
+                   "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: bad alpha grid bounds {grid!r}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("method", ["at", "fat", "gairat"])
     def test_train_reports_a_nan_in_its_inner_attack_as_divergence(self, tmp_path, capsys, method):
         # SGD at this rate blows the model up; the next batch's PGD run makes the NaN.
@@ -385,6 +429,32 @@ class TestOracleCheck:
         captured = capsys.readouterr()
         assert captured.err == "error: --limit must be >= 0, got -1\n"
         assert "violations" not in captured.out
+
+    @pytest.mark.parametrize("limit", [0, 1])
+    @pytest.mark.parametrize("grid, dim, message", [
+        ("1", 2, "need at least 2 grid points per axis, got 1"),
+        ("102", 2, "grid resolution capped at 101 per axis, got 102"),
+        ("51", 4, "brute force supports at most 3 dimensions, got 4"),
+    ], ids=["grid-1", "grid-102", "4-d-data"])
+    def test_grid_and_dimension_are_checked_before_any_pgd_run(self, tmp_path, data_csv, ckpt, capsys,
+                                                               monkeypatch, limit, grid, dim, message):
+        # They used to be checked only at the first point's oracle, after its PGD run; --limit 0 exited 0.
+        data = data_csv
+        if dim == 4:
+            data = tmp_path / "b4.csv"
+            assert run("gen-data", "--kind", "blobs", "--centers", "0.2:0.2:0.2:0.2;0.8:0.8:0.8:0.8",
+                       "--n", "10", "--out", str(data)) == 0
+            capsys.readouterr()
+
+        def no_pgd(*args, **kwargs):
+            raise AssertionError("oracle-check ran PGD before checking the grid")
+
+        monkeypatch.setattr("robustlab.cli.pgd_attack", no_pgd)
+        assert run("oracle-check", "--model", str(ckpt), "--data", str(data), "--grid", grid,
+                   "--limit", str(limit)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert "point" not in captured.out
 
 
 class TestConfigFile:

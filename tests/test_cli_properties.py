@@ -3,8 +3,10 @@
 Whatever an INI file or a report file holds, the CLI exits 0 or 2, writes
 at most one `error:` line to stderr, and on exit 2 creates no output file.
 Whatever flags a command line holds, the CLI exits 0, 1 or 2, no exception
-escapes it, and on exit 2 it writes one `error:` line and no file. Whatever a dataset CSV holds, `load_csv` returns a
-`Dataset` of at least one point or raises a `RobustlabError`.
+escapes it, every file it was given to read keeps its bytes, and on exit 2
+it writes one `error:` line and no file. Whatever a dataset CSV holds,
+`load_csv` returns a `Dataset` of at least one point or raises a
+`RobustlabError`.
 """
 import argparse
 import contextlib
@@ -162,6 +164,7 @@ def test_load_csv_returns_a_dataset_or_raises_a_robustlab_error(workdir, body):
 # dataset and checkpoint fixtures, a missing name, a directory, a copy of the dataset whose
 # name has outer whitespace and the dataset's comments and header with no rows.
 PATH_DESTS = {"data", "model", "config", "out", "history", "out_adv", "infile"}
+READ_FLAGS = {"--data", "--model", "--config", "--in"}
 PATH_NAMES = ("d.csv", "m.ckpt", "missing", "a-dir", " d.csv ", "empty.csv")
 USUAL_PATHS = {"data": "d.csv", "model": "m.ckpt"}  # the other file flags name outputs or a file no fixture is
 INT = st.integers(-3, 12).map(str)  # counts, epochs and widths small enough that every run is quick
@@ -216,6 +219,11 @@ def fixture_files(workdir) -> dict[str, bytes]:
 @example(("attack", [("--model", "m.ckpt", True), ("--data", "d.csv", True), ("--eps", "1e+308", False)]))
 # A dataset with no rows trained to a NaN loss after numpy's empty-mean warning.
 @example(("train", [("--data", "empty.csv", True), ("--method", "erm", False), ("--out", "missing", True)]))
+# sweep wrote its report over the checkpoint it had read, and exited 0.
+@example(("sweep", [("--model", "m.ckpt", True), ("--data", "d.csv", True), ("--out", "m.ckpt", True)]))
+# An infinite grid bound made numpy's invalid-multiply warning before the bounds were refused.
+@example(("sweep", [("--model", "m.ckpt", True), ("--data", "d.csv", True), ("--out", "missing", True),
+                    ("--alpha-grid", "1:inf:3", False)]))
 @settings(max_examples=300, deadline=None)
 def test_any_command_line_exits_0_1_or_2_and_exit_2_writes_one_error_line_and_no_file(fixture_files, case):
     name, flags = case
@@ -230,6 +238,10 @@ def test_any_command_line_exits_0_1_or_2_and_exit_2_writes_one_error_line_and_no
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         assert code in (0, 1, 2)
+        for flag, v, _ in flags:
+            if flag in READ_FLAGS and v in fixture_files:
+                with open(os.path.join(tmp, v), "rb") as f:
+                    assert f.read() == fixture_files[v], f"{name} wrote over its {flag} file"
         # oracle-check's verdict on a PGD flip the grid oracle missed is exit 2 with no error line.
         violations = re.search(r"^violations = [1-9]\d* / \d+$", out.getvalue(), re.MULTILINE)
         if code == 2 and not (name == "oracle-check" and violations):
