@@ -26,7 +26,8 @@ import numpy as np
 
 from .datasets import DomainBox
 from .errors import (
-    CapabilityError, ContractError, NumericalError, ParameterError, ShapeError, check_seed, check_size,
+    CapabilityError, ContractError, NumericalError, ParameterError, ShapeError,
+    check_at_least, check_positive, check_seed, check_size,
 )
 from .model import MlpParams, predict
 from .model import forward_logits  # noqa: F401 -- unused; perfbench's tracer shims this name here
@@ -57,14 +58,10 @@ class AttackConfig:
         # The random start draws from [-epsilon, epsilon], a range numpy refuses past 2 * epsilon = inf.
         if not (np.isfinite(2 * self.epsilon) and self.epsilon > 0):
             raise ParameterError(f"epsilon must be > 0 with 2 * epsilon finite, got {self.epsilon}")
-        if not (np.isfinite(self.step_size) and self.step_size > 0):
-            raise ParameterError(f"step_size must be > 0, got {self.step_size}")
-        if self.steps < 1:
-            raise ParameterError(f"steps must be >= 1, got {self.steps}")
-        if self.restarts < 1:
-            raise ParameterError(f"restarts must be >= 1, got {self.restarts}")
-        if not (np.isfinite(self.alpha) and self.alpha > 0):
-            raise ParameterError(f"alpha must be > 0, got {self.alpha}")
+        check_positive(self.step_size, "step_size")
+        check_at_least(self.steps, 1, "steps")
+        check_at_least(self.restarts, 1, "restarts")
+        check_positive(self.alpha, "alpha")
 
     def to_kv(self, sep: str = "\n") -> str:
         """Flat `key = value` block, embeddable in experiment config files."""
@@ -134,9 +131,7 @@ def _ball_bounds(x0: np.ndarray, epsilon: float, domain: DomainBox | None) -> tu
     outside the box. PGD's steps, `project_linf` and the grid oracle all
     take their ball from here.
     """
-    eps = float(epsilon)
-    if not (np.isfinite(eps) and eps > 0):
-        raise ParameterError(f"epsilon must be > 0, got {epsilon}")
+    eps = check_positive(epsilon, "epsilon")
     lo, hi = x0 - eps, x0 + eps
     if domain is not None:
         lower, upper = domain.lower_array(), domain.upper_array()
@@ -227,8 +222,8 @@ def pgd_attack(
     Rows that have settled are not computed again (see the module
     docstring); every output has the bits of the run that computes them.
     """
-    if friendly_slack is not None and int(friendly_slack) < 0:
-        raise ParameterError(f"friendly_slack must be >= 0, got {friendly_slack}")
+    if friendly_slack is not None:
+        check_at_least(int(friendly_slack), 0, "friendly_slack")
     x0d = x0.data
     if x0d.ndim != 2:
         raise ShapeError(f"attack input must be (n, d), got {x0d.shape}")

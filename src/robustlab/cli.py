@@ -24,12 +24,12 @@ import numpy as np
 
 from .attacks import ATTACK_PRESETS, AttackConfig, _check_grid, brute_force_attack, pgd_attack
 from .datasets import Dataset, gen_gaussian_blobs, gen_rings, gen_two_moons, load_csv, save_csv
-from .errors import ConfigError, ParameterError, RobustlabError, check_seed, check_size
+from .errors import ConfigError, ParameterError, RobustlabError, check_at_least, check_seed, check_size
 from .evaluate import VERDICTS, SweepConfig, alpha_sweep, dataset_sha256, file_sha256, read_report, write_report
 from .model import MlpConfig, load_checkpoint, save_checkpoint
 from .tensor import ACTIVATION_KINDS, Tensor
 from .textfile import comment_line
-from .training import TRAIN_METHODS, TrainConfig, train, write_history
+from .training import TRAIN_METHODS, TrainConfig, _check_fit, train, write_history
 
 _USAGE_ERROR, _DATA_ERROR = 1, 2
 
@@ -47,8 +47,12 @@ def _out_path(p: str) -> Path:
 
 
 def _check_distinct(reads: dict[str, str | None], writes: dict[str, Path | None]) -> None:
-    """Refuse a written path (as `_redirect` gives it) that resolves to a file the
-    command reads or writes in another role. Empty and None paths are not given."""
+    """Refuse a written path (as `_redirect` gives it) that is a directory or that
+    resolves to a file the command reads or writes in another role. Empty and None
+    paths are not given. Every writing command calls this before any work."""
+    for role, path in writes.items():
+        if path is not None and path.is_dir():
+            raise ConfigError(f"{role} path {path} is a directory")
     files = {role: Path(p) for role, p in reads.items() if p}
     files.update((role, p) for role, p in writes.items() if p is not None)
     for (role, path), (other, other_path) in combinations(files.items(), 2):
@@ -202,13 +206,15 @@ def _attack_setup(args, role: str, out: str | None):
     """What attack, eval and sweep share: the checkpoint, the dataset, the preset's
     name, the attack (the preset, then `[attack.<preset>]` and flags over its
     fields), the seed and the alpha grid text of `[sweep]`. First it refuses
-    an output path `out`, written as `role`, that names a file the command reads.
+    an output path `out`, written as `role`, that is a directory or names a file
+    the command reads, then a dataset the model does not fit.
     """
     _check_distinct({"data": args.data, "model": args.model, "config": args.config},
                     {role: _redirect(out) if out else None})
     ini = _load_ini(args.config)
     ckpt = load_checkpoint(args.model)
     dataset = load_csv(args.data)
+    _check_fit(ckpt.params.config, dataset)
     sweep = _settings(args, ini, "sweep")
     fields = vars(_settings(args, ini, f"attack.{sweep.attack}", "attack"))
     cfg = ATTACK_PRESETS[sweep.attack](epsilon=fields.pop("epsilon"))
@@ -248,10 +254,8 @@ def cmd_train(args) -> int:
     if t.data is None or t.out is None:
         raise ConfigError("train needs --data and --out")
     ckpt_path = _redirect(t.out)
-    # Both files or neither: a checkpoint path that cannot be written is refused before training.
-    if ckpt_path.is_dir():
-        raise ConfigError(f"checkpoint path {ckpt_path} is a directory")
-    hist_path = _redirect(args.history) if args.history else ckpt_path.with_suffix(".history.csv")
+    # The stem, unlike with_suffix, also gives "." a history name, so _check_distinct can refuse "." as a directory.
+    hist_path = _redirect(args.history) if args.history else ckpt_path.parent / f"{ckpt_path.stem}.history.csv"
     _check_distinct({"data": t.data, "config": args.config}, {"checkpoint": ckpt_path, "history": hist_path})
     dataset = load_csv(t.data)
     seed = check_seed(t.seed)
@@ -373,9 +377,9 @@ def cmd_sweep(args) -> int:
 def cmd_oracle_check(args) -> int:
     ckpt = load_checkpoint(args.model)
     dataset = load_csv(args.data)
-    if args.limit < 0:
-        raise ParameterError(f"--limit must be >= 0, got {args.limit}")
+    check_at_least(args.limit, 0, "--limit")
     _check_grid(dataset.dim, args.grid)  # before the first PGD run, whatever the limit
+    _check_fit(ckpt.params.config, dataset)
     limit = min(args.limit, len(dataset))
     seed = check_seed(args.seed)
     attack = AttackConfig(epsilon=args.eps, steps=50, step_size=args.eps / 10, restarts=5,
@@ -472,7 +476,7 @@ def main(argv=None) -> int:
         return 0 if e.code in (0, None) else _USAGE_ERROR
     try:
         return args.func(args)
-    except (RobustlabError, OSError, IndexError) as e:
+    except (RobustlabError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return _DATA_ERROR
 

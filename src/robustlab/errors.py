@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and the seed and size checks the entry points share."""
+"""Exception types shared across the package, and the one home of each range rule its
+entry points check before any work: check_positive, check_at_least, check_seed, check_size."""
+import math
 
 MAX_ENTRIES = 2**24  # the most entries an array sized by input may have
 
@@ -55,11 +57,24 @@ class ParseError(RobustlabError, ValueError):
         self.offset = offset
 
 
+def check_positive(value, what: str, error: type[RobustlabError] = ParameterError) -> float:
+    """Return `value` as a float; one that is not positive and finite raises `error`."""
+    v = float(value)
+    if not 0.0 < v < math.inf:  # NaN fails every comparison
+        raise error(f"{what} must be positive and finite, got {value}")
+    return v
+
+
+def check_at_least(value, low: int, what: str, error: type[RobustlabError] = ParameterError):
+    """Return `value`; one below `low` raises `error` "<what> must be >= <low>, got ..."."""
+    if value < low:
+        raise error(f"{what} must be >= {low}, got {value}")
+    return value
+
+
 def check_seed(seed, error: type[RobustlabError] = ParameterError):
     """Return `seed`; a negative one, which numpy's generators refuse, raises `error`."""
-    if seed < 0:
-        raise error(f"seed must be >= 0, got {seed}")
-    return seed
+    return check_at_least(seed, 0, "seed", error)
 
 
 def check_size(entries: int, what: str) -> None:

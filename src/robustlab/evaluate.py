@@ -15,7 +15,7 @@ import numpy as np
 
 from .attacks import AttackConfig, pgd_attack
 from .datasets import Dataset
-from .errors import ParameterError, ParseError, SchemaError
+from .errors import ParameterError, ParseError, SchemaError, check_at_least, check_positive
 from .model import MlpParams, predict
 from .textfile import fmt, read_table, write_table
 
@@ -44,12 +44,10 @@ class SweepConfig:
     alpha_grid: tuple[float, ...] = DEFAULT_ALPHA_GRID
 
     def __post_init__(self):
-        grid = tuple(float(a) for a in self.alpha_grid)
+        grid = tuple(check_positive(a, "alpha_grid value") for a in self.alpha_grid)
         object.__setattr__(self, "alpha_grid", grid)
         if not grid:
             raise ParameterError("alpha_grid must be non-empty")
-        if any(not (np.isfinite(a) and a > 0) for a in grid):
-            raise ParameterError(f"alpha_grid values must be positive, got {grid}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ParameterError(f"alpha_grid must be strictly increasing, got {grid}")
 
@@ -86,10 +84,8 @@ class EvalReport:
         for row in self.rows:
             if not 0.0 <= row.robust_accuracy <= 1.0:
                 raise SchemaError(f"robust accuracy {row.robust_accuracy} outside [0, 1]")
-            if not 0 < row.alpha < np.inf:
-                raise SchemaError(f"alpha {row.alpha} must be positive and finite")
-            if row.n < 0:
-                raise SchemaError(f"row count {row.n} must be non-negative")
+            check_positive(row.alpha, "alpha", SchemaError)
+            check_at_least(row.n, 0, "row count", SchemaError)
 
     def worst_alpha_for(self, attack: str) -> float | None:
         return next((alpha for name, alpha in self.worst_alpha if name == attack), None)

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, check_positive
 
 if TYPE_CHECKING:
     from .model import MlpParams
@@ -88,13 +88,6 @@ def _activate(h: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.nda
     raise ParameterError(f"unknown activation kind {kind!r}; expected one of {ACTIVATION_KINDS}")
 
 
-def _check_alpha(alpha: float) -> float:
-    a = float(alpha)
-    if not np.isfinite(a) or a <= 0.0:
-        raise ParameterError(f"alpha must be a positive finite scalar, got {alpha!r}")
-    return a
-
-
 def _check_logits(logits: Tensor) -> np.ndarray:
     ld = logits.data
     if ld.ndim != 2 or ld.shape[1] < 1:
@@ -126,7 +119,7 @@ def _log_softmax(logits: np.ndarray, alpha: float, out: np.ndarray | None = None
 
 def scaled_softmax(logits: Tensor, alpha: float = 1.0) -> Tensor:
     """Row-wise softmax of `alpha * logits`."""
-    a = _check_alpha(alpha)
+    a = check_positive(alpha, "alpha")
     ld = _check_logits(logits)
     return Tensor._wrap(np.exp(_log_softmax(ld, a)))
 
@@ -144,7 +137,7 @@ def _check_labels(labels, n: int, num_classes: int) -> np.ndarray:
 
 def scaled_softmax_cross_entropy(logits: Tensor, labels, alpha: float = 1.0) -> Tensor:
     """Per-example loss -log softmax(alpha * logits)[label], as a length-n tensor."""
-    a = _check_alpha(alpha)
+    a = check_positive(alpha, "alpha")
     ld = _check_logits(logits)
     lab = _check_labels(labels, *ld.shape)
     return Tensor._wrap(-_log_softmax(ld, a)[np.arange(ld.shape[0]), lab])

@@ -17,7 +17,7 @@ import numpy as np
 from .attacks import AttackConfig, pgd_attack
 from .datasets import Dataset
 from .errors import (
-    ConfigError, ContractError, NumericalError, ParameterError, ShapeError, check_seed, check_size,
+    ConfigError, ContractError, NumericalError, ShapeError, check_at_least, check_positive, check_seed, check_size,
 )
 from .model import MlpConfig, MlpParams, init_params, predict
 from .tensor import Tensor, mlp_loss_and_grad
@@ -49,12 +49,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in TRAIN_METHODS:
             raise ConfigError(f"unknown method {self.method!r}; expected one of {TRAIN_METHODS}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        check_at_least(self.epochs, 0, "epochs", ConfigError)
+        check_at_least(self.batch_size, 1, "batch_size", ConfigError)
+        check_positive(self.learning_rate, "learning_rate", ConfigError)
         if not 0 <= self.burn_in_epochs <= self.epochs:
             raise ConfigError(
                 f"burn_in_epochs must lie in [0, epochs], got {self.burn_in_epochs} with epochs={self.epochs}"
@@ -67,8 +64,7 @@ class TrainConfig:
             raise ConfigError(f"omega_lambda must be finite, got {self.omega_lambda}")
         if self.method == "gairat":
             check_size(self.inner_attack.steps + 1, f"{self.inner_attack.steps} inner steps give a kappa histogram")
-        if self.fat_slack < 0:
-            raise ConfigError(f"fat_slack must be >= 0, got {self.fat_slack}")
+        check_at_least(self.fat_slack, 0, "fat_slack", ConfigError)
         check_seed(self.seed, ConfigError)
         if self.gairat_crafting not in ("pgd", "fat"):
             raise ConfigError(f"gairat_crafting must be 'pgd' or 'fat', got {self.gairat_crafting!r}")
@@ -104,8 +100,7 @@ def compute_weights(kappa, steps: int, omega_lambda: float) -> WeightAssignment:
     k = np.asarray(kappa)
     if k.ndim != 1 or k.size == 0:
         raise ContractError(f"kappa must be a non-empty vector, got shape {k.shape}")
-    if steps < 1:
-        raise ParameterError(f"steps must be >= 1, got {steps}")
+    check_at_least(steps, 1, "steps")
     if k.min() < 0 or k.max() > steps:
         raise ContractError(f"kappa values must lie in [0, {steps}], got range [{k.min()}, {k.max()}]")
     lam = float(omega_lambda)
@@ -122,9 +117,7 @@ def sgd_step(params: MlpParams, grads: Sequence[np.ndarray], learning_rate: floa
     `grads` holds one array per parameter, in `params.leaves()` order
     (w0, b0, w1, b1, ...), as `mlp_loss_and_grad` returns them.
     """
-    lr = float(learning_rate)
-    if not (np.isfinite(lr) and lr > 0):
-        raise ParameterError(f"learning_rate must be > 0, got {learning_rate}")
+    lr = check_positive(learning_rate, "learning_rate")
     n_leaves = 2 * params.config.num_layers
     if len(grads) != n_leaves:
         raise ContractError(f"expected {n_leaves} gradient arrays (w0, b0, ...), got {len(grads)}")
@@ -181,6 +174,14 @@ def _diverged(what: object, epoch: int, batch: int, config: TrainConfig) -> Conf
                        f"(learning_rate {config.learning_rate})")
 
 
+def _check_fit(model: MlpConfig, dataset: Dataset) -> None:
+    """Refuse a dataset whose points or labels the model cannot take (ConfigError)."""
+    if dataset.dim != model.input_dim:
+        raise ConfigError(f"dataset dim {dataset.dim} does not match model input dim {model.input_dim}")
+    if dataset.num_classes > model.num_classes:
+        raise ConfigError(f"dataset has {dataset.num_classes} classes but model emits {model.num_classes} logits")
+
+
 # A diverging run is reported by its ConfigError, not by numpy warnings first.
 @np.errstate(over="ignore", invalid="ignore")
 def train(model_config: MlpConfig, dataset: Dataset, config: TrainConfig) -> tuple[MlpParams, TrainHistory]:
@@ -194,14 +195,7 @@ def train(model_config: MlpConfig, dataset: Dataset, config: TrainConfig) -> tup
     A non-finite batch loss, or a NaN in a batch's PGD run, raises
     ConfigError naming epoch and batch.
     """
-    if dataset.dim != model_config.input_dim:
-        raise ConfigError(
-            f"dataset dim {dataset.dim} does not match model input dim {model_config.input_dim}"
-        )
-    if dataset.num_classes > model_config.num_classes:
-        raise ConfigError(
-            f"dataset has {dataset.num_classes} classes but model emits {model_config.num_classes} logits"
-        )
+    _check_fit(model_config, dataset)
     params = init_params(model_config)
     history: list[EpochRecord] = []
     if config.epochs == 0:

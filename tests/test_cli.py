@@ -416,6 +416,83 @@ class TestRefusedBeforeWriting:
         assert [p.name for p in tmp_path.iterdir()] == ["empty.csv"]
 
 
+def forbid_work(monkeypatch):
+    """From here on, a command that starts its work (data generation, training, PGD) fails the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command started its work before refusing its input")
+
+    for name in ("cli.gen_gaussian_blobs", "cli.gen_two_moons", "cli.train", "cli.pgd_attack", "evaluate.pgd_attack"):
+        monkeypatch.setattr(f"robustlab.{name}", refuse)
+
+
+class TestRefusedBeforeAnyWork:
+    """Each refusal rule runs before any work: exit 2, one error line, no file written."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "--alpha", "inf", "--out"], "alpha must be positive and finite, got inf"),
+        (["attack", "--step-size", "nan", "--out-adv"], "step_size must be positive and finite, got nan"),
+        (["train", "--method", "erm", "--lr", "inf", "--out"], "learning_rate must be positive and finite, got inf"),
+        (["sweep", "--alpha-grid", "1,inf", "--out"], "alpha_grid value must be positive and finite, got inf"),
+        (["sweep", "--alpha-grid", "1,nan", "--out"], "alpha_grid value must be positive and finite, got nan"),
+    ], ids=["eval-alpha", "attack-step-size", "train-lr", "sweep-grid-inf", "sweep-grid-nan"])
+    def test_a_scale_step_or_rate_that_is_not_positive_and_finite(self, tmp_path, data_csv, ckpt, capsys,
+                                                                  monkeypatch, argv, message):
+        forbid_work(monkeypatch)
+        model = [] if argv[0] == "train" else ["--model", str(ckpt)]
+        assert run(*argv, str(tmp_path / "out"), *model, "--data", str(data_csv)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("centers, message", [
+        ("0.2:0.2;0.8:0.2;0.2:0.8;0.8:0.8", "dataset has 4 classes but model emits 2 logits"),
+        ("0.2:0.2:0.2;0.8:0.8:0.8", "dataset dim 3 does not match model input dim 2"),
+    ], ids=["classes", "dim"])
+    @pytest.mark.parametrize("argv", [
+        ["attack", "--out-adv"], ["eval", "--out"], ["sweep", "--out"], ["oracle-check", "--limit", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_a_dataset_the_model_does_not_fit(self, tmp_path, ckpt, capsys, monkeypatch, centers, message, argv):
+        # A 2-class model on 4 classes used to fail inside PGD with "label out of range [0, 2)", after
+        # setup; oracle-check exited 0 because its first points are class 0.
+        data = tmp_path / "blobs.csv"
+        assert run("gen-data", "--kind", "blobs", "--centers", centers, "--n", "40", "--out", str(data)) == 0
+        capsys.readouterr()
+        out = [str(tmp_path / "out")] if argv[0] != "oracle-check" else []
+        forbid_work(monkeypatch)
+        assert run(*argv, *out, "--model", str(ckpt), "--data", str(data)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and "point" not in captured.out
+        assert [p.name for p in tmp_path.iterdir()] == ["blobs.csv"]
+
+    @pytest.mark.parametrize("argv, role", [
+        (["sweep", "--model", "m.ckpt", "--data", "d.csv", "--out", "dir"], "report"),
+        (["eval", "--model", "m.ckpt", "--data", "d.csv", "--out", "dir"], "report"),
+        (["attack", "--model", "m.ckpt", "--data", "d.csv", "--out-adv", "dir"], "adversarial"),
+        (["gen-data", "--n", "8", "--out", "dir"], "dataset"),
+        (["train", "--method", "erm", "--data", "d.csv", "--out", "m2.ckpt", "--history", "dir"], "history"),
+    ], ids=["sweep", "eval", "attack", "gen-data", "train-history"])
+    def test_an_output_path_that_is_a_directory(self, tmp_path, data_csv, ckpt, capsys, monkeypatch, argv, role):
+        # Each used to do all its work, then fail on a hidden temporary file inside the directory.
+        forbid_work(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("ROBUSTLAB_OUT", raising=False)
+        (tmp_path / "d.csv").write_bytes(data_csv.read_bytes())
+        (tmp_path / "m.ckpt").write_bytes(ckpt.read_bytes())
+        (tmp_path / "dir").mkdir()
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == f"error: {role} path dir is a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "dir", "m.ckpt"]
+        assert not any((tmp_path / "dir").iterdir())
+
+    def test_an_indexing_fault_is_not_turned_into_an_error_line(self, monkeypatch):
+        # No input the CLI accepts reaches an IndexError, so one is a fault and must not read as exit 2.
+        def broken(args):
+            raise IndexError("index 3 is out of bounds")
+
+        monkeypatch.setattr("robustlab.cli.cmd_report", broken)
+        with pytest.raises(IndexError, match="index 3"):
+            run("report", "--in", "r.csv")
+
+
 class TestOracleCheck:
     def test_runs_clean_on_tiny_subset(self, data_csv, ckpt, capsys):
         code = run("oracle-check", "--model", str(ckpt), "--data", str(data_csv),

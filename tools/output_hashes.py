@@ -1,0 +1,125 @@
+"""List a sha256 of every output of a fixed set of runs, so that two versions
+of robustlab can be shown to write the same bytes.
+
+    python3 tools/output_hashes.py > hashes.txt
+
+Run it in two checkouts and diff the listings: each imports robustlab from
+its own src/ and the benchmark's workloads from its own perfbench/. Each
+output gets one `<sha256>  <name>` line, hashed with its `# generated_at`
+lines dropped; a command's exit code is listed as `exit=<code>  <name>`.
+The runs are:
+
+- the README workflow through `robustlab.cli.main` (gen-data, GAIRAT train,
+  pgd20 and pgdplus sweeps, report, oracle-check): each command's stdout,
+  stderr and exit code, and every file it writes;
+- on the same model and data, `eval --out` for pgd20 and pgdplus under both
+  verdicts, `attack --out-adv` at pgd20 alpha 1 and 100 and at pgdplus
+  alpha 10, and `train --method fat --fat-slack 1`;
+- the digest `check` returns for each op of one period of every perfbench
+  workload, on seeds 1 and 7.
+
+BLAS runs on one thread, as in the benchmark.
+"""
+from __future__ import annotations
+
+import os
+import sys
+
+if __name__ == "__main__":  # before numpy is first imported
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
+    os.environ.pop("ROBUSTLAB_OUT", None)  # the CLI would redirect its outputs
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
+from robustlab import cli  # noqa: E402
+
+SEEDS = (1, 7)
+
+
+def _sha256(body: bytes) -> str:
+    kept = b"\n".join(line for line in body.split(b"\n") if not line.startswith(b"# generated_at"))
+    return hashlib.sha256(kept).hexdigest()
+
+
+def _commands(size: workloads.Size) -> list[tuple[str, list[str]]]:
+    """The README workflow at `size`, then the other commands on its model and data."""
+    s = size
+    centers = ";".join(f"{x}:{y}" for x, y in workloads.CENTERS)
+    common = ["--inner-steps", "5", "--eps", "0.031", "--lr", "0.15", "--batch-size", "64", "--seed", "3",
+              "--hidden", "16,16", "--epochs", str(s.epochs), "--data", "blobs.csv"]
+    on_model = ["--model", "gairat.ckpt", "--data", "blobs.csv", "--seed", "5"]
+    grid = f"1e-2:1e2:{s.alphas}"
+    commands = [
+        ("gen-data", ["gen-data", "--kind", "blobs", "--n", str(s.n), "--seed", "11", "--noise", "0.13",
+                      "--centers", centers, "--out", "blobs.csv"]),
+        ("train-gairat", ["train", "--method", "gairat", "--burn-in", str(s.burn_in), *common,
+                          "--out", "gairat.ckpt"]),
+        ("sweep-pgd20", ["sweep", *on_model, "--attack", "pgd20", "--alpha-grid", grid, "--out", "sweep.csv"]),
+        ("sweep-pgdplus", ["sweep", *on_model, "--attack", "pgdplus", "--alpha-grid", grid,
+                           "--out", "sweep_plus.csv"]),
+        ("report", ["report", "--in", "sweep.csv"]),
+        ("oracle-check", ["oracle-check", "--model", "gairat.ckpt", "--data", "blobs.csv", "--eps", "0.05",
+                          "--grid", str(s.oracle_grid), "--limit", str(s.oracle_points), "--seed", "2"]),
+    ]
+    for attack in ("pgd20", "pgdplus"):
+        for verdict in ("best_iterate", "all_iterates"):
+            name = f"eval-{attack}-{verdict}"
+            commands.append((name, ["eval", *on_model, "--attack", attack, "--verdict", verdict,
+                                    "--out", f"{name}.csv"]))
+    for attack, alpha in (("pgd20", "1"), ("pgd20", "100"), ("pgdplus", "10")):
+        name = f"attack-{attack}-alpha{alpha}"
+        commands.append((name, ["attack", *on_model, "--attack", attack, "--alpha", alpha,
+                                "--out-adv", f"{name}.csv"]))
+    commands.append(("train-fat", ["train", "--method", "fat", "--fat-slack", "1", *common, "--out", "fat.ckpt"]))
+    return commands
+
+
+def cli_hashes(size: workloads.Size) -> list[str]:
+    """Listing lines for the CLI runs, in a fresh directory that is removed after."""
+    lines = []
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory(prefix="output-hashes-") as tmp:
+        os.chdir(tmp)  # relative paths keep the written files free of the directory name
+        try:
+            for name, argv in _commands(size):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(argv)
+                lines += [f"{_sha256(out.getvalue().encode())}  cli/{name}.stdout",
+                          f"{_sha256(err.getvalue().encode())}  cli/{name}.stderr",
+                          f"exit={code}  cli/{name}"]
+            lines += [f"{_sha256(p.read_bytes())}  cli/file/{p.name}" for p in sorted(Path(tmp).iterdir())]
+        finally:
+            os.chdir(cwd)
+    return lines
+
+
+def perfbench_hashes(size: workloads.Size) -> list[str]:
+    """Listing lines for one period of ops of every perfbench workload on each of SEEDS."""
+    lines = []
+    for seed in SEEDS:
+        for name, workload in workloads.WORKLOADS.items():
+            with tempfile.TemporaryDirectory(prefix="output-hashes-") as tmp:
+                w = workload(seed, size, Path(tmp))
+                w.setup()
+                lines += [f"{w.check(i, w.run(i))}  perfbench/{name}/seed{seed}/op{i}" for i in range(w.period)]
+    return lines
+
+
+def main() -> int:
+    for line in cli_hashes(workloads.FULL) + perfbench_hashes(workloads.FULL):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
