@@ -47,14 +47,17 @@ def _out_path(p: str) -> Path:
 
 
 def _check_distinct(reads: dict[str, str | None], writes: dict[str, Path | None]) -> None:
-    """Refuse a written path (as `_redirect` gives it) that is a directory or that
-    resolves to a file the command reads or writes in another role. Empty and None
-    paths are not given. Every writing command calls this before any work."""
-    for role, path in writes.items():
-        if path is not None and path.is_dir():
+    """Refuse a written path (as `_redirect` gives it) that is a directory, lies under a
+    file, or resolves to a file the command reads or writes in another role. Empty and
+    None paths are not given. Every writing command calls this before any work."""
+    written = {role: path for role, path in writes.items() if path is not None}
+    for role, path in written.items():
+        if path.is_dir():
             raise ConfigError(f"{role} path {path} is a directory")
-    files = {role: Path(p) for role, p in reads.items() if p}
-    files.update((role, p) for role, p in writes.items() if p is not None)
+        for parent in path.parents:
+            if parent.exists() and not parent.is_dir():
+                raise ConfigError(f"{role} path {path}: {parent} is not a directory")
+    files = {role: Path(p) for role, p in reads.items() if p} | written
     for (role, path), (other, other_path) in combinations(files.items(), 2):
         if other in writes and path.resolve() == other_path.resolve():
             raise ConfigError(f"{role} and {other} paths name the same file {path}")

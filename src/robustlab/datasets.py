@@ -55,11 +55,9 @@ class DomainBox:
     def clip(self, points: np.ndarray) -> np.ndarray:
         return np.clip(points, self.lower_array(), self.upper_array())
 
-    def contains(self, points: np.ndarray, tol: float = 0.0) -> bool:
+    def contains(self, points: np.ndarray) -> bool:
         pts = np.asarray(points)
-        return bool(
-            np.all(pts >= self.lower_array() - tol) and np.all(pts <= self.upper_array() + tol)
-        )
+        return bool(np.all(pts >= self.lower_array()) and np.all(pts <= self.upper_array()))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Small MLP classifiers with seeded init and a bit-faithful text checkpoint."""
+"""Small MLP classifiers with seeded init and a bit-faithful text checkpoint. `MlpConfig`
+and `MlpParams` are the one home of the architecture and parameter-shape rules."""
 from __future__ import annotations
 
 import math
@@ -122,7 +123,6 @@ def predict(params: MlpParams, x: Tensor) -> np.ndarray:
 class Checkpoint:
     """A model plus the metadata it was saved with."""
 
-    config: MlpConfig
     params: MlpParams
     metadata: dict[str, str] = field(default_factory=dict)
 
@@ -171,11 +171,12 @@ def _parse_config_line(text: str, lineno: int, offset: int) -> MlpConfig:
         raise ParseError(f"invalid config: {e}", line=lineno, offset=offset) from None
 
 
-def load_checkpoint(path, expected_config: MlpConfig | None = None) -> Checkpoint:
+def load_checkpoint(path) -> Checkpoint:
     """Parse a checkpoint file; never returns a partially read model.
 
     Raises ParseError (with line and byte offset) on malformed content and
-    SchemaError when shapes or configs conflict.
+    SchemaError on content that contradicts its config line, with the shape
+    rule left to `MlpParams`.
     """
     raw = Path(path).read_bytes()
     entries: list[tuple[int, int, str]] = []  # (lineno, byte offset, text)
@@ -238,22 +239,12 @@ def load_checkpoint(path, expected_config: MlpConfig | None = None) -> Checkpoin
     if extra:
         raise SchemaError(f"checkpoint carries tensors {extra} not implied by config {config.layer_sizes}")
 
-    sizes = config.layer_sizes
-    for i in range(config.num_layers):
-        want_w, want_b = (sizes[i], sizes[i + 1]), (sizes[i + 1],)
-        got_w, got_b = tensors[f"w{i}"].shape, tensors[f"b{i}"].shape
-        if got_w != want_w or got_b != want_b:
-            raise SchemaError(
-                f"layer {i} shapes {got_w}/{got_b} in file conflict with "
-                f"config layer_sizes {sizes} (expected {want_w}/{want_b})"
-            )
-    if expected_config is not None and expected_config != config:
-        raise SchemaError(
-            f"checkpoint config {config} does not match expected config {expected_config}"
+    try:
+        params = MlpParams(
+            config=config,
+            weights=tuple(tensors[f"w{i}"] for i in range(config.num_layers)),
+            biases=tuple(tensors[f"b{i}"] for i in range(config.num_layers)),
         )
-    params = MlpParams(
-        config=config,
-        weights=tuple(tensors[f"w{i}"] for i in range(config.num_layers)),
-        biases=tuple(tensors[f"b{i}"] for i in range(config.num_layers)),
-    )
-    return Checkpoint(config=config, params=params, metadata=metadata)
+    except ShapeError as e:
+        raise SchemaError(f"checkpoint {path}: {e}") from None
+    return Checkpoint(params=params, metadata=metadata)

@@ -376,7 +376,7 @@ def test_criterion_9_serialization_round_trips(tmp_path):
         path = tmp_path / f"c{i}.ckpt"
         save_checkpoint(params, meta, path)
         back = load_checkpoint(path)
-        assert back.config == cfg and back.metadata == meta
+        assert back.params.config == cfg and back.metadata == meta
         for a, b in zip(back.params.leaves(), params.leaves()):
             np.testing.assert_array_equal(a.data, b.data)
     for i in range(33):  # dataset CSVs

@@ -483,6 +483,40 @@ class TestRefusedBeforeAnyWork:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "dir", "m.ckpt"]
         assert not any((tmp_path / "dir").iterdir())
 
+    @pytest.mark.parametrize("argv, role", [
+        (["sweep", "--model", "m.ckpt", "--data", "d.csv", "--out"], "report"),
+        (["eval", "--model", "m.ckpt", "--data", "d.csv", "--out"], "report"),
+        (["attack", "--model", "m.ckpt", "--data", "d.csv", "--out-adv"], "adversarial"),
+        (["gen-data", "--n", "8", "--out"], "dataset"),
+        (["train", "--method", "erm", "--data", "d.csv", "--out"], "checkpoint"),
+        (["train", "--method", "erm", "--data", "d.csv", "--out", "m2.ckpt", "--history"], "history"),
+    ], ids=["sweep", "eval", "attack", "gen-data", "train-out", "train-history"])
+    def test_an_output_path_under_a_file(self, tmp_path, data_csv, ckpt, capsys, monkeypatch, argv, role):
+        # Each used to do all its work, then fail to make the file's directory: "[Errno 17] File exists".
+        forbid_work(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("ROBUSTLAB_OUT", raising=False)
+        (tmp_path / "d.csv").write_bytes(data_csv.read_bytes())
+        (tmp_path / "m.ckpt").write_bytes(ckpt.read_bytes())
+        assert run(*argv, "d.csv/out") == 2
+        assert capsys.readouterr().err == f"error: {role} path d.csv/out: d.csv is not a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "m.ckpt"]
+
+    @pytest.mark.parametrize("argv, role", [
+        (["sweep", "--model", "m.ckpt", "--data", "d.csv", "--out", "r.csv"], "report"),
+        (["train", "--method", "erm", "--data", "d.csv", "--out", "m2.ckpt"], "checkpoint"),
+    ], ids=["sweep", "train"])
+    def test_a_robustlab_out_that_is_a_file(self, tmp_path, data_csv, ckpt, capsys, monkeypatch, argv, role):
+        forbid_work(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("ROBUSTLAB_OUT", "out")
+        (tmp_path / "d.csv").write_bytes(data_csv.read_bytes())
+        (tmp_path / "m.ckpt").write_bytes(ckpt.read_bytes())
+        (tmp_path / "out").write_text("a file")
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == f"error: {role} path out/{argv[-1]}: out is not a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "m.ckpt", "out"]
+
     def test_an_indexing_fault_is_not_turned_into_an_error_line(self, monkeypatch):
         # No input the CLI accepts reaches an IndexError, so one is a fault and must not read as exit 2.
         def broken(args):

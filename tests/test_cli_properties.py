@@ -162,10 +162,10 @@ def test_load_csv_returns_a_dataset_or_raises_a_robustlab_error(workdir, body):
 
 # Flags that name files take one of these names in a fresh directory, never drawn text: the
 # dataset and checkpoint fixtures, a missing name, a directory, a copy of the dataset whose
-# name has outer whitespace and the dataset's comments and header with no rows.
+# name has outer whitespace, the dataset's comments and header with no rows, and a path under a file.
 PATH_DESTS = {"data", "model", "config", "out", "history", "out_adv", "infile"}
 READ_FLAGS = {"--data", "--model", "--config", "--in"}
-PATH_NAMES = ("d.csv", "m.ckpt", "missing", "a-dir", " d.csv ", "empty.csv")
+PATH_NAMES = ("d.csv", "m.ckpt", "missing", "a-dir", " d.csv ", "empty.csv", "d.csv/x")
 USUAL_PATHS = {"data": "d.csv", "model": "m.ckpt"}  # the other file flags name outputs or a file no fixture is
 INT = st.integers(-3, 12).map(str)  # counts, epochs and widths small enough that every run is quick
 FLOAT = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308]), st.floats(0.001, 1.0)).map(repr)

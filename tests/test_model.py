@@ -1,5 +1,6 @@
 """MLP init, forward, predict, and the checkpoint format."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -147,7 +148,7 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(params, {"method": "at", "epochs": "3"}, path)
         ckpt = load_checkpoint(path)
-        assert ckpt.config == params.config
+        assert ckpt.params.config == params.config
         assert ckpt.metadata == {"method": "at", "epochs": "3"}
         for a, b in zip(ckpt.params.leaves(), params.leaves()):
             np.testing.assert_array_equal(a.data, b.data)
@@ -193,13 +194,20 @@ class TestCheckpoint:
         with pytest.raises(SchemaError, match=r"2, 2"):
             load_checkpoint(path)
 
-    def test_expected_config_mismatch_names_both(self, rng, tmp_path):
-        params = self._params(rng)
+    @pytest.mark.parametrize("name, declared, layer", [
+        ("w0", "16x2", 0), ("b0", "2x8", 0), ("w1", "8x32", 1), ("b1", "16x1", 1), ("w2", "4x16", 2), ("b2", "2x2", 2),
+    ])
+    def test_shape_conflict_at_every_layer_is_schema_error(self, tmp_path, name, declared, layer):
+        # The line keeps its value count, so it parses; only MlpParams can refuse the shape.
         path = tmp_path / "m.ckpt"
-        save_checkpoint(params, {}, path)
-        other = MlpConfig((2, 4, 2), activation="relu", init_seed=0)
-        with pytest.raises(SchemaError, match="does not match expected"):
-            load_checkpoint(path, expected_config=other)
+        save_checkpoint(init_params(MlpConfig((2, 16, 16, 4), init_seed=1)), {}, path)
+        lines = path.read_text().splitlines(keepends=True)
+        i = next(k for k, line in enumerate(lines) if line.startswith(f"{name} "))
+        lines[i] = f"{name} {declared} {lines[i].split(' ', 2)[2]}"
+        path.write_text("".join(lines))
+        with pytest.raises(SchemaError, match=rf"^checkpoint {re.escape(str(path))}: layer {layer}: weight .* conflict") as exc:
+            load_checkpoint(path)
+        assert not isinstance(exc.value, ShapeError)
 
     def test_non_finite_value_is_schema_error(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -295,8 +303,8 @@ def test_any_checkpoint_body_loads_whole_or_raises_a_package_error(tmp_path_fact
     except RobustlabError:
         return
     # Loaded: a whole model, every tensor shaped by the config and finite.
-    assert isinstance(ckpt, Checkpoint) and ckpt.params.config == ckpt.config
-    sizes = ckpt.config.layer_sizes
+    assert isinstance(ckpt, Checkpoint)
+    sizes = ckpt.params.config.layer_sizes
     shapes = [s for a, b in zip(sizes, sizes[1:]) for s in ((a, b), (b,))]
     assert [t.shape for t in ckpt.params.leaves()] == shapes
     assert all(np.isfinite(t.data).all() for t in ckpt.params.leaves())

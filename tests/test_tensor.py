@@ -8,7 +8,6 @@ from robustlab.errors import ParameterError, ShapeError
 from robustlab.model import MlpConfig, forward_logits
 from robustlab.tensor import (
     Tensor,
-    _activate,
     _log_softmax,
     mlp_forward,
     mlp_loss_and_grad,
@@ -97,10 +96,6 @@ class TestActivation:
 
     def test_tanh_high_precision(self):
         assert abs(hidden_output("tanh", [0.5])[0] - TANH_HALF) < 1e-12
-
-    def test_unknown_kind(self):
-        with pytest.raises(ParameterError):
-            _activate(np.array([1.0]), "gelu")
 
 
 class TestScaledCrossEntropy:

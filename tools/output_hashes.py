@@ -15,6 +15,8 @@ The runs are:
 - on the same model and data, `eval --out` for pgd20 and pgdplus under both
   verdicts, `attack --out-adv` at pgd20 alpha 1 and 100 and at pgdplus
   alpha 10, and `train --method fat --fat-slack 1`;
+- on the same files, after those are listed, five runs refused before any
+  work: stderr and exit code only (`cli/refused/<name>`);
 - the digest `check` returns for each op of one period of every perfbench
   workload, on seeds 1 and 7.
 
@@ -83,6 +85,26 @@ def _commands(size: workloads.Size) -> list[tuple[str, list[str]]]:
     return commands
 
 
+def _refusals(size: workloads.Size) -> list[tuple[str, list[str]]]:
+    """Runs on the workflow's files that each refuse one input; `shape.ckpt` is the
+    GAIRAT checkpoint with its first weight's shape line edited to conflict with its config."""
+    sweep = ["sweep", "--data", "blobs.csv", "--seed", "5", "--attack", "pgd20", "--alpha-grid", f"1e-2:1e2:{size.alphas}"]
+    return [
+        ("sweep-shape-conflict", [*sweep, "--model", "shape.ckpt"]),
+        ("sweep-out-under-file", [*sweep, "--model", "gairat.ckpt", "--out", "blobs.csv/r.csv"]),
+        ("eval-alpha-inf", ["eval", "--model", "gairat.ckpt", "--data", "blobs.csv", "--alpha", "inf"]),
+        ("train-out-dir", ["train", "--method", "erm", "--data", "blobs.csv", "--out", "."]),
+        ("oracle-check-grid-1", ["oracle-check", "--model", "gairat.ckpt", "--data", "blobs.csv", "--grid", "1"]),
+    ]
+
+
+def _run(argv: list[str]) -> tuple[str, str, int]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return out.getvalue(), err.getvalue(), code
+
+
 def cli_hashes(size: workloads.Size) -> list[str]:
     """Listing lines for the CLI runs, in a fresh directory that is removed after."""
     lines = []
@@ -91,13 +113,16 @@ def cli_hashes(size: workloads.Size) -> list[str]:
         os.chdir(tmp)  # relative paths keep the written files free of the directory name
         try:
             for name, argv in _commands(size):
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = cli.main(argv)
-                lines += [f"{_sha256(out.getvalue().encode())}  cli/{name}.stdout",
-                          f"{_sha256(err.getvalue().encode())}  cli/{name}.stderr",
+                out, err, code = _run(argv)
+                lines += [f"{_sha256(out.encode())}  cli/{name}.stdout",
+                          f"{_sha256(err.encode())}  cli/{name}.stderr",
                           f"exit={code}  cli/{name}"]
             lines += [f"{_sha256(p.read_bytes())}  cli/file/{p.name}" for p in sorted(Path(tmp).iterdir())]
+            ckpt = Path("gairat.ckpt").read_text()
+            Path("shape.ckpt").write_text(ckpt.replace("\nw0 2x16 ", "\nw0 16x2 ", 1))
+            for name, argv in _refusals(size):
+                _, err, code = _run(argv)
+                lines += [f"{_sha256(err.encode())}  cli/refused/{name}.stderr", f"exit={code}  cli/refused/{name}"]
         finally:
             os.chdir(cwd)
     return lines
