@@ -225,22 +225,19 @@ def pgd_attack(
     if friendly_slack is not None:
         check_at_least(int(friendly_slack), 0, "friendly_slack")
     x0d = x0.data
-    if x0d.ndim != 2:
-        raise ShapeError(f"attack input must be (n, d), got {x0d.shape}")
+    _check_input(model, x0d)
     n, d = x0d.shape
     T, R = config.steps, config.restarts
     check_size(n * R * (T + 1), f"{n} points x {R} restarts x {T + 1} iterates give a PGD trace")
     eps = config.epsilon
     rng = np.random.default_rng(check_seed(seed))
 
-    _check_input(model, x0d)
     # Every step reuses the checked labels and the projection bounds;
     # AttackConfig has checked alpha.
     lab = _check_labels(y, n, model.config.num_classes)
     lo, hi = _ball_bounds(x0d, eps, domain if config.clip_to_domain else None)
     ws = _Workspace.for_batch(model.config.layer_sizes, lab)
-    _forward(model, x0d, ws.acts, ws.act_blocks)  # the natural pass
-    natural_correct = ws.acts[-1][:n].argmax(axis=1) == lab
+    natural_correct = _forward(model, x0d, ws.acts, ws.act_blocks).argmax(axis=1) == lab  # the natural pass
     trace = np.zeros((n, R, T + 1), dtype=bool)
     best_loss = np.full(n, -np.inf)
     best_x = x0d.copy()

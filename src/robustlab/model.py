@@ -107,7 +107,7 @@ def init_params(config: MlpConfig) -> MlpParams:
 
 def forward_logits(params: MlpParams, x: Tensor) -> Tensor:
     """Logits before any softmax."""
-    return Tensor._wrap(mlp_forward(params, x.data)[-1])
+    return Tensor._wrap(mlp_forward(params, x.data))
 
 
 def predict(params: MlpParams, x: Tensor) -> np.ndarray:
@@ -157,6 +157,8 @@ def _parse_config_line(text: str, lineno: int, offset: int) -> MlpConfig:
         if "=" not in token:
             raise ParseError(f"bad config token {token!r}", line=lineno, offset=offset)
         key, value = token.split("=", 1)
+        if key in fields or key not in ("layer_sizes", "activation", "init_seed"):
+            raise ParseError(f"unknown or repeated config field {key!r}", line=lineno, offset=offset)
         fields[key] = value
     try:
         sizes = tuple(int(s) for s in fields["layer_sizes"].split(","))
@@ -210,10 +212,9 @@ def load_checkpoint(path) -> Checkpoint:
         if len(tokens) < 2:
             raise ParseError(f"unrecognized line {text[:40]!r}", line=lineno, offset=offset)
         name, shape_token = tokens[0], tokens[1]
-        try:
-            shape = tuple(int(s) for s in shape_token.split("x"))
-        except ValueError:
-            raise ParseError(f"bad shape token {shape_token!r}", line=lineno, offset=offset) from None
+        if not all(d.isdecimal() for d in shape_token.split("x")):  # non-negative integers only
+            raise ParseError(f"bad shape token {shape_token!r}", line=lineno, offset=offset)
+        shape = tuple(int(d) for d in shape_token.split("x"))
         expected_n = int(np.prod(shape))
         values = tokens[2:]
         if len(values) != expected_n:

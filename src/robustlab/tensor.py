@@ -1,14 +1,14 @@
 """Dense float64 tensors and one fused MLP loss-and-gradient pass.
 
 `Tensor` is the validated boundary for user data; the scale-aware softmax
-and cross-entropy take tensors of logits. `mlp_forward` is the package's one
-checked MLP forward entry (affine layers, relu/tanh). `mlp_loss_and_grad`
-runs the same forward pass on raw arrays its callers have already checked,
+and cross-entropy take tensors of logits. `mlp_forward`, the one checked MLP
+forward entry (affine layers, relu/tanh), makes new arrays on every call and
+returns only the logits; `_check_input` is its input rule and `pgd_attack`'s.
+`mlp_loss_and_grad` runs the same pass on raw arrays its callers have checked,
 then the alpha-scaled cross-entropy with a sum or weighted-mean reduction
 and one reverse pass that computes only the gradients asked for. A PGD run
 makes every pass in one `_Workspace`, its natural forward pass on the clean
-points included; `mlp_forward` makes new arrays on every call. Scope is
-deliberately the minimum an MLP robustness lab needs.
+points included. Scope is deliberately the minimum an MLP robustness lab needs.
 
 Every layer product that maps rows to rows (x @ w forward, g @ w.T back)
 runs as one stacked `np.matmul` over blocks of `_BLOCK` rows, the batch's
@@ -159,18 +159,16 @@ def _check_input(params: MlpParams, x: np.ndarray) -> None:
         raise ShapeError(f"input shape {x.shape} does not match model input dim {params.config.input_dim}")
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
-    """Every layer's input, then the logits: [x, h_1, ..., h_{L-1}, logits].
+def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
+    """The logits of `x`, a C-ordered view of the first n rows of a padded array.
 
     The package's one checked forward entry, behind `model.forward_logits`:
     it refuses an `x` that is not (n, input_dim). `mlp_loss_and_grad` runs
-    the same pass on inputs its callers have checked. The layers are
-    C-ordered views of the first n rows of padded arrays.
+    the same pass on inputs its callers have checked.
     """
     _check_input(params, x)
     acts = _layers(params.config.layer_sizes, _padded(x.shape[0]))
-    _forward(params, x, acts, [_blocks(a) for a in acts])
-    return [x] + [a[:x.shape[0]] for a in acts[1:]]
+    return _forward(params, x, acts, [_blocks(a) for a in acts])
 
 
 class _Workspace(NamedTuple):
@@ -242,10 +240,10 @@ class _Workspace(NamedTuple):
                    onehot, lab * n + rows)
 
 
-def _forward(params: MlpParams, x: np.ndarray, acts: list[np.ndarray], blocks: list[np.ndarray]) -> None:
+def _forward(params: MlpParams, x: np.ndarray, acts: list[np.ndarray], blocks: list[np.ndarray]) -> np.ndarray:
     """Write x into the first rows of acts[0], then every layer's output
     into the next of `acts`, padding rows included; `blocks` are their
-    block views (see `_Workspace`)."""
+    block views (see `_Workspace`). Returns the logits, the last layer's first n rows."""
     np.copyto(acts[0][:x.shape[0]], x)
     kind = params.config.activation
     last = params.config.num_layers - 1
@@ -255,6 +253,7 @@ def _forward(params: MlpParams, x: np.ndarray, acts: list[np.ndarray], blocks: l
         h += b.data
         if i < last:
             _activate(h, kind, out=h)
+    return acts[-1][:x.shape[0]]
 
 
 class LossAndGrad(NamedTuple):
@@ -305,9 +304,8 @@ def mlp_loss_and_grad(
     """
     if ws is None:
         ws = _Workspace.for_batch(params.config.layer_sizes, lab)
-    _forward(params, x, ws.acts, ws.act_blocks)
+    logits = _forward(params, x, ws.acts, ws.act_blocks)
     n = x.shape[0]
-    logits = ws.acts[-1][:n]
     np.copyto(ws.logp, logits)
     logp = _log_softmax(ws.logp, alpha, ws.logp, ws.exps)
     losses = -logp.T.take(ws.flat)  # logp.T is C-contiguous: a flat take reads it in place

@@ -19,7 +19,8 @@ from .datasets import Dataset
 from .errors import (
     ConfigError, ContractError, NumericalError, ShapeError, check_at_least, check_positive, check_seed, check_size,
 )
-from .model import MlpConfig, MlpParams, init_params, predict
+from .evaluate import eval_natural
+from .model import MlpConfig, MlpParams, init_params
 from .tensor import Tensor, mlp_loss_and_grad
 from .textfile import fmt, write_table
 
@@ -198,9 +199,6 @@ def train(model_config: MlpConfig, dataset: Dataset, config: TrainConfig) -> tup
     _check_fit(model_config, dataset)
     params = init_params(model_config)
     history: list[EpochRecord] = []
-    if config.epochs == 0:
-        return params, TrainHistory(())
-
     rng = np.random.default_rng(config.seed)
     points, labels = dataset.points.data, dataset.labels
     n = points.shape[0]
@@ -248,12 +246,11 @@ def train(model_config: MlpConfig, dataset: Dataset, config: TrainConfig) -> tup
             params = sgd_step(params, step.param_grads, config.learning_rate)
             losses.append(step.loss)
 
-        nat_acc = float(np.mean(predict(params, dataset.points) == labels))
         history.append(
             EpochRecord(
                 epoch=epoch,
                 mean_loss=float(np.mean(losses)),
-                natural_accuracy=nat_acc,
+                natural_accuracy=eval_natural(params, dataset),
                 kappa_hist=tuple(int(c) for c in kappa_counts) if kappa_counts is not None else None,
             )
         )

@@ -352,9 +352,11 @@ class TestPgdRunSetUp:
             entry(params, Tensor([[0.2, 0.7]]), np.array([1]), cfg, seed=-1)
 
     def test_input_shape_is_checked_before_the_labels(self, rng):
+        # One rule, tensor._check_input, refuses a wrong width and a wrong rank alike.
         params = random_params(rng, (2, 4, 3))
-        with pytest.raises(ShapeError, match="input shape"):
-            pgd_attack(params, Tensor(np.zeros((4, 3))), np.array([0.5] * 4), pgd20_config())
+        for shape in [(4, 3), (4,), (4, 2, 1)]:
+            with pytest.raises(ShapeError, match="input shape"):
+                pgd_attack(params, Tensor(np.zeros(shape)), np.array([0.5] * 4), pgd20_config())
 
 
 class TestPgdOutOfRange:

@@ -177,6 +177,30 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("config, field", [
+        ("layer_sizes=2,3,2 activation=relu init_seed=0 bogus=1", "bogus"),
+        ("layer_sizes=2,3,2 activation=tanh activation=relu init_seed=0", "activation"),
+    ], ids=["unknown", "repeated"])
+    def test_unknown_or_repeated_config_field_is_parse_error(self, tmp_path, config, field):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(MlpConfig((2, 3, 2))), {}, path)
+        head, _, body = path.read_text().split("\n", 2)
+        path.write_text(f"{head}\nconfig {config}\n{body}")
+        with pytest.raises(ParseError, match=f"unknown or repeated config field '{field}'") as exc:
+            load_checkpoint(path)
+        assert (exc.value.line, exc.value.offset) == (2, len(head) + 1)
+
+    @pytest.mark.parametrize("token", ["-2x-3", "2x-3", "+2x3", "2x", "2x3.0"])
+    def test_a_shape_token_holds_non_negative_integers(self, tmp_path, token):
+        # Six values keep the value count of a 2x3 weight, so no other rule can refuse the line.
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(MlpConfig((2, 3, 2))), {}, path)
+        text = path.read_text()
+        path.write_text(text.replace("\nw0 2x3 ", f"\nw0 {token} ", 1))
+        with pytest.raises(ParseError, match=f"^bad shape token '{re.escape(token)}'") as exc:
+            load_checkpoint(path)
+        assert (exc.value.line, exc.value.offset) == (3, text.index("\nw0 ") + 1)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_text("NOTACKPT\n")

@@ -9,6 +9,7 @@ from robustlab.model import MlpConfig, forward_logits
 from robustlab.tensor import (
     Tensor,
     _log_softmax,
+    _Workspace,
     mlp_forward,
     mlp_loss_and_grad,
     scaled_softmax,
@@ -82,9 +83,10 @@ class TestLinear:
 
 
 def hidden_output(kind: str, values) -> np.ndarray:
-    """The first layer's activation output for inputs `values` through a unit weight."""
-    params = make_params(MlpConfig((1, 1, 2), activation=kind), [[[1.0]], [[0.0, 0.0]]], [[0.0], [0.0, 0.0]])
-    return mlp_forward(params, np.array(values, dtype=float).reshape(-1, 1))[1].reshape(-1)
+    """The first layer's activation output for inputs `values` through a unit
+    weight, read off the first logit through a unit second layer."""
+    params = make_params(MlpConfig((1, 1, 2), activation=kind), [[[1.0]], [[1.0, 0.0]]], [[0.0], [0.0, 0.0]])
+    return mlp_forward(params, np.array(values, dtype=float).reshape(-1, 1))[:, 0]
 
 
 class TestActivation:
@@ -215,9 +217,11 @@ def _assert_per_op_bits(params, x, y, alpha):
 
 
 def row_outputs(params, x, y):
-    """Per row of x: every layer's output, the fused pass's logits, and the input gradient."""
-    res = mlp_loss_and_grad(params, x, y, 3.0, None, True, False)
-    return [*mlp_forward(params, x)[1:], res.logits, res.input_grad]
+    """Per row of x: every hidden layer's output and the logits, read off the
+    fused pass's own workspace, and the input gradient."""
+    ws = _Workspace.for_batch(params.config.layer_sizes, y)
+    res = mlp_loss_and_grad(params, x, y, 3.0, None, True, False, ws)
+    return [*(a[:len(x)] for a in ws.acts[1:-1]), res.logits, res.input_grad]
 
 
 class TestBackward:

@@ -8,6 +8,7 @@ from robustlab import training
 from robustlab.attacks import AttackConfig, pgd_attack
 from robustlab.datasets import gen_gaussian_blobs, gen_two_moons
 from robustlab.errors import ConfigError, ContractError, ShapeError
+from robustlab.evaluate import eval_natural
 from robustlab.model import MlpConfig, init_params
 from robustlab.tensor import Tensor, mlp_loss_and_grad
 from robustlab.training import (
@@ -180,6 +181,17 @@ class TestTrain:
         for a, b in zip(params.leaves(), ref.leaves()):
             np.testing.assert_array_equal(a.data, b.data)
         assert len(history) == 0
+
+    @pytest.mark.parametrize("method, extra", [
+        ("erm", {}),
+        ("at", {"inner_attack": inner_cfg()}),
+        ("fat", {"inner_attack": inner_cfg(), "fat_slack": 1}),
+        ("gairat", {"inner_attack": inner_cfg(), "burn_in_epochs": 1, "omega_lambda": 0.0}),
+    ])
+    def test_epoch_accuracy_is_eval_natural(self, moons, method, extra):
+        cfg = TrainConfig(method=method, epochs=2, batch_size=16, learning_rate=0.2, seed=4, **extra)
+        params, history = train(MlpConfig((2, 6, 2), init_seed=2), moons, cfg)
+        assert history.records[-1].natural_accuracy == eval_natural(params, moons)
 
     def test_full_burn_in_reduces_to_plain_adversarial_training(self, moons):
         mc = MlpConfig((2, 8, 2), init_seed=3)

@@ -15,7 +15,7 @@ The runs are:
 - on the same model and data, `eval --out` for pgd20 and pgdplus under both
   verdicts, `attack --out-adv` at pgd20 alpha 1 and 100 and at pgdplus
   alpha 10, and `train --method fat --fat-slack 1`;
-- on the same files, after those are listed, five runs refused before any
+- on the same files, after those are listed, seven runs refused before any
   work: stderr and exit code only (`cli/refused/<name>`);
 - the digest `check` returns for each op of one period of every perfbench
   workload, on seeds 1 and 7.
@@ -86,11 +86,14 @@ def _commands(size: workloads.Size) -> list[tuple[str, list[str]]]:
 
 
 def _refusals(size: workloads.Size) -> list[tuple[str, list[str]]]:
-    """Runs on the workflow's files that each refuse one input; `shape.ckpt` is the
-    GAIRAT checkpoint with its first weight's shape line edited to conflict with its config."""
+    """Runs on the workflow's files that each refuse one input. The edited copies of the
+    GAIRAT checkpoint: `shape.ckpt` declares its first weight's shape to conflict with its
+    config, `field.ckpt` carries an unknown config field, `negdim.ckpt` a negative dimension."""
     sweep = ["sweep", "--data", "blobs.csv", "--seed", "5", "--attack", "pgd20", "--alpha-grid", f"1e-2:1e2:{size.alphas}"]
     return [
         ("sweep-shape-conflict", [*sweep, "--model", "shape.ckpt"]),
+        ("sweep-unknown-config-field", [*sweep, "--model", "field.ckpt"]),
+        ("sweep-negative-dimension", [*sweep, "--model", "negdim.ckpt"]),
         ("sweep-out-under-file", [*sweep, "--model", "gairat.ckpt", "--out", "blobs.csv/r.csv"]),
         ("eval-alpha-inf", ["eval", "--model", "gairat.ckpt", "--data", "blobs.csv", "--alpha", "inf"]),
         ("train-out-dir", ["train", "--method", "erm", "--data", "blobs.csv", "--out", "."]),
@@ -119,7 +122,10 @@ def cli_hashes(size: workloads.Size) -> list[str]:
                           f"exit={code}  cli/{name}"]
             lines += [f"{_sha256(p.read_bytes())}  cli/file/{p.name}" for p in sorted(Path(tmp).iterdir())]
             ckpt = Path("gairat.ckpt").read_text()
+            header, config, body = ckpt.split("\n", 2)
             Path("shape.ckpt").write_text(ckpt.replace("\nw0 2x16 ", "\nw0 16x2 ", 1))
+            Path("field.ckpt").write_text(f"{header}\n{config} bogus=1\n{body}")
+            Path("negdim.ckpt").write_text(ckpt.replace("\nw0 2x16 ", "\nw0 2x-16 ", 1))
             for name, argv in _refusals(size):
                 _, err, code = _run(argv)
                 lines += [f"{_sha256(err.encode())}  cli/refused/{name}.stderr", f"exit={code}  cli/refused/{name}"]
