@@ -13,9 +13,19 @@ bit, its iterate two steps back. Every later pass on that row would repeat
 one already made: its losses never beat the best one again, and its trace
 and trajectory are filled in at once with period 2. This is exact because
 the fused pass gives a row the same logits and input gradient in a batch
-of any size, one row included. The rows still stepped move to a smaller
-batch, on the first rows of the run's own workspace, once they are at most
-half of the current one.
+of any size, one row included. The rows still stepped are gathered by
+index into a smaller batch, on the first rows of the run's own workspace,
+once they are at most half of the current one.
+
+A pass computes a whole number of 64-row blocks, so a batch of at most 32
+rows leaves half of its pass or more to padding. Such a batch stacks
+G = min(restarts, padded rows // n) restarts, restart-major, into one pass
+of the same workspace; a larger batch runs them one by one, G = 1, through
+the same code. Each (restart, row) keeps its own max-loss search; after
+each group, the later restarts' searches fold into the first restart's in
+restart order, which keeps the earliest max-loss iterate as a single search
+over every restart does. Best iterates are copied as one record per row
+(`_records`).
 """
 from __future__ import annotations
 
@@ -31,7 +41,7 @@ from .errors import (
 )
 from .model import MlpParams, predict
 from .model import forward_logits  # noqa: F401 -- unused; perfbench's tracer shims this name here
-from .tensor import Tensor, _check_input, _check_labels, _forward, _Workspace, mlp_loss_and_grad
+from .tensor import Tensor, _check_input, _check_labels, _forward, _padded, _Workspace, mlp_loss_and_grad
 from .textfile import fmt
 
 
@@ -148,7 +158,8 @@ def project_linf(x: Tensor, x0: Tensor, epsilon: float, domain: DomainBox | None
 
 
 class _Rows(NamedTuple):
-    """Per row of a PGD restart's pass: the max-loss search's state, the
+    """Per row of a PGD pass, one (restart, example) pair: the max-loss
+    search's state, its best iterate as a record (`_records`), the
     restart's correctness trace (rows, steps + 1) and, on the first restart
     of a run with friendly points, its trajectory (rows, steps + 1, d)."""
 
@@ -158,8 +169,40 @@ class _Rows(NamedTuple):
     trace: np.ndarray
     traj: np.ndarray | None
 
+    @classmethod
+    def fresh(cls, trace: np.ndarray, traj: np.ndarray | None, rec: np.dtype) -> "_Rows":
+        """The state of the rows of `trace` before their first pass, whose losses then beat every -inf."""
+        m = trace.shape[0]
+        return cls(np.full(m, -np.inf), np.empty(m, rec), np.empty(m, dtype=bool), trace, traj)
 
-def _rows_to_keep(new: np.ndarray, prev: np.ndarray | None) -> np.ndarray | None:
+
+def _records(a: np.ndarray, rec: np.dtype) -> np.ndarray:
+    """A C-ordered (m, d) float64 array as a view of m records of dtype
+    `rec`, (void, 8 d bytes), one per row. A masked copy or a gather then
+    moves each row as one item; on the 2-D array numpy walks it element by
+    element, several times slower."""
+    return a.view(rec)[:, 0]
+
+
+def _keep_better(best: _Rows, loss: np.ndarray, x: np.ndarray, correct: np.ndarray, beats: np.ndarray) -> None:
+    """Copy loss, x (records) and correct into `best` on the rows where loss
+    beats best.loss. Strict > keeps the earliest (restart-major, then
+    iteration) max-loss iterate on ties."""
+    if np.greater(loss, best.loss, out=beats).any():
+        np.copyto(best.loss, loss, where=beats)
+        np.copyto(best.x, x, where=beats)
+        np.copyto(best.correct, correct, where=beats)
+
+
+def _starts(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, u: np.ndarray | None) -> np.ndarray:
+    """A batch's starts: x0 moved by the uniform draw u and clipped to lo..hi, or a copy of x0 given no draw."""
+    if u is None:
+        return x0.copy()
+    x = u + x0
+    return np.clip(x, lo, hi, out=x)
+
+
+def _rows_to_keep(new: np.ndarray, prev: np.ndarray) -> np.ndarray | None:
     """The rows of a PGD pass still to step, as a mask, once at most half of
     them are live and dropping the settled ones shrinks the pass; else None.
 
@@ -168,8 +211,6 @@ def _rows_to_keep(new: np.ndarray, prev: np.ndarray | None) -> np.ndarray | None
     pass on it repeats one already made. Bits, not float ==, so that -0.0
     and 0.0 differ.
     """
-    if prev is None:
-        return None
     m, d = new.shape
     differ = np.not_equal(new.view(np.int64), prev.view(np.int64))
     if 2 * np.count_nonzero(differ) > m * d:  # at least count / d rows are live, over half
@@ -179,21 +220,80 @@ def _rows_to_keep(new: np.ndarray, prev: np.ndarray | None) -> np.ndarray | None
 
 
 def _repeat_tails(own: _Rows, done: np.ndarray, t: int) -> None:
-    """Fill in the trace and trajectory of the rows `done` of `own` from
-    iterate t + 1 on: iterate t + 1 repeats iterate t - 1, and so on."""
+    """Fill in the trace and trajectory of the rows `done` (indices) of `own`
+    from iterate t + 1 on: iterate t + 1 repeats iterate t - 1, and so on."""
     for a in (own.trace, own.traj):
         if a is not None:
-            tails = a[done]
+            tails = a.take(done, axis=0)
             tails[:, t + 1::2] = tails[:, t - 1:t]
             tails[:, t + 2::2] = tails[:, t:t + 1]
             a[done] = tails
 
 
-def _put_back(whole: _Rows, own: _Rows, rows: np.ndarray, which) -> None:
-    """Write the rows `which` of `own`, a gathered copy, to their places `rows[which]` in `whole`."""
+def _put_back(whole: _Rows, own: _Rows, rows: np.ndarray, which: np.ndarray | None = None) -> None:
+    """Write the rows `which` (indices; every row, given None) of `own`, a
+    gathered copy, to their places `rows[which]` in `whole`."""
+    at = rows if which is None else rows.take(which)
     for out, got in zip(whole, own):
         if got is not None:
-            out[rows[which]] = got[which]
+            out[at] = got if which is None else got.take(which, axis=0)
+
+
+def _climb(model: MlpParams, config: AttackConfig, x: np.ndarray, lab: np.ndarray, lo: np.ndarray,
+           hi: np.ndarray, ws: _Workspace, whole: _Rows, r: int) -> None:
+    """Step each row of `x`, a C-ordered batch of starts, through the
+    config's sign steps within its bounds `lo` and `hi`, every pass in `ws`,
+    and write each row's max-loss search, trace and trajectory into `whole`.
+    Overwrites `x`. A pass that makes a NaN raises NumericalError naming
+    restart r and its step.
+
+    A settled row is not computed again (see the module docstring). Once
+    at most half of the rows are live, the live ones are gathered by index
+    into a smaller pass, on the first rows of `ws`.
+    """
+    T, (m, d) = config.steps, x.shape
+    # The rows this pass still steps, as indices into `whole`, and their state: `whole`
+    # until the first shrink, gathered copies after it.
+    rows, own, beats = np.arange(m), whole, np.empty(m, dtype=bool)
+    # The iterate, the next one and the one before it, with their record views; each step rotates them.
+    its = [x, np.empty_like(x), np.empty_like(x)]
+    recs = [_records(a, whole.x.dtype) for a in its]
+    try:
+        for t in range(T + 1):
+            x, new, prev = its
+            if own.traj is not None:
+                own.traj[:, t] = x
+            step = mlp_loss_and_grad(model, x, lab, config.alpha, None, t < T, False, ws)
+            correct = np.equal(step.logits.argmax(axis=1), lab, out=own.trace[:, t])
+            _keep_better(own, step.losses, recs[0], correct, beats)
+            if t == T:
+                break
+            # The sign step overwrites the gradient, which no one reads again.
+            g = np.sign(step.input_grad, out=step.input_grad)
+            g *= config.step_size
+            np.add(x, g, out=new)
+            np.clip(new, lo, hi, out=new)
+            keep = _rows_to_keep(new, prev) if t else None
+            its, recs = [new, prev, x], [recs[1], recs[2], recs[0]]
+            if keep is None:
+                continue
+            done = np.flatnonzero(~keep)
+            _repeat_tails(own, done, t)
+            if done.size == rows.size:
+                break
+            if own is not whole:
+                _put_back(whole, own, rows, done)
+            idx = np.flatnonzero(keep)
+            rows, own = rows.take(idx), _Rows(*(None if a is None else a.take(idx, axis=0) for a in own))
+            lab, lo, hi, beats = lab.take(idx), lo.take(idx, axis=0), hi.take(idx, axis=0), beats[:idx.size]
+            ws = ws.narrowed(lab)
+            recs = [recs[0].take(idx), np.empty_like(recs[0], shape=idx.size), recs[2].take(idx)]
+            its = [a.view(np.float64).reshape(idx.size, d) for a in recs]
+        if own is not whole:
+            _put_back(whole, own, rows)
+    except FloatingPointError:
+        raise NumericalError(f"PGD made a NaN at restart {r}, step {t} (alpha {config.alpha}): the "
+                             "model's logits or their scaled gradients left float64 range") from None
 
 
 def pgd_attack(
@@ -219,8 +319,9 @@ def pgd_attack(
     point.
     natural_correct comes from a forward pass on x0 in the run's workspace.
     A pass that makes a NaN raises NumericalError naming its restart and step.
-    Rows that have settled are not computed again (see the module
-    docstring); every output has the bits of the run that computes them.
+    Rows that have settled are not computed again, and a small batch's
+    restarts share its passes (see the module docstring); every output has
+    the bits of the run that computes each restart alone on the whole batch.
     """
     if friendly_slack is not None:
         check_at_least(int(friendly_slack), 0, "friendly_slack")
@@ -236,78 +337,57 @@ def pgd_attack(
     # AttackConfig has checked alpha.
     lab = _check_labels(y, n, model.config.num_classes)
     lo, hi = _ball_bounds(x0d, eps, domain if config.clip_to_domain else None)
-    ws = _Workspace.for_batch(model.config.layer_sizes, lab)
+    # A pass computes _padded(n) rows. A batch of at most half of them stacks G
+    # restarts, restart-major, into one pass; a larger one runs them one by one.
+    G = min(R, _padded(n) // n) if n else 1
+    # The stacked rows' points, labels and bounds, restart-major: G copies of the run's.
+    gx0, glab, glo, ghi = [a if G == 1 else np.concatenate([a] * G) for a in (x0d, lab, lo, hi)]
+    ws = _Workspace.for_batch(model.config.layer_sizes, glab)
     natural_correct = _forward(model, x0d, ws.acts, ws.act_blocks).argmax(axis=1) == lab  # the natural pass
-    trace = np.zeros((n, R, T + 1), dtype=bool)
-    best_loss = np.full(n, -np.inf)
-    best_x = x0d.copy()
-    # The forward pass is batch-invariant, so correctness recorded at the
-    # best iterate is what predict on the returned points gives.
-    best_correct = natural_correct.copy()
-    better = np.empty(n, dtype=bool)
-    traj = np.empty((n, T + 1, d)) if friendly_slack is not None else None
+    # Restart-major, so that a group's trace is one (g n, T + 1) block; returned (n, R, T + 1).
+    trace = np.zeros((R, n, T + 1), dtype=bool)
+    rec = np.dtype(f"V{8 * d}")  # (void, 8 d bytes): one row of x
+    beats = np.empty(n, dtype=bool)
+    # The first group's trajectories; the first restart's are its first n rows.
+    traj = np.empty((G * n, T + 1, d)) if friendly_slack is not None else None
 
     # A large alpha drives the scaled losses to +inf, a limit the max-loss search compares
     # correctly; a NaN, which it cannot compare, is refused at the pass that made it.
-    try:
-        with np.errstate(over="ignore", invalid="raise"):
-            for r in range(R):
-                if config.random_start:
-                    x = rng.uniform(-eps, eps, size=(n, d))
-                    x += x0d
-                    np.clip(x, lo, hi, out=x)
-                else:
-                    x = x0d.copy()
-                # The rows this restart still steps, as indices into the batch, with their
-                # labels, bounds, workspace and results: the run's own arrays until the
-                # first shrink, gathered copies after it.
-                whole = _Rows(best_loss, best_x, best_correct, trace[:, r], traj if r == 0 else None)
-                rows, own, rlab, rlo, rhi, rws, beats = np.arange(n), whole, lab, lo, hi, ws, better
-                prev, new = None, np.empty_like(x)
-                for t in range(T + 1):
-                    if own.traj is not None:
-                        own.traj[:, t] = x
-                    step = mlp_loss_and_grad(model, x, rlab, config.alpha, None, t < T, False, rws)
-                    correct = np.equal(step.logits.argmax(axis=1), rlab, out=own.trace[:, t])
-                    # Strict > keeps the earliest (restart-major, then iteration)
-                    # max-loss iterate on ties.
-                    if np.greater(step.losses, own.loss, out=beats).any():
-                        np.copyto(own.loss, step.losses, where=beats)
-                        np.copyto(own.x, x, where=beats[:, None])
-                        np.copyto(own.correct, correct, where=beats)
-                    if t == T:
-                        break
-                    # The sign step overwrites the gradient, which no one reads again.
-                    g = np.sign(step.input_grad, out=step.input_grad)
-                    g *= config.step_size
-                    np.add(x, g, out=new)
-                    np.clip(new, rlo, rhi, out=new)
-                    keep = _rows_to_keep(new, prev)
-                    prev, x, new = x, new, np.empty_like(x) if prev is None else prev
-                    if keep is None:
-                        continue
-                    done = np.flatnonzero(~keep)
-                    _repeat_tails(own, done, t)
-                    if not keep.any():
-                        break
-                    if own is not whole:
-                        _put_back(whole, own, rows, done)
-                    rows, own = rows[keep], _Rows(*(None if a is None else a[keep] for a in own))
-                    rlab, rlo, rhi, beats = rlab[keep], rlo[keep], rhi[keep], better[:rows.size]
-                    rws = ws.narrowed(rlab)
-                    prev, x, new = prev[keep], x[keep], np.empty((rows.size, d))
-                if own is not whole:
-                    _put_back(whole, own, rows, slice(None))
-    except FloatingPointError:
-        raise NumericalError(f"PGD made a NaN at restart {r}, step {t} (alpha {config.alpha}): the "
-                             "model's logits or their scaled gradients left float64 range") from None
+    with np.errstate(over="ignore", invalid="raise"):
+        for r in range(0, R, G):
+            g = min(G, R - r)
+            m = g * n
+            u = rng.uniform(-eps, eps, size=(m, d)) if config.random_start else None  # g draws of (n, d)
+            group = _Rows.fresh(trace[r:r + g].reshape(m, T + 1), traj if r == 0 else None, rec)
+            try:
+                _climb(model, config, _starts(gx0[:m], glo[:m], ghi[:m], u), glab[:m], glo[:m], ghi[:m],
+                       ws if g == G else ws.narrowed(glab[:m]), group, r)
+            except NumericalError:
+                if g == 1:  # the error names this restart's own pass
+                    raise
+                # Rerun the group's restarts one at a time, so that the error names
+                # the restart and step at which one restart per pass stops.
+                for k in range(g):
+                    part = slice(k * n, (k + 1) * n)
+                    _climb(model, config, _starts(x0d, lo, hi, None if u is None else u[part]), lab, lo, hi,
+                           ws.narrowed(lab), _Rows.fresh(np.empty((n, T + 1), dtype=bool), None, rec), r + k)
+                raise
+            if r == 0:
+                # The run's max-loss search is the first restart's, into which the later
+                # ones fold. The forward pass is batch-invariant, so correctness recorded
+                # at the best iterate is what predict on the returned points gives.
+                best = _Rows(group.loss[:n], group.x[:n], group.correct[:n], None, None)
+            for k in range(r == 0, g):  # in restart order, as `_keep_better` asks
+                part = slice(k * n, (k + 1) * n)
+                _keep_better(best, group.loss[part], group.x[part], group.correct[part], beats)
+    best_x = best.x.view(np.float64).reshape(n, d)
 
     # kappa counts from the natural point regardless of random starts, then
     # follows the first restart's iterates.
-    kappa_trace = np.concatenate([natural_correct[:, None], trace[:, 0, 1:]], axis=1)
+    kappa_trace = np.concatenate([natural_correct[:, None], trace[0, :, 1:]], axis=1)
     friendly = None
     if traj is not None:
-        wrong = ~trace[:, 0, :]
+        wrong = ~trace[0]
         chosen = np.minimum(wrong.argmax(axis=1) + int(friendly_slack), T)
         friendly = best_x.copy()
         idx = np.nonzero(wrong.any(axis=1))[0]
@@ -316,9 +396,9 @@ def pgd_attack(
     return AttackResult(
         adversarial=Tensor._wrap(best_x),
         kappa=count_kappa(kappa_trace, T),
-        correct_trace=trace,
+        correct_trace=trace.transpose(1, 0, 2),
         natural_correct=natural_correct,
-        final_correct=best_correct,
+        final_correct=best.correct,
         friendly=friendly,
     )
 

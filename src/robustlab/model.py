@@ -136,10 +136,12 @@ def save_checkpoint(params: MlpParams, metadata: Mapping[str, object], path) -> 
     cfg = params.config
     sizes = ",".join(str(s) for s in cfg.layer_sizes)
     lines = [CHECKPOINT_HEADER, f"config layer_sizes={sizes} activation={cfg.activation} init_seed={cfg.init_seed}"]
+    seen: set[str] = set()
     for key, value in metadata.items():
         key = str(key)
-        if not key or "=" in key or any(c.isspace() for c in key):
-            raise ParameterError(f"metadata key {key!r} must be a single token without '='")
+        if fault := _meta_key_fault(key, seen):
+            raise ParameterError(fault)
+        seen.add(key)
         text = str(value)
         if "".join(text.splitlines()) != text:  # any line break, as in textfile.write_table
             raise ParameterError(f"metadata value for {key!r} must not hold a line break")
@@ -149,6 +151,15 @@ def save_checkpoint(params: MlpParams, metadata: Mapping[str, object], path) -> 
         shape = "x".join(str(s) for s in tensor.shape)
         lines.append(f"{name} {shape} {fmt_vec(tensor.data.reshape(-1))}")
     write_text_atomic(path, "\n".join(lines) + "\n")
+
+
+def _meta_key_fault(key: str, seen) -> str | None:
+    """Why `key` cannot follow the metadata keys `seen`, or None: a key is one
+    non-empty token, without whitespace or '=', written once. The rule of both
+    `save_checkpoint` and `load_checkpoint`."""
+    if not key or "=" in key or any(c.isspace() for c in key):
+        return f"metadata key {key!r} must be a single token without '='"
+    return f"repeated metadata key {key!r}" if key in seen else None
 
 
 def _parse_config_line(text: str, lineno: int, offset: int) -> MlpConfig:
@@ -201,11 +212,15 @@ def load_checkpoint(path) -> Checkpoint:
     metadata: dict[str, str] = {}
     tensors: dict[str, Tensor] = {}
     for lineno, offset, text in entries[2:]:
+        if text.startswith("config "):
+            raise ParseError("repeated config line", line=lineno, offset=offset)
         if text.startswith("meta "):
             body = text[len("meta "):]
             if "=" not in body:
                 raise ParseError("meta line is not key=value", line=lineno, offset=offset)
             key, value = body.split("=", 1)
+            if fault := _meta_key_fault(key, metadata):
+                raise ParseError(fault, line=lineno, offset=offset)
             metadata[key] = value
             continue
         tokens = text.split()

@@ -388,6 +388,28 @@ class TestPgdOutOfRange:
             pgd_attack(params, Tensor(x0.data[:1]), y[:1], cfg)
         assert rows == [1, 1, 1]
 
+    @pytest.mark.parametrize("seed, named", [(0, "restart 0, step 8"), (22, "restart 2, step 4")])
+    def test_a_nan_in_stacked_restarts_names_the_pass_of_one_restart_at_a_time(self, monkeypatch, seed, named):
+        # The model of the test above, on one row: a restart's h = relu(x1 + x2) climbs by 0.2
+        # per step and overflows once past 1.797. Seed 0 starts restart 2 past it, so the
+        # stacked pass of step 0 makes a NaN; restart 0 starts at h = 0.31 and, run alone,
+        # first makes one at step 8. Seed 22 starts restarts 0 and 1 on the dead side.
+        config = MlpConfig((2, 1, 2), activation="relu")
+        params = make_params(config, [[[1.0], [1.0]], [[1e308, -1e308]]], [[0.0], [0.0, 0.0]])
+        cfg = AttackConfig(epsilon=1.0, steps=12, step_size=0.1, restarts=3, random_start=True,
+                           clip_to_domain=False)
+        x0, y = Tensor([[0.25, 0.25]]), np.array([1])
+        rows = spy_on_passes(monkeypatch)
+        with pytest.raises(NumericalError, match=f"made a NaN at {named} ") as stacked:
+            pgd_attack(params, x0, y, cfg, seed=seed)
+        assert rows[0] == 3
+        if seed == 0:
+            assert rows == [3] + [1] * 9  # the stacked pass, then restart 0 alone up to step 8
+        monkeypatch.setattr(attacks, "_padded", lambda n: n)  # one restart per pass
+        with pytest.raises(NumericalError) as alone:
+            pgd_attack(params, x0, y, cfg, seed=seed)
+        assert str(stacked.value) == str(alone.value)
+
 
 class TestPgdWorkspace:
     """A PGD run writes every pass into one workspace of its own."""
@@ -529,6 +551,61 @@ class TestSettledRows:
                 want, _ = full_batch_pgd(params, x0, y, cfg, DomainBox.unit(2), 5, slack)
                 assert_same_result(got, want)
 
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_same_bits_at_other_input_dims(self, d):
+        # A best iterate is copied as one record of 8 d bytes. Batches of up to 32 rows
+        # stack their two restarts into one pass, larger ones do not.
+        rng = np.random.default_rng(d)
+        params = random_params(rng, (d, 16, 16, 4), "relu")
+        cfg = settling_config()
+        for k in (1, 2, 3, 5, 17, 32, 33, 40):
+            x0, y = rng.uniform(0, 1, size=(k, d)), rng.integers(0, 4, size=k)
+            for slack in (None, 0, 2):
+                got = pgd_attack(params, Tensor(x0), y, cfg, domain=DomainBox.unit(d), seed=5, friendly_slack=slack)
+                want, _ = full_batch_pgd(params, x0, y, cfg, DomainBox.unit(d), 5, slack)
+                assert_same_result(got, want)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_a_best_iterate_at_minus_zero_keeps_its_bits(self, d):
+        # Logits (0, 10 x1) and label 1: the loss grows as x1 falls. The box's lower face is
+        # -0.0, so row 0, from x1 = 0.02, walks onto x1 = -0.0 and its loss peaks there.
+        w = np.zeros((d, 2))
+        w[0, 1] = 10.0
+        params = linear_model(w, [0.0, 0.0])
+        box = DomainBox((-0.0,) * d, (1.0,) * d)
+        rng = np.random.default_rng(d)
+        x0 = np.vstack([np.full((1, d), 0.02), rng.uniform(0.2, 1, size=(4, d))])
+        y = np.ones(5, dtype=int)
+        cfg = settling_config()
+        for slack in (None, 0, 2):
+            got = pgd_attack(params, Tensor(x0), y, cfg, domain=box, seed=5, friendly_slack=slack)
+            want, _ = full_batch_pgd(params, x0, y, cfg, box, 5, slack)
+            assert_same_result(got, want)
+            assert got.adversarial.data[0, 0] == 0.0 and np.signbit(got.adversarial.data[0, 0])
+
+    @pytest.mark.parametrize("n", [1, 20, 22, 32])
+    def test_restarts_in_uneven_groups(self, monkeypatch, n):
+        # pgdplus's 5 restarts stack G = min(5, 64 // n) at a time: one group of 5 at n = 1,
+        # groups of 3 and 2 at n = 20, and of 2, 2 and 1 at n = 22 and 32.
+        params, _ = settling_batches("relu")
+        rng = np.random.default_rng(n)
+        x0, y = rng.uniform(0, 1, size=(n, 2)), rng.integers(0, 4, size=n)
+        cfg = AttackConfig(epsilon=0.1, steps=12, step_size=0.03, restarts=5, random_start=True)
+        climbs = []
+
+        def spy(model, config, x, *args):
+            climbs.append(x.shape[0])
+            return climb(model, config, x, *args)
+
+        climb = attacks._climb
+        monkeypatch.setattr(attacks, "_climb", spy)
+        for slack in (None, 1):
+            climbs.clear()
+            got = pgd_attack(params, Tensor(x0), y, cfg, domain=DomainBox.unit(2), seed=3, friendly_slack=slack)
+            want, _ = full_batch_pgd(params, x0, y, cfg, DomainBox.unit(2), 3, slack)
+            assert_same_result(got, want)
+            assert climbs == [g * n for g in {1: [5], 20: [3, 2], 22: [2, 2, 1], 32: [2, 2, 1]}[n]]
+
     def test_the_batches_hit_every_case(self, monkeypatch):
         # Fixed points, 2-cycles and live rows are read off the full-batch iterates, so
         # they do not depend on the code under test; the spy shows the passes it made.
@@ -548,7 +625,7 @@ class TestSettledRows:
                 hit |= {case for case, seen in [
                     ("fixed point", fixed.any()),
                     ("2-cycle", (settled & ~fixed[:, 1:]).any()),
-                    ("every row settled before the last step", len(rows) < cfg.restarts * (cfg.steps + 1)),
+                    ("every row settled before the last step", settled.any(axis=1).all(axis=-1).any()),
                     ("one live row alone", len(y) >= 3 and (live == 1).any() and 1 in rows),
                     ("one row", len(y) == 1), ("two rows", len(y) == 2),
                 ] if seen}

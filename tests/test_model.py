@@ -249,6 +249,38 @@ class TestCheckpoint:
         with pytest.raises(ParameterError):
             save_checkpoint(params, {"bad key": "x"}, tmp_path / "m.ckpt")
 
+    def test_metadata_keys_that_read_back_as_one_are_refused(self, tmp_path):
+        # 1 and "1" are different keys of a dict but write the same line.
+        with pytest.raises(ParameterError, match="^repeated metadata key '1'$"):
+            save_checkpoint(init_params(MlpConfig((2, 2))), {1: "a", "1": "b"}, tmp_path / "m.ckpt")
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("lines, message", [
+        (["meta method=at", "meta method=erm"], "repeated metadata key 'method'"),
+        (["meta =x"], "metadata key '' must be a single token without '='"),
+        (["meta  method=at"], "metadata key ' method' must be a single token without '='"),
+        (["meta me\tthod=at"], "metadata key 'me\\tthod' must be a single token without '='"),
+    ], ids=["repeated", "empty", "leading-space", "tab"])
+    def test_the_reader_refuses_a_metadata_key_the_writer_refuses(self, tmp_path, lines, message):
+        # The writer's key rule, read back: the last line is the one refused.
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(MlpConfig((2, 2))), {}, path)
+        head, config, body = path.read_text().split("\n", 2)
+        path.write_text("\n".join([head, config, *lines, body]))
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}") as exc:
+            load_checkpoint(path)
+        assert (exc.value.line, exc.value.offset) == (2 + len(lines), len(head) + len(config) + 2
+                                                      + sum(len(line) + 1 for line in lines[:-1]))
+
+    def test_a_repeated_config_line_is_refused_as_such(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_params(MlpConfig((2, 3, 2))), {"method": "at"}, path)
+        head, config, body = path.read_text().split("\n", 2)
+        path.write_text(f"{head}\n{config}\n{config}\n{body}")
+        with pytest.raises(ParseError, match="^repeated config line") as exc:
+            load_checkpoint(path)
+        assert (exc.value.line, exc.value.offset) == (3, len(head) + len(config) + 2)
+
     @given(value=st.text(max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_metadata_value_round_trips_or_is_refused(self, tmp_path_factory, value):

@@ -15,6 +15,9 @@ The runs are:
 - on the same model and data, `eval --out` for pgd20 and pgdplus under both
   verdicts, `attack --out-adv` at pgd20 alpha 1 and 100 and at pgdplus
   alpha 10, and `train --method fat --fat-slack 1`;
+- on the same model and a 20-point `gen-data` set, whose pgdplus passes
+  stack several restarts, `eval --out` under both verdicts and
+  `attack --out-adv` for pgdplus;
 - on the same files, after those are listed, seven runs refused before any
   work: stderr and exit code only (`cli/refused/<name>`);
 - the digest `check` returns for each op of one period of every perfbench
@@ -82,6 +85,14 @@ def _commands(size: workloads.Size) -> list[tuple[str, list[str]]]:
         commands.append((name, ["attack", *on_model, "--attack", attack, "--alpha", alpha,
                                 "--out-adv", f"{name}.csv"]))
     commands.append(("train-fat", ["train", "--method", "fat", "--fat-slack", "1", *common, "--out", "fat.ckpt"]))
+    # 20 points: each pgdplus pass stacks 3 (then 2) of the 5 restarts into one 64-row block.
+    commands.append(("gen-data-20", ["gen-data", "--kind", "blobs", "--n", "20", "--seed", "12", "--noise", "0.13",
+                                     "--centers", centers, "--out", "blobs20.csv"]))
+    on_20 = ["--model", "gairat.ckpt", "--data", "blobs20.csv", "--seed", "5", "--attack", "pgdplus"]
+    for verdict in ("best_iterate", "all_iterates"):
+        name = f"eval-pgdplus-{verdict}-20"
+        commands.append((name, ["eval", *on_20, "--verdict", verdict, "--out", f"{name}.csv"]))
+    commands.append(("attack-pgdplus-20", ["attack", *on_20, "--out-adv", "attack-pgdplus-20.csv"]))
     return commands
 
 
