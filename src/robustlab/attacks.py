@@ -9,13 +9,15 @@ best-iterate verdict the correctness at the returned max-loss points.
 
 Sign steps clipped to the ball soon park most rows at a fixed point or a
 2-cycle, so PGD stops computing a row once its new iterate repeats, bit for
-bit, its iterate two steps back. Every later pass on that row would repeat
-one already made: its losses never beat the best one again, and its trace
-and trajectory are filled in at once with period 2. This is exact because
-the fused pass gives a row the same logits and input gradient in a batch
-of any size, one row included. The rows still stepped are gathered by
-index into a smaller batch, on the first rows of the run's own workspace,
-once they are at most half of the current one.
+bit, its current iterate or the one a step back. Every later pass on that
+row would repeat one already made: its losses never beat the best one
+again, and its trace and trajectory are filled in at once, with period 1
+or 2. This is exact because the fused pass gives a row the same logits and
+input gradient in a batch of any size, one row included. The rows still
+stepped are gathered by index into a smaller batch, on the first rows of
+the run's own workspace, once their blocks are at most 3/4 of the current
+pass's; a pass of one block is never gathered, and stops once every row
+has settled.
 
 A pass computes a whole number of 64-row blocks, so a batch of at most 32
 rows leaves half of its pass or more to padding. Such a batch stacks
@@ -24,8 +26,8 @@ of the same workspace; a larger batch runs them one by one, G = 1, through
 the same code. Each (restart, row) keeps its own max-loss search; after
 each group, the later restarts' searches fold into the first restart's in
 restart order, which keeps the earliest max-loss iterate as a single search
-over every restart does. Best iterates are copied as one record per row
-(`_records`).
+over every restart does. Best iterates and trajectories are kept as
+records, one per iterate of a row (`_records`).
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ from .errors import (
 )
 from .model import MlpParams, predict
 from .model import forward_logits  # noqa: F401 -- unused; perfbench's tracer shims this name here
-from .tensor import Tensor, _check_input, _check_labels, _forward, _padded, _Workspace, mlp_loss_and_grad
+from .tensor import _BLOCK, Tensor, _check_input, _check_labels, _forward, _padded, _Workspace, mlp_loss_and_grad
 from .textfile import fmt
 
 
@@ -145,8 +147,8 @@ def _ball_bounds(x0: np.ndarray, epsilon: float, domain: DomainBox | None) -> tu
     lo, hi = x0 - eps, x0 + eps
     if domain is not None:
         lower, upper = domain.lower_array(), domain.upper_array()
-        np.clip(lo, lower, upper, out=lo)
-        np.clip(hi, lower, upper, out=hi)
+        lo.clip(lower, upper, out=lo)
+        hi.clip(lower, upper, out=hi)
     return lo, hi
 
 
@@ -154,14 +156,15 @@ def project_linf(x: Tensor, x0: Tensor, epsilon: float, domain: DomainBox | None
     """Clamp x into the epsilon-ball around x0, then into the domain box."""
     if x.shape != x0.shape:
         raise ShapeError(f"project_linf shapes differ: {x.shape} vs {x0.shape}")
-    return Tensor._wrap(np.clip(x.data, *_ball_bounds(x0.data, epsilon, domain)))
+    return Tensor._wrap(x.data.clip(*_ball_bounds(x0.data, epsilon, domain)))
 
 
 class _Rows(NamedTuple):
     """Per row of a PGD pass, one (restart, example) pair: the max-loss
     search's state, its best iterate as a record (`_records`), the
     restart's correctness trace (rows, steps + 1) and, on the first restart
-    of a run with friendly points, its trajectory (rows, steps + 1, d)."""
+    of a run with friendly points, its trajectory as records (rows,
+    steps + 1)."""
 
     loss: np.ndarray
     x: np.ndarray
@@ -177,11 +180,17 @@ class _Rows(NamedTuple):
 
 
 def _records(a: np.ndarray, rec: np.dtype) -> np.ndarray:
-    """A C-ordered (m, d) float64 array as a view of m records of dtype
-    `rec`, (void, 8 d bytes), one per row. A masked copy or a gather then
-    moves each row as one item; on the 2-D array numpy walks it element by
+    """A C-ordered float64 array of last axis d as a view of records of
+    dtype `rec`, (void, 8 d bytes), one per d-vector: (m, d) gives (m,),
+    (m, T, d) gives (m, T). A masked copy, a gather or a fill then moves
+    each vector as one item; on the float array numpy walks it element by
     element, several times slower."""
-    return a.view(rec)[:, 0]
+    return a.view(rec)[..., 0]
+
+
+def _views(x: np.ndarray, rec: np.dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A C-ordered (m, d) float64 iterate, its records and its int64 bits."""
+    return x, _records(x, rec), x.view(np.int64)
 
 
 def _keep_better(best: _Rows, loss: np.ndarray, x: np.ndarray, correct: np.ndarray, beats: np.ndarray) -> None:
@@ -199,35 +208,49 @@ def _starts(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, u: np.ndarray | None
     if u is None:
         return x0.copy()
     x = u + x0
-    return np.clip(x, lo, hi, out=x)
+    return x.clip(lo, hi, out=x)
 
 
-def _rows_to_keep(new: np.ndarray, prev: np.ndarray) -> np.ndarray | None:
-    """The rows of a PGD pass still to step, as a mask, once at most half of
-    them are live and dropping the settled ones shrinks the pass; else None.
+def _rows_to_keep(moved: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The rows of a PGD pass still to step, and the rows whose new iterate
+    differs from their current one, as masks, once at most `cap` rows are
+    live; else None.
 
-    A row has settled when its new iterate repeats the one two steps back
-    bit for bit (a 2-cycle, or a fixed point reached a step ago): every later
-    pass on it repeats one already made. Bits, not float ==, so that -0.0
-    and 0.0 differ.
+    moved[0] marks the entries where a row's new iterate differs, in its
+    int64 bits, from its iterate a step back (all of them before step 1)
+    and moved[1] those where it differs from its current one; moved[2] is
+    scratch. A row has settled when its new iterate repeats its current one
+    (a fixed point) or the one a step back (a 2-cycle): every later pass on
+    it repeats one already made. Bits, not float ==, so that -0.0 and 0.0
+    differ.
     """
-    m, d = new.shape
-    differ = np.not_equal(new.view(np.int64), prev.view(np.int64))
-    if 2 * np.count_nonzero(differ) > m * d:  # at least count / d rows are live, over half
+    d = moved.shape[2]
+    # An entry that differs from both makes its row live: at least count / d rows are.
+    if np.count_nonzero(np.logical_and(moved[0], moved[1], out=moved[2])) > cap * d:
         return None
-    keep = differ @ np.ones(d) != 0  # numpy's `any` along rows of a few entries is many times slower
-    return None if 2 * np.count_nonzero(keep) > m else keep
+    ones = np.ones(d)  # numpy's `any` along rows of a few entries is many times slower
+    moving = moved[1] @ ones != 0
+    live = moving & (moved[0] @ ones != 0)
+    return None if np.count_nonzero(live) > cap else (live, moving)
 
 
-def _repeat_tails(own: _Rows, done: np.ndarray, t: int) -> None:
-    """Fill in the trace and trajectory of the rows `done` (indices) of `own`
-    from iterate t + 1 on: iterate t + 1 repeats iterate t - 1, and so on."""
+def _cap(m: int) -> int:
+    """The most live rows at which a pass of m rows shrinks, those whose
+    blocks are at most 3/4 of its own: 0 for a one-block pass (m <= 64),
+    which only stops once every row has settled."""
+    return 3 * _padded(m) // 4 // _BLOCK * _BLOCK
+
+
+def _repeat_tails(own: _Rows, done: np.ndarray, cycling: np.ndarray, t: int) -> None:
+    """Fill in the trace and trajectory (records) of the rows `done` of
+    `own` from iterate t + 1 on, writing only those columns: a fixed point
+    repeats iterate t, and the rows `cycling` (a subset of `done`, both
+    indices) alternate iterates t - 1 and t."""
     for a in (own.trace, own.traj):
         if a is not None:
-            tails = a.take(done, axis=0)
-            tails[:, t + 1::2] = tails[:, t - 1:t]
-            tails[:, t + 2::2] = tails[:, t:t + 1]
-            a[done] = tails
+            a[done, t + 1:] = a[done, t, None]
+            if cycling.size:
+                a[cycling, t + 1::2] = a[cycling, t - 1, None]
 
 
 def _put_back(whole: _Rows, own: _Rows, rows: np.ndarray, which: np.ndarray | None = None) -> None:
@@ -247,49 +270,56 @@ def _climb(model: MlpParams, config: AttackConfig, x: np.ndarray, lab: np.ndarra
     Overwrites `x`. A pass that makes a NaN raises NumericalError naming
     restart r and its step.
 
-    A settled row is not computed again (see the module docstring). Once
-    at most half of the rows are live, the live ones are gathered by index
-    into a smaller pass, on the first rows of `ws`.
+    A settled row is not computed again once the live rows fit in at most
+    3/4 of the pass's blocks (`_rows_to_keep`): they are then gathered by
+    index into a smaller pass, on the first rows of `ws`. The climb stops
+    when every row has settled.
     """
     T, (m, d) = config.steps, x.shape
-    # The rows this pass still steps, as indices into `whole`, and their state: `whole`
-    # until the first shrink, gathered copies after it.
-    rows, own, beats = np.arange(m), whole, np.empty(m, dtype=bool)
-    # The iterate, the next one and the one before it, with their record views; each step rotates them.
-    its = [x, np.empty_like(x), np.empty_like(x)]
-    recs = [_records(a, whole.x.dtype) for a in its]
+    # The rows this pass still steps, as indices into `whole` (None: all of them), and
+    # their state: `whole` until the first shrink, gathered copies after it.
+    rows, own, beats, cap, rec = None, whole, np.empty(m, dtype=bool), _cap(m), whole.x.dtype
+    # The iterate, the next one and the one before it; each step rotates them.
+    its = [_views(a, rec) for a in (x, np.empty_like(x), np.empty_like(x))]
+    moved = np.ones((3, m, d), dtype=bool)  # see `_rows_to_keep`
     try:
         for t in range(T + 1):
-            x, new, prev = its
+            (x, xr, xb), (new, _, nb), (_, _, pb) = its
             if own.traj is not None:
-                own.traj[:, t] = x
+                own.traj[:, t] = xr
             step = mlp_loss_and_grad(model, x, lab, config.alpha, None, t < T, False, ws)
             correct = np.equal(step.logits.argmax(axis=1), lab, out=own.trace[:, t])
-            _keep_better(own, step.losses, recs[0], correct, beats)
+            _keep_better(own, step.losses, xr, correct, beats)
             if t == T:
                 break
             # The sign step overwrites the gradient, which no one reads again.
             g = np.sign(step.input_grad, out=step.input_grad)
             g *= config.step_size
             np.add(x, g, out=new)
-            np.clip(new, lo, hi, out=new)
-            keep = _rows_to_keep(new, prev) if t else None
-            its, recs = [new, prev, x], [recs[1], recs[2], recs[0]]
-            if keep is None:
+            new.clip(lo, hi, out=new)
+            if t:
+                np.not_equal(nb, pb, out=moved[0])
+            np.not_equal(nb, xb, out=moved[1])
+            settled = _rows_to_keep(moved, cap)
+            its = its[1:] + its[:1]
+            if settled is None:
                 continue
-            done = np.flatnonzero(~keep)
-            _repeat_tails(own, done, t)
-            if done.size == rows.size:
+            live, moving = settled
+            done = np.flatnonzero(~live)
+            _repeat_tails(own, done, done[moving.take(done)], t)
+            if done.size == live.size:
                 break
-            if own is not whole:
+            if rows is not None:
                 _put_back(whole, own, rows, done)
-            idx = np.flatnonzero(keep)
-            rows, own = rows.take(idx), _Rows(*(None if a is None else a.take(idx, axis=0) for a in own))
+            idx = np.flatnonzero(live)
+            rows = idx if rows is None else rows.take(idx)
+            own = _Rows(*(None if a is None else a.take(idx, axis=0) for a in own))
             lab, lo, hi, beats = lab.take(idx), lo.take(idx, axis=0), hi.take(idx, axis=0), beats[:idx.size]
-            ws = ws.narrowed(lab)
-            recs = [recs[0].take(idx), np.empty_like(recs[0], shape=idx.size), recs[2].take(idx)]
-            its = [a.view(np.float64).reshape(idx.size, d) for a in recs]
-        if own is not whole:
+            ws, moved, cap = ws.narrowed(lab), moved[:, :idx.size], _cap(idx.size)
+            # The new iterate and the current one, now a step back, gathered; new scratch between.
+            its = [_views(a.view(np.float64).reshape(idx.size, d), rec)
+                   for a in (its[0][1].take(idx), np.empty(idx.size, rec), its[2][1].take(idx))]
+        if rows is not None:
             _put_back(whole, own, rows)
     except FloatingPointError:
         raise NumericalError(f"PGD made a NaN at restart {r}, step {t} (alpha {config.alpha}): the "
@@ -348,8 +378,8 @@ def pgd_attack(
     trace = np.zeros((R, n, T + 1), dtype=bool)
     rec = np.dtype(f"V{8 * d}")  # (void, 8 d bytes): one row of x
     beats = np.empty(n, dtype=bool)
-    # The first group's trajectories; the first restart's are its first n rows.
-    traj = np.empty((G * n, T + 1, d)) if friendly_slack is not None else None
+    # The first group's trajectories, as records; the first restart's are its first n rows.
+    traj = _records(np.empty((G * n, T + 1, d)), rec) if friendly_slack is not None else None
 
     # A large alpha drives the scaled losses to +inf, a limit the max-loss search compares
     # correctly; a NaN, which it cannot compare, is refused at the pass that made it.
@@ -389,10 +419,10 @@ def pgd_attack(
     if traj is not None:
         wrong = ~trace[0]
         chosen = np.minimum(wrong.argmax(axis=1) + int(friendly_slack), T)
-        friendly = best_x.copy()
+        friendly = best.x.copy()
         idx = np.nonzero(wrong.any(axis=1))[0]
         friendly[idx] = traj[idx, chosen[idx]]
-        friendly = Tensor._wrap(friendly)
+        friendly = Tensor._wrap(friendly.view(np.float64).reshape(n, d))
     return AttackResult(
         adversarial=Tensor._wrap(best_x),
         kappa=count_kappa(kappa_trace, T),

@@ -215,29 +215,42 @@ class _Workspace(NamedTuple):
         return cls._over(_layers(sizes, rows), _layers(sizes, rows), lab)
 
     def narrowed(self, lab: np.ndarray) -> "_Workspace":
-        """A workspace for fewer rows, labelled `lab`, on the first rows of this one's layers.
+        """A workspace for the rows labelled `lab`, at most this one's rows, on the first entries of its arrays.
 
         The layer arrays are prefix views, already faulted in, with the
         padding of the input and of the upstream gradient zeroed again; the
-        head's arrays are new. A pass with either workspace overwrites the
-        other's layers.
+        head's scratch, `logp` and `exps`, lies on the first entries of this
+        one's, and its label arrays are new. A pass with either workspace
+        overwrites the other's layers and scratch.
         """
         m, rows = lab.shape[0], _padded(lab.shape[0])
         acts, grads = [a[:rows] for a in self.acts], [g[:rows] for g in self.grads]
         acts[0][m:] = 0.0
         grads[-1][m:] = 0.0
-        return self._over(acts, grads, lab)
+        return self._over(acts, grads, lab, self)
 
     @classmethod
-    def _over(cls, acts: list[np.ndarray], grads: list[np.ndarray], lab: np.ndarray) -> "_Workspace":
-        """The workspace on layer arrays `acts` and `grads`, with new head arrays for `lab`."""
+    def _over(cls, acts: list[np.ndarray], grads: list[np.ndarray], lab: np.ndarray,
+              on: "_Workspace | None" = None) -> "_Workspace":
+        """The workspace on layer arrays `acts` and `grads`, with new label
+        arrays for `lab` and the head's scratch: new, or on the first entries
+        of that of `on`."""
         n, classes, rows = lab.shape[0], acts[-1].shape[1], np.arange(lab.shape[0])
+        if on is None:
+            logp = np.empty((n, classes), order="F")
+            exps = np.empty((n, classes), order="C" if classes >= _PAIRWISE_FROM else "F")
+        else:
+            logp, exps = _prefix(on.logp, n), _prefix(on.exps, n)
         onehot = np.zeros((n, classes))
         onehot[rows, lab] = 1.0
-        return cls(acts, grads, [_blocks(a) for a in acts], [_blocks(g) for g in grads],
-                   np.empty((n, classes), order="F"),
-                   np.empty((n, classes), order="C" if classes >= _PAIRWISE_FROM else "F"),
-                   onehot, lab * n + rows)
+        return cls(acts, grads, [_blocks(a) for a in acts], [_blocks(g) for g in grads], logp, exps, onehot,
+                   lab * n + rows)
+
+
+def _prefix(a: np.ndarray, n: int) -> np.ndarray:
+    """An (n, k) array on the first n k entries of `a`, a contiguous (m, k) array with m >= n, in a's order."""
+    order = "F" if a.flags.f_contiguous else "C"
+    return a.reshape(-1, order=order)[:n * a.shape[1]].reshape((n, a.shape[1]), order=order)
 
 
 def _forward(params: MlpParams, x: np.ndarray, acts: list[np.ndarray], blocks: list[np.ndarray]) -> np.ndarray:

@@ -372,21 +372,24 @@ class TestPgdOutOfRange:
     def test_a_nan_after_other_rows_settled_names_the_full_batch_pass(self, monkeypatch):
         # One hidden unit h = relu(x1 + x2) and logits (1e308 h, -1e308 h). Row 0 is
         # misclassified and climbs by 2 * 0.1 in h per step: h = 1.5, 1.7, 1.9, and at
-        # step 2 its logits overflow to inf, whose row max makes a NaN. Rows 1 and 2 have
-        # a dead unit, a zero input gradient and so a fixed point: they settle at step 1,
-        # and the pass of step 2 runs on row 0 alone.
+        # step 2 its logits overflow to inf, whose row max makes a NaN. The other 129 rows
+        # have a dead unit, a zero input gradient and so a fixed point: they settle at
+        # step 0, the 3-block pass shrinks to one, and the passes of steps 1 and 2 run on
+        # row 0 alone.
         config = MlpConfig((2, 1, 2), activation="relu")
         params = make_params(config, [[[1.0], [1.0]], [[1e308, -1e308]]], [[0.0], [0.0, 0.0]])
         cfg = AttackConfig(epsilon=1.0, steps=5, step_size=0.1, clip_to_domain=False)
-        x0, y = Tensor([[0.75, 0.75], [-0.5, -0.5], [-0.25, -0.5]]), np.array([1, 1, 1])
+        dead = np.random.default_rng(0).uniform(-1.0, -0.25, size=(129, 2))
+        x0, y = Tensor(np.vstack([[[0.75, 0.75]], dead])), np.ones(130, dtype=int)
         rows = spy_on_passes(monkeypatch)
         with pytest.raises(NumericalError, match=r"made a NaN at restart 0, step 2 \(alpha 1\.0\)"):
             pgd_attack(params, x0, y, cfg)
-        assert rows == [3, 3, 1]
-        rows.clear()  # row 0 alone, whose every pass is its whole batch, names the same pass
-        with pytest.raises(NumericalError, match=r"made a NaN at restart 0, step 2 "):
-            pgd_attack(params, Tensor(x0.data[:1]), y[:1], cfg)
-        assert rows == [1, 1, 1]
+        assert rows == [130, 1, 1]
+        for k in (1, 3):  # one block: row 0 alone, and with two dead rows that it keeps computing
+            rows.clear()
+            with pytest.raises(NumericalError, match=r"made a NaN at restart 0, step 2 "):
+                pgd_attack(params, Tensor(x0.data[:k]), y[:k], cfg)
+            assert rows == [k] * 3
 
     @pytest.mark.parametrize("seed, named", [(0, "restart 0, step 8"), (22, "restart 2, step 4")])
     def test_a_nan_in_stacked_restarts_names_the_pass_of_one_restart_at_a_time(self, monkeypatch, seed, named):
@@ -522,12 +525,17 @@ SETTLING_MODELS = {
 }
 
 
+SETTLING_SIZES = (1, 2, 3, 5, 40, 65, 130, 300)
+
+
 def settling_batches(name):
-    """A random model and batches of 1, 2, 3, 5 and 40 rows in the unit box."""
+    """A random model and batches of SETTLING_SIZES rows in the unit box: up to 40
+    rows a pass is one block and never shrinks; 65, 130 and 300 rows take 2, 3 and 5
+    blocks, and their passes shrink as rows settle."""
     sizes, activation = SETTLING_MODELS[name]
     rng = np.random.default_rng(7)
     params = random_params(rng, sizes, activation)
-    return params, [(rng.uniform(0, 1, size=(k, 2)), rng.integers(0, sizes[-1], size=k)) for k in (1, 2, 3, 5, 40)]
+    return params, [(rng.uniform(0, 1, size=(k, 2)), rng.integers(0, sizes[-1], size=k)) for k in SETTLING_SIZES]
 
 
 def settling_config(alpha=1.0, random_start=True, clip_to_domain=True):
@@ -536,8 +544,8 @@ def settling_config(alpha=1.0, random_start=True, clip_to_domain=True):
 
 
 class TestSettledRows:
-    """PGD stops computing a row once its iterate repeats the one two steps
-    back, and keeps every output bit of the full-batch loop."""
+    """PGD stops computing a row once its new iterate repeats its current one
+    or the one before it, and keeps every output bit of the full-batch loop."""
 
     @pytest.mark.parametrize("model", list(SETTLING_MODELS))
     @pytest.mark.parametrize("alpha", [0.01, 1.0, 100.0])
@@ -607,7 +615,7 @@ class TestSettledRows:
             assert climbs == [g * n for g in {1: [5], 20: [3, 2], 22: [2, 2, 1], 32: [2, 2, 1]}[n]]
 
     def test_the_batches_hit_every_case(self, monkeypatch):
-        # Fixed points, 2-cycles and live rows are read off the full-batch iterates, so
+        # Fixed points, 2-cycles and settled rows are read off the full-batch iterates, so
         # they do not depend on the code under test; the spy shows the passes it made.
         rows = spy_on_passes(monkeypatch)
         cfg = settling_config()
@@ -620,29 +628,34 @@ class TestSettledRows:
                 _, paths = full_batch_pgd(params, x0, y, cfg, DomainBox.unit(2), 5)
                 bits = paths.view(np.int64)
                 fixed = (bits[:, 1:] == bits[:, :-1]).all(axis=-1)  # x[t + 1] == x[t]
-                settled = (bits[:, 2:] == bits[:, :-2]).all(axis=-1)  # x[t + 1] == x[t - 1]
-                live = (~settled).sum(axis=-1)
+                cycle = (bits[:, 2:] == bits[:, :-2]).all(axis=-1)  # x[t + 1] == x[t - 1]
+                settled = fixed[:, :-1] | cycle  # at steps 0 .. steps - 2, as the passes that follow
+                shrunk = sorted({k for k in rows if tensor._padded(k) < tensor._padded(len(y))}, reverse=True)
                 hit |= {case for case, seen in [
                     ("fixed point", fixed.any()),
-                    ("2-cycle", (settled & ~fixed[:, 1:]).any()),
+                    ("2-cycle", (cycle & ~fixed[:, 1:]).any()),
                     ("every row settled before the last step", settled.any(axis=1).all(axis=-1).any()),
-                    ("one live row alone", len(y) >= 3 and (live == 1).any() and 1 in rows),
+                    ("a pass shrunk to fewer blocks", len(shrunk) > 0),
+                    ("a shrunk pass shrunk again", len(shrunk) > 1),
+                    ("a shrink to one block", 0 < len(shrunk) and shrunk[-1] <= 64),
                     ("one row", len(y) == 1), ("two rows", len(y) == 2),
                 ] if seen}
-        assert len(hit) == 6, hit
+        assert len(hit) == 8, hit
 
     def test_a_two_cycle_across_the_boundary_fills_in_alternating_tails(self, monkeypatch):
         # h = (relu(0.53 - x1), relu(x1 - 0.53)) and logits (100 h1 + h2, 0.05): label 0's
         # loss peaks at x1 = 0.53. Steps of 1/16 from x1 = 0.25 end in a 2-cycle between
-        # 0.5, correct, and 0.5625, wrong, which settles at step 5 of 10. A second row from
-        # x1 = 0.3125 settles a step earlier, so the pass of step 5 runs on the first alone.
+        # 0.5, correct, and 0.5625, wrong, which settles at step 5 of 10. 64 more rows from
+        # x1 = 0.3125 (x2 does not move) settle a step earlier, so the 2-block pass shrinks
+        # and the pass of step 5 runs on the first row alone.
         config = MlpConfig((2, 2, 2), activation="relu")
         params = make_params(config, [[[-1.0, 1.0], [0.0, 0.0]], [[100.0, 0.0], [1.0, 0.0]]],
                              [[0.53, -0.53], [0.0, 0.05]])
         cfg = AttackConfig(epsilon=0.5, steps=10, step_size=0.0625, clip_to_domain=False)
         rows = spy_on_passes(monkeypatch)
-        for x0 in ([[0.25, 0.5]], [[0.25, 0.5], [0.3125, 0.25]]):
-            x0, y = np.array(x0), np.zeros(len(x0), dtype=int)
+        earlier = np.column_stack([np.full(64, 0.3125), np.linspace(0.0, 1.0, 64)])
+        for x0 in (np.array([[0.25, 0.5]]), np.vstack([[[0.25, 0.5]], earlier])):
+            y = np.zeros(len(x0), dtype=int)
             for slack in (None, 0, 1, 2, 3):
                 rows.clear()
                 want, _ = full_batch_pgd(params, x0, y, cfg, None, 0, slack)
@@ -652,39 +665,72 @@ class TestSettledRows:
 
     def test_a_fixed_point_reached_right_after_a_shrink(self, monkeypatch):
         # Logits (0, 10 (x1 - 0.47)) and label 0: every row walks right in steps of 1/16.
-        # Rows 0 and 1 stop at the box's face after two steps, and settle at step 3. Row 2
-        # crosses the boundary on its last step, to its ball's face at x1 = 0.5, and then
-        # stays there: it is live in the 1-row pass of step 4 and settles at step 5.
+        # Rows 0-63 stop at the box's face after two steps and settle at step 2, so the
+        # 2-block pass shrinks to row 64. Its step in the first pass after the shrink, at
+        # step 3, crosses the boundary to its ball's face at x1 = 0.5, where it stays: it
+        # settles at step 4, in the second 1-row pass.
         params = linear_model([[0.0, 10.0], [0.0, 0.0]], [0.0, -4.7])
         cfg = AttackConfig(epsilon=0.25, steps=8, step_size=0.0625)
-        x0, y = np.array([[0.875, 0.5], [0.875, 0.25], [0.25, 0.5]]), np.zeros(3, dtype=int)
+        face = np.column_stack([np.full(64, 0.875), np.linspace(0.0, 1.0, 64)])
+        x0, y = np.vstack([face, [[0.25, 0.5]]]), np.zeros(65, dtype=int)
         rows = spy_on_passes(monkeypatch)
         for slack in (None, 0, 1, 2):
             rows.clear()
             want, _ = full_batch_pgd(params, x0, y, cfg, DomainBox.unit(2), 0, slack)
             got = pgd_attack(params, Tensor(x0), y, cfg, domain=DomainBox.unit(2), friendly_slack=slack)
             assert_same_result(got, want)
-            assert want.correct_trace[2, 0, 3:].tolist() == [True] + [False] * 5
-            assert rows == [3, 3, 3, 3, 1, 1]
+            assert want.correct_trace[64, 0, 3:].tolist() == [True] + [False] * 5
+            assert rows == [65, 65, 65, 1, 1]
+
+    def test_a_row_at_a_fixed_point_is_not_computed_in_the_next_pass(self, monkeypatch):
+        # h = relu(x1 + x2 - 1) and logits (h, -h), label 1: a row above the line climbs by
+        # 0.01 per coordinate and step. A row below it has a dead unit and a zero input
+        # gradient, so its first step leaves it where it started: a fixed point, seen at
+        # step 0. A pass of more than one block drops such rows at once; a one-block pass
+        # keeps computing them until every row has settled.
+        config = MlpConfig((2, 1, 2), activation="relu")
+        params = make_params(config, [[[1.0], [1.0]], [[1.0, -1.0]]], [[-1.0], [0.0, 0.0]])
+        cfg = AttackConfig(epsilon=0.5, steps=6, step_size=0.01, clip_to_domain=False)
+        x0 = np.random.default_rng(0).uniform(0.0, 0.45, size=(130, 2))
+        x0[::3] += 0.55  # rows 0, 3, ..., 129 are live
+        passes = []
+
+        def spy(params, x, *args):
+            passes.append(x.copy())
+            return mlp_loss_and_grad(params, x, *args)
+
+        monkeypatch.setattr(attacks, "mlp_loss_and_grad", spy)
+        dead = np.ones(130, dtype=bool)
+        dead[::3] = False
+        for x, want_rows in [(x0, [130] + [44] * 6), (x0[dead], [86]), (x0[:40], [40] * 7), (x0[1:3], [2])]:
+            y = np.ones(len(x), dtype=int)
+            for slack in (None, 1):
+                passes.clear()
+                want, paths = full_batch_pgd(params, x, y, cfg, None, 0, slack)
+                assert_same_result(pgd_attack(params, Tensor(x), y, cfg, friendly_slack=slack), want)
+                assert [p.shape[0] for p in passes] == want_rows
+                if len(x) == 130:  # after step 0, exactly the live rows' iterates
+                    assert all(p.tobytes() == paths[0, t, ::3].tobytes() for t, p in enumerate(passes[1:], 1))
 
     def test_most_row_passes_skipped(self, monkeypatch):
         # A 4000-row pgdplus-shaped run on the README model: sign steps of 0.01 reach the
-        # 0.031-ball's corners within a few steps, and about 18 % of the rows are computed.
+        # 0.031-ball's corners within a few steps, and about 14 % of the rows are computed.
         rows = spy_on_passes(monkeypatch)
         params = init_params(MlpConfig((2, 16, 16, 4), init_seed=1))
         rng = np.random.default_rng(0)
         x0, y = Tensor(rng.uniform(0, 1, size=(4000, 2))), rng.integers(0, 4, size=4000)
         cfg = pgd_plus_config()
         pgd_attack(params, x0, y, cfg, domain=DomainBox.unit(2), seed=1)
-        assert sum(rows) <= 0.25 * 4000 * cfg.restarts * (cfg.steps + 1)
+        assert sum(rows) <= 0.16 * 4000 * cfg.restarts * (cfg.steps + 1)
 
     @pytest.mark.parametrize("model", ["cancelling", *SETTLING_MODELS])
     def test_a_one_row_run_gives_that_rows_bits_in_a_batched_run(self, model):
         # oracle-check attacks one row at a time. Without a random start each row of a
-        # batched run starts where its 1-row run does, and every output keeps its bits.
-        # In the cancelling model two relu units, alike in x1 and opposite in x2, get the
-        # same upstream gradient: the x2 component of the input gradient is 0 in real
-        # arithmetic, and its float sign follows the kernel's rounding.
+        # batched run starts where its 1-row run does, and every output keeps its bits,
+        # also in the shrinking passes of the 130-row settling batch. In the cancelling
+        # model two relu units, alike in x1 and opposite in x2, get the same upstream
+        # gradient: the x2 component of the input gradient is 0 in real arithmetic, and
+        # its float sign follows the kernel's rounding.
         if model == "cancelling":
             params = make_params(MlpConfig((2, 2, 3), activation="relu"),
                                  [[[1.0, 1.0], [0.3, -0.3]], [[0.7, -1.1, 0.2], [0.7, -1.1, 0.2]]],
@@ -693,7 +739,7 @@ class TestSettledRows:
             x0, y = rng.uniform(0, 1, size=(40, 2)), rng.integers(0, 3, size=40)
         else:
             params, batches = settling_batches(model)
-            x0, y = batches[-1]
+            x0, y = batches[SETTLING_SIZES.index(130)]
         cfg = settling_config(random_start=False)
         batch = pgd_attack(params, Tensor(x0), y, cfg, domain=DomainBox.unit(2), friendly_slack=1)
         for i in range(len(y)):

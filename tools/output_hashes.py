@@ -14,7 +14,9 @@ The runs are:
   stderr and exit code, and every file it writes;
 - on the same model and data, `eval --out` for pgd20 and pgdplus under both
   verdicts, `attack --out-adv` at pgd20 alpha 1 and 100 and at pgdplus
-  alpha 10, and `train --method fat --fat-slack 1`;
+  alpha 10, and `train --method fat --fat-slack 1` at batch 64 and at
+  batch 200, whose friendly searches run passes of four 64-row blocks that
+  shrink as their rows settle;
 - on the same model and a 20-point `gen-data` set, whose pgdplus passes
   stack several restarts, `eval --out` under both verdicts and
   `attack --out-adv` for pgdplus;
@@ -85,6 +87,10 @@ def _commands(size: workloads.Size) -> list[tuple[str, list[str]]]:
         commands.append((name, ["attack", *on_model, "--attack", attack, "--alpha", alpha,
                                 "--out-adv", f"{name}.csv"]))
     commands.append(("train-fat", ["train", "--method", "fat", "--fat-slack", "1", *common, "--out", "fat.ckpt"]))
+    at_200 = list(common)
+    at_200[at_200.index("--batch-size") + 1] = "200"
+    commands.append(("train-fat-200", ["train", "--method", "fat", "--fat-slack", "1", *at_200,
+                                       "--out", "fat200.ckpt"]))
     # 20 points: each pgdplus pass stacks 3 (then 2) of the 5 restarts into one 64-row block.
     commands.append(("gen-data-20", ["gen-data", "--kind", "blobs", "--n", "20", "--seed", "12", "--noise", "0.13",
                                      "--centers", centers, "--out", "blobs20.csv"]))
