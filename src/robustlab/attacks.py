@@ -412,20 +412,22 @@ def pgd_attack(
                 _keep_better(best, group.loss[part], group.x[part], group.correct[part], beats)
     best_x = best.x.view(np.float64).reshape(n, d)
 
-    # kappa counts from the natural point regardless of random starts, then
-    # follows the first restart's iterates.
-    kappa_trace = np.concatenate([natural_correct[:, None], trace[0, :, 1:]], axis=1)
+    wrong = ~trace[0]
     friendly = None
     if traj is not None:
-        wrong = ~trace[0]
         chosen = np.minimum(wrong.argmax(axis=1) + int(friendly_slack), T)
         friendly = best.x.copy()
         idx = np.nonzero(wrong.any(axis=1))[0]
         friendly[idx] = traj[idx, chosen[idx]]
         friendly = Tensor._wrap(friendly.view(np.float64).reshape(n, d))
+    # kappa counts from the natural point regardless of random starts, then follows the first
+    # restart's iterates: the first wrong column, with column T read as wrong, so that a row that
+    # never flips gets T (`count_kappa`'s rule, without its checks of a trace made here).
+    np.logical_not(natural_correct, out=wrong[:, 0])
+    wrong[:, T] = True
     return AttackResult(
         adversarial=Tensor._wrap(best_x),
-        kappa=count_kappa(kappa_trace, T),
+        kappa=wrong.argmax(axis=1).astype(np.int64, copy=False),
         correct_trace=trace.transpose(1, 0, 2),
         natural_correct=natural_correct,
         final_correct=best.correct,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -47,10 +48,18 @@ class DomainBox:
         return len(self.lower)
 
     def lower_array(self) -> np.ndarray:
-        return np.asarray(self.lower)
+        return self._arrays[0]
 
     def upper_array(self) -> np.ndarray:
-        return np.asarray(self.upper)
+        return self._arrays[1]
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """`lower` and `upper` as read-only arrays, built once per box: every PGD run clips to them."""
+        arrays = np.asarray(self.lower), np.asarray(self.upper)
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
 
     def clip(self, points: np.ndarray) -> np.ndarray:
         return np.clip(points, self.lower_array(), self.upper_array())

@@ -77,7 +77,7 @@ class MlpParams:
                     f"layer {i}: weight {w.shape} / bias {b.shape} conflict with "
                     f"config shapes {want_w} / {want_b}"
                 )
-            if not (np.all(np.isfinite(w.data)) and np.all(np.isfinite(b.data))):
+            if not (np.isfinite(w.data).all() and np.isfinite(b.data).all()):
                 raise ParameterError(f"layer {i} contains non-finite parameters")
 
     @cached_property

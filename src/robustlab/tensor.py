@@ -107,7 +107,8 @@ def _log_softmax(logits: np.ndarray, alpha: float, out: np.ndarray | None = None
     # Stabilized by max-subtraction so exp() stays in [0, 1] even when the
     # scale pushes logits far apart (the sweep goes up to alpha = 100).
     shifted = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
-    shifted *= alpha
+    if alpha != 1.0:  # x * 1.0 is x, bit for bit: every training pass skips it
+        shifted *= alpha
     lse = np.exp(shifted, out=exps).sum(axis=1, keepdims=True)
     shifted -= np.log(lse, out=lse)
     return shifted
@@ -124,7 +125,7 @@ def _check_labels(labels, n: int, num_classes: int) -> np.ndarray:
     lab = np.asarray(labels)
     if lab.ndim != 1 or lab.shape[0] != n:
         raise ShapeError(f"labels must be a length-{n} vector, got shape {lab.shape}")
-    if not np.issubdtype(lab.dtype, np.integer):
+    if lab.dtype.kind not in "iu":  # signed or unsigned integers (np.issubdtype would pass timedelta64 too)
         raise ParameterError(f"labels must be integers, got dtype {lab.dtype}")
     if lab.size and (lab.min() < 0 or lab.max() >= num_classes):
         raise IndexError(f"label out of range [0, {num_classes})")
@@ -175,10 +176,11 @@ class _Workspace(NamedTuple):
     """The arrays every pass of one PGD run writes into, and the run's
     labels in the two forms the loss head reads. `pgd_attack` makes one for
     its batch, runs its natural forward pass and then every step in it,
-    narrows it when rows settle, and drops it when it returns;
-    `mlp_loss_and_grad` makes one for a pass given none. (Freed after every
-    pass, a large batch's arrays were trimmed off the heap by glibc and
-    faulted in again on the next.)
+    narrows it when rows settle, and drops it when it returns; `train`
+    makes one for its batch size and narrows it to each batch's labels for
+    that batch's SGD pass; `mlp_loss_and_grad` makes one for a pass given
+    none. (Freed after every pass, a large batch's arrays were trimmed off
+    the heap by glibc and faulted in again on the next.)
 
     Layer products: `acts` holds the input and every layer's output, and
     `grads` every layer's input gradient and then the upstream gradient
@@ -217,17 +219,24 @@ class _Workspace(NamedTuple):
     def narrowed(self, lab: np.ndarray) -> "_Workspace":
         """A workspace for the rows labelled `lab`, at most this one's rows, on the first entries of its arrays.
 
-        The layer arrays are prefix views, already faulted in, with the
-        padding of the input and of the upstream gradient zeroed again; the
-        head's scratch, `logp` and `exps`, lies on the first entries of this
-        one's, and its label arrays are new. A pass with either workspace
-        overwrites the other's layers and scratch.
+        Given fewer rows, the layer arrays are prefix views, already faulted
+        in; the head's scratch, `logp` and `exps`, lies on the first entries
+        of this one's, and its label arrays are new. A pass with either
+        workspace overwrites the other's layers and scratch. Given as many
+        rows, it is this one, its label arrays refilled for `lab` in place.
+        Either way the padding of the input and of the upstream gradient is
+        zeroed again.
         """
-        m, rows = lab.shape[0], _padded(lab.shape[0])
-        acts, grads = [a[:rows] for a in self.acts], [g[:rows] for g in self.grads]
-        acts[0][m:] = 0.0
-        grads[-1][m:] = 0.0
-        return self._over(acts, grads, lab, self)
+        m = lab.shape[0]
+        if m < self.flat.shape[0]:
+            rows = _padded(m)
+            ws = self._over([a[:rows] for a in self.acts], [g[:rows] for g in self.grads], lab, self)
+        else:
+            ws = self
+            _label(lab, ws.onehot, ws.flat)
+        ws.acts[0][m:] = 0.0
+        ws.grads[-1][m:] = 0.0
+        return ws
 
     @classmethod
     def _over(cls, acts: list[np.ndarray], grads: list[np.ndarray], lab: np.ndarray,
@@ -235,16 +244,27 @@ class _Workspace(NamedTuple):
         """The workspace on layer arrays `acts` and `grads`, with new label
         arrays for `lab` and the head's scratch: new, or on the first entries
         of that of `on`."""
-        n, classes, rows = lab.shape[0], acts[-1].shape[1], np.arange(lab.shape[0])
+        n, classes = lab.shape[0], acts[-1].shape[1]
         if on is None:
             logp = np.empty((n, classes), order="F")
             exps = np.empty((n, classes), order="C" if classes >= _PAIRWISE_FROM else "F")
         else:
             logp, exps = _prefix(on.logp, n), _prefix(on.exps, n)
-        onehot = np.zeros((n, classes))
-        onehot[rows, lab] = 1.0
-        return cls(acts, grads, [_blocks(a) for a in acts], [_blocks(g) for g in grads], logp, exps, onehot,
-                   lab * n + rows)
+        onehot, flat = np.empty((n, classes)), np.empty(n, dtype=np.int64)
+        _label(lab, onehot, flat)
+        return cls(acts, grads, [_blocks(a) for a in acts], [_blocks(g) for g in grads], logp, exps, onehot, flat)
+
+
+def _label(lab: np.ndarray, onehot: np.ndarray, flat: np.ndarray) -> None:
+    """Write into `onehot`, (n, classes), 1.0 at each row's label and 0.0
+    elsewhere, and into `flat` each label's index into the Fortran-order
+    flattening of an (n, classes) array."""
+    n = lab.shape[0]
+    rows = np.arange(n)
+    onehot.fill(0.0)
+    onehot[rows, lab] = 1.0
+    np.multiply(lab, n, out=flat)
+    flat += rows
 
 
 def _prefix(a: np.ndarray, n: int) -> np.ndarray:
@@ -328,7 +348,8 @@ def mlp_loss_and_grad(
 
     g = np.exp(logp, out=ws.grads[-1][:n])
     g -= ws.onehot  # exact off the label too: x - 0.0 is x
-    g *= alpha
+    if alpha != 1.0:
+        g *= alpha
     if weights is not None:
         g *= (weights / n)[:, None]
     kind = params.config.activation

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .evaluate import eval_natural
 from .model import MlpConfig, MlpParams, init_params
-from .tensor import Tensor, mlp_loss_and_grad
+from .tensor import Tensor, _Workspace, mlp_loss_and_grad
 from .textfile import fmt, write_table
 
 TRAIN_METHODS = ("erm", "at", "fat", "gairat")
@@ -81,7 +81,7 @@ class WeightAssignment:
         w = np.asarray(self.omega, dtype=np.float64)
         if w.ndim != 1 or w.size == 0:
             raise ShapeError(f"weights must be a non-empty vector, got shape {w.shape}")
-        if not (np.all(np.isfinite(w)) and w.min() >= 0):
+        if not (np.isfinite(w).all() and w.min() >= 0):
             raise ContractError("weights must be finite and non-negative")
         if abs(w.mean() - 1.0) > 1e-10:
             raise ContractError(f"weight mean must be 1 within 1e-10, got {w.mean()!r}")
@@ -129,8 +129,9 @@ def sgd_step(params: MlpParams, grads: Sequence[np.ndarray], learning_rate: floa
             raise ShapeError(
                 f"gradient shapes {gw.shape}/{gb.shape} do not match parameter shapes {w.shape}/{b.shape}"
             )
-        new_w.append(Tensor._wrap(w.data - lr * gw))
-        new_b.append(Tensor._wrap(b.data - lr * gb))
+        dw, db = lr * gw, lr * gb  # theta - lr * g is written into the lr * g temporary
+        new_w.append(Tensor._wrap(np.subtract(w.data, dw, out=dw)))
+        new_b.append(Tensor._wrap(np.subtract(b.data, db, out=db)))
     return MlpParams(config=params.config, weights=tuple(new_w), biases=tuple(new_b))
 
 
@@ -207,6 +208,8 @@ def train(model_config: MlpConfig, dataset: Dataset, config: TrainConfig) -> tup
         # kappa and crafting both run at scale 1: the logit scale belongs
         # to the attacker, not to training.
         inner = replace(config.inner_attack, alpha=1.0)
+    # Every batch's SGD pass runs in this one workspace, narrowed to its labels.
+    ws = _Workspace.for_batch(model_config.layer_sizes, labels[:config.batch_size])
 
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
@@ -240,7 +243,7 @@ def train(model_config: MlpConfig, dataset: Dataset, config: TrainConfig) -> tup
             if kappa_counts is not None:
                 kappa_counts += np.bincount(kappa, minlength=inner.steps + 1)
 
-            step = mlp_loss_and_grad(params, x_train, yb, 1.0, omega, False, True)
+            step = mlp_loss_and_grad(params, x_train, yb, 1.0, omega, False, True, ws.narrowed(yb))
             if not np.isfinite(step.loss):
                 raise _diverged(f"non-finite loss {step.loss}", epoch, batch, config)
             params = sgd_step(params, step.param_grads, config.learning_rate)

@@ -1,7 +1,7 @@
 """PGD family: projection, traces, kappa, early stopping, verdicts, oracle."""
 import platform
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import partial
 from itertools import combinations
 
@@ -967,3 +967,32 @@ class TestAlphaOnlyAffectsCrafting:
             pred = np.argmax(scaled_softmax(logits, alpha).data, axis=1)
             np.testing.assert_array_equal(pred, base_pred)
             assert float(np.mean(pred == y)) == base_acc
+
+
+class TestLogitScaleEquivariance:
+    """Multiplying the last layer's weight and bias by 2^k multiplies the
+    logits by 2^k exactly, and the scaled cross-entropy at alpha then makes
+    the float operations of the original model at 2^k alpha, reverse pass
+    included: every PGD output keeps its bits. At alpha = 1 the head skips
+    its multiplies by alpha, and x * 1.0 is x, so a pair in which one side
+    runs at alpha = 1 keeps them too."""
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("k", [-3, 3, 7])
+    @pytest.mark.parametrize("alpha", [0.01, 1.0, np.sqrt(10.0), None], ids=["0.01", "1", "sqrt10", "2^-k"])
+    @pytest.mark.parametrize("preset", [pgd20_config, pgd_plus_config], ids=["pgd20", "pgdplus"])
+    def test_scaled_last_layer_at_alpha_is_the_model_at_scaled_alpha(self, activation, k, alpha, preset):
+        rng = np.random.default_rng(17)
+        params = random_params(rng, (2, 16, 16, 4), activation)
+        s = 2.0 ** k
+        weights, biases = [w.data for w in params.weights], [b.data for b in params.biases]
+        weights[-1], biases[-1] = s * weights[-1], s * biases[-1]
+        scaled = make_params(params.config, weights, biases)
+        alpha = 1.0 / s if alpha is None else alpha  # None: the original model runs at alpha = 1
+        box = DomainBox.unit(2)
+        for n in (20, 100):  # 20 rows stack pgdplus's restarts into one pass
+            x0, y = Tensor(rng.uniform(0, 1, size=(n, 2))), rng.integers(0, 4, size=n)
+            got = pgd_attack(scaled, x0, y, replace(preset(0.1), alpha=alpha), domain=box, seed=3)
+            want = pgd_attack(params, x0, y, replace(preset(0.1), alpha=s * alpha), domain=box, seed=3)
+            assert_same_result(got, want)
+            assert not got.correct_trace.all()  # the attack flips some rows

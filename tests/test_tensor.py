@@ -133,6 +133,19 @@ class TestScaledCrossEntropy:
         with pytest.raises(ParameterError):
             scaled_softmax_cross_entropy(Tensor([[1.0, 2.0]]), np.array([0.0]), 1.0)
 
+    @pytest.mark.parametrize("dtype", ["bool", "timedelta64[s]", "object"])
+    def test_labels_of_a_dtype_of_another_kind_rejected(self, dtype):
+        # Only signed and unsigned integers are labels: not bools, and not
+        # timedeltas, although numpy counts those as a subtype of np.integer.
+        with pytest.raises(ParameterError, match="labels must be integers"):
+            scaled_softmax_cross_entropy(Tensor([[1.0, 2.0]]), np.array([0]).astype(dtype), 1.0)
+
+    @pytest.mark.parametrize("dtype", ["int8", "uint8", "int32", "uint64"])
+    def test_every_integer_label_dtype_accepted(self, dtype):
+        logits = Tensor([[1.0, 2.0], [0.5, -1.0]])
+        got = scaled_softmax_cross_entropy(logits, np.array([1, 0], dtype=dtype), 1.0).data
+        np.testing.assert_array_equal(got, scaled_softmax_cross_entropy(logits, np.array([1, 0]), 1.0).data)
+
 
 class TestSoftmaxProperties:
     @given(
@@ -404,6 +417,49 @@ class TestBackward:
             return mlp_loss_and_grad(params, x, y, 1.0, weights, True, False).input_grad
 
         np.testing.assert_array_equal(grad_with(2.0 * w), 2.0 * grad_with(w))
+
+
+class TestReusedWorkspace:
+    """`train` makes one workspace per run and narrows it to each batch's
+    labels: to as many rows, it is relabelled in place, and to fewer, its
+    prefix. A pass in it keeps the bits of a pass in a new workspace."""
+
+    @staticmethod
+    def assert_new_workspace_bits(params, ws, x, y, alpha, weights):
+        got = mlp_loss_and_grad(params, x, y, alpha, weights, True, True, ws)
+        want = mlp_loss_and_grad(params, x, y, alpha, weights, True, True,
+                                 _Workspace.for_batch(params.config.layer_sizes, y))
+        assert got.loss == want.loss
+        for a, b in zip((got.logits, got.losses, got.input_grad, *got.param_grads),
+                        (want.logits, want.losses, want.input_grad, *want.param_grads)):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+    @pytest.mark.parametrize("alpha", [1.0, 3.0])
+    @pytest.mark.parametrize("classes", [2, 4, 33])
+    @pytest.mark.parametrize("n", [64, 67])
+    def test_relabelled_then_narrowed_and_back(self, rng, n, classes, alpha):
+        params = random_params(rng, (2, 16, 16, classes), activation="relu")
+        full = _Workspace.for_batch(params.config.layer_sizes, rng.integers(0, classes, size=n))
+
+        def batch(m):
+            return rng.uniform(0, 1, size=(m, 2)), rng.integers(0, classes, size=m), rng.uniform(0.1, 2, size=m)
+
+        x, y, w = batch(n)
+        ws = full.narrowed(y)
+        assert ws is full
+        self.assert_new_workspace_bits(params, ws, x, y, alpha, w)
+        # Every label changes, so a stale one-hot entry or flat index would show.
+        y = (y + rng.integers(1, classes, size=n)) % classes
+        assert full.narrowed(y) is full
+        self.assert_new_workspace_bits(params, full, x, y, alpha, w)
+        m = n - 4 if n > 64 else n // 2  # 67 -> 63 rows: one 64-row block, on a prefix of two
+        x, y, w = batch(m)
+        short = full.narrowed(y)
+        assert short.acts[0].shape[0] == -(-m // 64) * 64 and np.shares_memory(short.acts[0], full.acts[0])
+        self.assert_new_workspace_bits(params, short, x, y, alpha, w)
+        x, y, w = batch(n)
+        assert full.narrowed(y) is full
+        self.assert_new_workspace_bits(params, full, x, y, alpha, w)
 
 
 class TestReductions:

@@ -304,6 +304,39 @@ class TestTrain:
                 want = pgd.adversarial.data
             np.testing.assert_array_equal(x_train, want)
 
+    @pytest.mark.parametrize("method", ["at", "gairat"])
+    def test_matches_a_loop_of_the_public_pieces(self, moons, method):
+        # 80 points at batch 24 end each epoch on an 8-row batch, and the next epoch
+        # starts at 24 rows again; gairat's second epoch is past its burn-in.
+        inner = inner_cfg()
+        cfg = TrainConfig(method=method, epochs=2, batch_size=24, learning_rate=0.2, seed=6, inner_attack=inner,
+                          burn_in_epochs=1 if method == "gairat" else 0,
+                          omega_lambda=0.0 if method == "gairat" else None)
+        mc = MlpConfig((2, 8, 2), init_seed=4)
+        got_params, got_history = train(mc, moons, cfg)
+
+        params, records = init_params(mc), []
+        rng = np.random.default_rng(cfg.seed)
+        for epoch in range(cfg.epochs):
+            perm, losses, counts = rng.permutation(len(moons)), [], np.zeros(inner.steps + 1, dtype=np.int64)
+            for start in range(0, len(moons), cfg.batch_size):
+                idx = perm[start:start + cfg.batch_size]
+                y = moons.labels[idx]
+                res = pgd_attack(params, Tensor(moons.points.data[idx]), y, inner, domain=moons.domain,
+                                 seed=int(rng.integers(0, 2**63)))
+                counts += np.bincount(res.kappa, minlength=inner.steps + 1)
+                omega = np.ones(len(y))
+                if method == "gairat" and epoch >= cfg.burn_in_epochs:
+                    omega = compute_weights(res.kappa, inner.steps, cfg.omega_lambda).omega
+                step = mlp_loss_and_grad(params, res.adversarial.data, y, 1.0, omega, False, True)
+                params = sgd_step(params, step.param_grads, cfg.learning_rate)
+                losses.append(step.loss)
+            records.append(training.EpochRecord(epoch, float(np.mean(losses)), eval_natural(params, moons),
+                                                tuple(int(c) for c in counts) if method == "gairat" else None))
+        for a, b in zip(got_params.leaves(), params.leaves()):
+            assert a.data.tobytes() == b.data.tobytes()
+        assert got_history.records == tuple(records)
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning", "ignore:overflow:RuntimeWarning")
     def test_divergence_names_epoch_and_batch(self, moons):
         cfg = TrainConfig(method="erm", epochs=3, batch_size=16, learning_rate=1e200, seed=1)

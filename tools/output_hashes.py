@@ -16,7 +16,9 @@ The runs are:
   verdicts, `attack --out-adv` at pgd20 alpha 1 and 100 and at pgdplus
   alpha 10, and `train --method fat --fat-slack 1` at batch 64 and at
   batch 200, whose friendly searches run passes of four 64-row blocks that
-  shrink as their rows settle;
+  shrink as their rows settle, and `train --method gairat` at batch 67,
+  whose full batches take two 64-row blocks and whose last batch takes one,
+  so that its SGD workspace goes to a prefix and back every epoch;
 - on the same model and a 20-point `gen-data` set, whose pgdplus passes
   stack several restarts, `eval --out` under both verdicts and
   `attack --out-adv` for pgdplus;
@@ -87,10 +89,16 @@ def _commands(size: workloads.Size) -> list[tuple[str, list[str]]]:
         commands.append((name, ["attack", *on_model, "--attack", attack, "--alpha", alpha,
                                 "--out-adv", f"{name}.csv"]))
     commands.append(("train-fat", ["train", "--method", "fat", "--fat-slack", "1", *common, "--out", "fat.ckpt"]))
-    at_200 = list(common)
-    at_200[at_200.index("--batch-size") + 1] = "200"
-    commands.append(("train-fat-200", ["train", "--method", "fat", "--fat-slack", "1", *at_200,
+
+    def at_batch(size: str) -> list[str]:
+        args = list(common)
+        args[args.index("--batch-size") + 1] = size
+        return args
+
+    commands.append(("train-fat-200", ["train", "--method", "fat", "--fat-slack", "1", *at_batch("200"),
                                        "--out", "fat200.ckpt"]))
+    commands.append(("train-gairat-67", ["train", "--method", "gairat", "--burn-in", str(s.burn_in), *at_batch("67"),
+                                         "--out", "gairat67.ckpt"]))
     # 20 points: each pgdplus pass stacks 3 (then 2) of the 5 restarts into one 64-row block.
     commands.append(("gen-data-20", ["gen-data", "--kind", "blobs", "--n", "20", "--seed", "12", "--noise", "0.13",
                                      "--centers", centers, "--out", "blobs20.csv"]))
