@@ -174,9 +174,9 @@ class _Rows(NamedTuple):
 
     @classmethod
     def fresh(cls, trace: np.ndarray, traj: np.ndarray | None, rec: np.dtype) -> "_Rows":
-        """The state of the rows of `trace` before their first pass, whose losses then beat every -inf."""
+        """The rows of `trace` before their first pass, whose results `_climb` copies in as the first best."""
         m = trace.shape[0]
-        return cls(np.full(m, -np.inf), np.empty(m, rec), np.empty(m, dtype=bool), trace, traj)
+        return cls(np.empty(m), np.empty(m, rec), np.empty(m, dtype=bool), trace, traj)
 
 
 def _records(a: np.ndarray, rec: np.dtype) -> np.ndarray:
@@ -201,6 +201,14 @@ def _keep_better(best: _Rows, loss: np.ndarray, x: np.ndarray, correct: np.ndarr
         np.copyto(best.loss, loss, where=beats)
         np.copyto(best.x, x, where=beats)
         np.copyto(best.correct, correct, where=beats)
+
+
+def _label_entries(exps: np.ndarray, lab: np.ndarray) -> np.ndarray:
+    """Each row's label entry of `exps`, a contiguous (m, classes) array,
+    as an index into its entries in memory order (`ravel(order="K")`)."""
+    m, classes = exps.shape
+    rows = np.arange(m)
+    return lab * m + rows if exps.flags.f_contiguous else rows * classes + lab
 
 
 def _starts(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, u: np.ndarray | None) -> np.ndarray:
@@ -274,11 +282,20 @@ def _climb(model: MlpParams, config: AttackConfig, x: np.ndarray, lab: np.ndarra
     3/4 of the pass's blocks (`_rows_to_keep`): they are then gathered by
     index into a smaller pass, on the first rows of `ws`. The climb stops
     when every row has settled.
+
+    A pass of more than one block reads correctness off the head's
+    exponentials, whose entries lie in [0, 1] with each row's maxima
+    exactly 1.0: when the pass holds m (classes - 1) entries below 1.0,
+    every row has a single 1.0, at argmax's index, and a row is correct
+    where its label's entry is 1.0. Any other count (a tie, a near-tie
+    that rounds to 1.0, a NaN) falls back to argmax, as a one-block pass
+    always does, where argmax costs less than the count.
     """
     T, (m, d) = config.steps, x.shape
     # The rows this pass still steps, as indices into `whole` (None: all of them), and
     # their state: `whole` until the first shrink, gathered copies after it.
     rows, own, beats, cap, rec = None, whole, np.empty(m, dtype=bool), _cap(m), whole.x.dtype
+    at = None  # the labels' entries of the pass's exponentials (`_label_entries`), once read
     # The iterate, the next one and the one before it; each step rotates them.
     its = [_views(a, rec) for a in (x, np.empty_like(x), np.empty_like(x))]
     moved = np.ones((3, m, d), dtype=bool)  # see `_rows_to_keep`
@@ -288,8 +305,18 @@ def _climb(model: MlpParams, config: AttackConfig, x: np.ndarray, lab: np.ndarra
             if own.traj is not None:
                 own.traj[:, t] = xr
             step = mlp_loss_and_grad(model, x, lab, config.alpha, None, t < T, False, ws)
-            correct = np.equal(step.logits.argmax(axis=1), lab, out=own.trace[:, t])
-            _keep_better(own, step.losses, xr, correct, beats)
+            correct, exps = own.trace[:, t], step.exps
+            if lab.size > _BLOCK and np.count_nonzero(exps < 1.0) == exps.size - lab.size:
+                at = _label_entries(exps, lab) if at is None else at
+                np.equal(exps.ravel(order="K").take(at), 1.0, out=correct)
+            else:
+                np.equal(step.logits.argmax(axis=1), lab, out=correct)
+            if t:
+                _keep_better(own, step.losses, xr, correct, beats)
+            else:  # every loss is >= 0 or +inf, so each row's first is its best so far
+                np.copyto(own.loss, step.losses)
+                np.copyto(own.x, xr)
+                np.copyto(own.correct, correct)
             if t == T:
                 break
             # The sign step overwrites the gradient, which no one reads again.
@@ -315,7 +342,7 @@ def _climb(model: MlpParams, config: AttackConfig, x: np.ndarray, lab: np.ndarra
             rows = idx if rows is None else rows.take(idx)
             own = _Rows(*(None if a is None else a.take(idx, axis=0) for a in own))
             lab, lo, hi, beats = lab.take(idx), lo.take(idx, axis=0), hi.take(idx, axis=0), beats[:idx.size]
-            ws, moved, cap = ws.narrowed(lab), moved[:, :idx.size], _cap(idx.size)
+            ws, moved, cap, at = ws.narrowed(lab), moved[:, :idx.size], _cap(idx.size), None
             # The new iterate and the current one, now a step back, gathered; new scratch between.
             its = [_views(a.view(np.float64).reshape(idx.size, d), rec)
                    for a in (its[0][1].take(idx), np.empty(idx.size, rec), its[2][1].take(idx))]
@@ -373,7 +400,8 @@ def pgd_attack(
     # The stacked rows' points, labels and bounds, restart-major: G copies of the run's.
     gx0, glab, glo, ghi = [a if G == 1 else np.concatenate([a] * G) for a in (x0d, lab, lo, hi)]
     ws = _Workspace.for_batch(model.config.layer_sizes, glab)
-    natural_correct = _forward(model, x0d, ws.acts, ws.act_blocks).argmax(axis=1) == lab  # the natural pass
+    ws.acts[0][n:] = 0.0  # the natural pass's padding, the stacked restarts' rows included
+    natural_correct = _forward(model, x0d, ws.acts, ws.act_blocks, ws.tiles_of(model)).argmax(axis=1) == lab
     # Restart-major, so that a group's trace is one (g n, T + 1) block; returned (n, R, T + 1).
     trace = np.zeros((R, n, T + 1), dtype=bool)
     rec = np.dtype(f"V{8 * d}")  # (void, 8 d bytes): one row of x

@@ -118,8 +118,10 @@ def eval_robust(
         raise ParameterError(f"verdict must be one of {VERDICTS}, got {verdict!r}")
     res = pgd_attack(model, dataset.points, dataset.labels, attack,
                      domain=dataset.domain, seed=seed)
-    ok = (res.final_correct if verdict == "best_iterate"
-          else res.natural_correct & res.correct_trace[:, :, 1:].all(axis=(1, 2)))
+    if verdict == "best_iterate":
+        ok = res.final_correct
+    else:  # the restarts first, down the restart-major (R, n, T + 1) array the trace views
+        ok = res.natural_correct & res.correct_trace.transpose(1, 0, 2).all(axis=0)[:, 1:].all(axis=1)
     return float(np.mean(ok))
 
 

@@ -151,8 +151,18 @@ def _blocks(a: np.ndarray) -> np.ndarray:
 
 
 def _layers(sizes: tuple[int, ...], rows: int) -> list[np.ndarray]:
-    """Zeroed C-ordered (rows, k) arrays, one per layer width k in `sizes`."""
-    return [np.zeros((rows, k)) for k in sizes]
+    """Uninitialised C-ordered (rows, k) arrays, one per layer width k in `sizes`."""
+    return [np.empty((rows, k)) for k in sizes]
+
+
+def _tiled(params: MlpParams, tiles: list[np.ndarray]) -> list[np.ndarray]:
+    """Write each layer's bias into every row of its (_BLOCK, k) tile in
+    `tiles` and return them. Added to a layer's block view, a tile gives
+    the bits of the bias broadcast along the rows, several times faster on
+    layers of a few units."""
+    for tile, b in zip(tiles, params.biases):
+        np.copyto(tile, b.data)
+    return tiles
 
 
 def _check_input(params: MlpParams, x: np.ndarray) -> None:
@@ -168,8 +178,10 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     the same pass on inputs its callers have checked.
     """
     _check_input(params, x)
-    acts = _layers(params.config.layer_sizes, _padded(x.shape[0]))
-    return _forward(params, x, acts, [_blocks(a) for a in acts])
+    sizes = params.config.layer_sizes
+    acts = _layers(sizes, _padded(x.shape[0]))
+    acts[0][x.shape[0]:] = 0.0
+    return _forward(params, x, acts, [_blocks(a) for a in acts], _tiled(params, _layers(sizes[1:], _BLOCK)))
 
 
 class _Workspace(NamedTuple):
@@ -184,15 +196,22 @@ class _Workspace(NamedTuple):
 
     Layer products: `acts` holds the input and every layer's output, and
     `grads` every layer's input gradient and then the upstream gradient
-    (the loss's gradient with respect to the logits), one zeroed C-ordered
-    array per layer width each. They have the batch's n rows and then
-    padding up to a whole number of blocks; `act_blocks` and `grad_blocks`
-    are their 3-D block views, the operands of the stacked products. The
-    padding rows of the input and of the upstream gradient stay zero, so
-    every padding row stays finite: the forward pass computes the layers of
-    a zero input, and the reverse pass carries zeros. Only the products and
-    the bias and activation read them; the loss head, the masks of the
-    reverse pass and the parameter gradients read the first n rows.
+    (the loss's gradient with respect to the logits), one C-ordered array
+    per layer width each, from `np.empty`. They have the batch's n rows and
+    then padding up to a whole number of blocks; `act_blocks` and
+    `grad_blocks` are their 3-D block views, the operands of the stacked
+    products. Only the padding rows of the input and of the upstream
+    gradient are zeroed, and no pass writes them, so every padding row
+    stays finite: the forward pass computes the layers of a zero input, and
+    the reverse pass carries zeros. Every other entry a pass reads it has
+    written first. Only the products and the bias and activation read the
+    padding; the loss head, the masks of the reverse pass and the parameter
+    gradients read the first n rows.
+
+    Biases: `tiles` holds each layer's bias tile (`_tiled`), and `tiled`, a
+    one-item list, the params they were last filled from. `tiles_of` fills
+    them for other params only, so a PGD run fills them once, and `train`,
+    whose every step makes new params, once per SGD pass.
 
     The head: `logp` is Fortran-ordered, for the head's row reductions, and
     first receives a copy of the logits; `exps`, the head's exponentials,
@@ -209,6 +228,8 @@ class _Workspace(NamedTuple):
     exps: np.ndarray
     onehot: np.ndarray
     flat: np.ndarray
+    tiles: list[np.ndarray]
+    tiled: list
 
     @classmethod
     def for_batch(cls, sizes: tuple[int, ...], lab: np.ndarray) -> "_Workspace":
@@ -216,43 +237,52 @@ class _Workspace(NamedTuple):
         rows = _padded(lab.shape[0])
         return cls._over(_layers(sizes, rows), _layers(sizes, rows), lab)
 
+    def tiles_of(self, params: MlpParams) -> list[np.ndarray]:
+        """The bias tiles of `params`, filled unless the last pass was with them."""
+        if self.tiled[0] is not params:
+            _tiled(params, self.tiles)
+            self.tiled[0] = params
+        return self.tiles
+
     def narrowed(self, lab: np.ndarray) -> "_Workspace":
         """A workspace for the rows labelled `lab`, at most this one's rows, on the first entries of its arrays.
 
         Given fewer rows, the layer arrays are prefix views, already faulted
-        in; the head's scratch, `logp` and `exps`, lies on the first entries
-        of this one's, and its label arrays are new. A pass with either
-        workspace overwrites the other's layers and scratch. Given as many
-        rows, it is this one, its label arrays refilled for `lab` in place.
-        Either way the padding of the input and of the upstream gradient is
-        zeroed again.
+        in, whose input and upstream gradient padding is zeroed again; the
+        head's scratch, `logp` and `exps`, lies on the first entries of this
+        one's, its bias tiles are this one's, and its label arrays are new.
+        A pass with either workspace overwrites the other's layers and
+        scratch, but never the padding of this one's input or upstream
+        gradient, which lies past either's rows. Given as many rows, it is
+        this one, its label arrays refilled for `lab` in place.
         """
         m = lab.shape[0]
         if m < self.flat.shape[0]:
             rows = _padded(m)
-            ws = self._over([a[:rows] for a in self.acts], [g[:rows] for g in self.grads], lab, self)
-        else:
-            ws = self
-            _label(lab, ws.onehot, ws.flat)
-        ws.acts[0][m:] = 0.0
-        ws.grads[-1][m:] = 0.0
-        return ws
+            return self._over([a[:rows] for a in self.acts], [g[:rows] for g in self.grads], lab, self)
+        _label(lab, self.onehot, self.flat)
+        return self
 
     @classmethod
     def _over(cls, acts: list[np.ndarray], grads: list[np.ndarray], lab: np.ndarray,
               on: "_Workspace | None" = None) -> "_Workspace":
-        """The workspace on layer arrays `acts` and `grads`, with new label
-        arrays for `lab` and the head's scratch: new, or on the first entries
-        of that of `on`."""
+        """The workspace on layer arrays `acts` and `grads`, their input and
+        upstream gradient padding zeroed, with new label arrays for `lab`,
+        and the head's scratch and the bias tiles: new, or those of `on`
+        (the scratch on its first entries)."""
         n, classes = lab.shape[0], acts[-1].shape[1]
         if on is None:
             logp = np.empty((n, classes), order="F")
             exps = np.empty((n, classes), order="C" if classes >= _PAIRWISE_FROM else "F")
+            tiles, tiled = _layers(tuple(a.shape[1] for a in acts[1:]), _BLOCK), [None]
         else:
-            logp, exps = _prefix(on.logp, n), _prefix(on.exps, n)
+            logp, exps, tiles, tiled = _prefix(on.logp, n), _prefix(on.exps, n), on.tiles, on.tiled
+        acts[0][n:] = 0.0
+        grads[-1][n:] = 0.0
         onehot, flat = np.empty((n, classes)), np.empty(n, dtype=np.int64)
         _label(lab, onehot, flat)
-        return cls(acts, grads, [_blocks(a) for a in acts], [_blocks(g) for g in grads], logp, exps, onehot, flat)
+        return cls(acts, grads, [_blocks(a) for a in acts], [_blocks(g) for g in grads], logp, exps, onehot, flat,
+                   tiles, tiled)
 
 
 def _label(lab: np.ndarray, onehot: np.ndarray, flat: np.ndarray) -> None:
@@ -273,19 +303,21 @@ def _prefix(a: np.ndarray, n: int) -> np.ndarray:
     return a.reshape(-1, order=order)[:n * a.shape[1]].reshape((n, a.shape[1]), order=order)
 
 
-def _forward(params: MlpParams, x: np.ndarray, acts: list[np.ndarray], blocks: list[np.ndarray]) -> np.ndarray:
-    """Write x into the first rows of acts[0], then every layer's output
-    into the next of `acts`, padding rows included; `blocks` are their
-    block views (see `_Workspace`). Returns the logits, the last layer's first n rows."""
+def _forward(params: MlpParams, x: np.ndarray, acts: list[np.ndarray], blocks: list[np.ndarray],
+             tiles: list[np.ndarray]) -> np.ndarray:
+    """Write x into the first rows of acts[0], whose padding rows must be
+    zero, then every layer's output into the next of `acts`, padding rows
+    included; `blocks` are their block views (see `_Workspace`), and
+    `tiles` the biases as `_tiled` writes them, added block by block.
+    Returns the logits, the last layer's first n rows."""
     np.copyto(acts[0][:x.shape[0]], x)
     kind = params.config.activation
     last = params.config.num_layers - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+    for i, w in enumerate(params.weights):
         np.matmul(blocks[i], w.data, out=blocks[i + 1])
-        h = acts[i + 1]
-        h += b.data
+        blocks[i + 1] += tiles[i]
         if i < last:
-            _activate(h, kind, out=h)
+            _activate(acts[i + 1], kind, out=acts[i + 1])
     return acts[-1][:x.shape[0]]
 
 
@@ -295,6 +327,8 @@ class LossAndGrad(NamedTuple):
     logits and the input gradient are C-ordered. loss is the weighted-mean
     reduction `train` descends, None for a pass without weights.
     param_grads follows `MlpParams.leaves()` order: w0, b0, w1, b1, ...
+    exps are the head's exponentials exp(alpha * (logits - row max)), in
+    the order `_Workspace` gives them: each row's maxima are exactly 1.0.
     """
 
     logits: np.ndarray
@@ -302,6 +336,7 @@ class LossAndGrad(NamedTuple):
     loss: float | None
     input_grad: np.ndarray | None
     param_grads: tuple[np.ndarray, ...] | None
+    exps: np.ndarray
 
 
 def mlp_loss_and_grad(
@@ -332,19 +367,19 @@ def mlp_loss_and_grad(
     gradients, and a row's input gradient has the same bits in any batch.
 
     Given a workspace made for `lab`, the pass writes into it, so the
-    returned logits and input gradient hold until the next pass with that
-    workspace.
+    returned logits, exponentials and input gradient hold until the next
+    pass with that workspace.
     """
     if ws is None:
         ws = _Workspace.for_batch(params.config.layer_sizes, lab)
-    logits = _forward(params, x, ws.acts, ws.act_blocks)
+    logits = _forward(params, x, ws.acts, ws.act_blocks, ws.tiles_of(params))
     n = x.shape[0]
     np.copyto(ws.logp, logits)
     logp = _log_softmax(ws.logp, alpha, ws.logp, ws.exps)
     losses = -logp.T.take(ws.flat)  # logp.T is C-contiguous: a flat take reads it in place
     loss = None if weights is None else float((weights * losses).sum() / n)
     if not (want_input or want_params):
-        return LossAndGrad(logits, losses, loss, None, None)
+        return LossAndGrad(logits, losses, loss, None, None, ws.exps)
 
     g = np.exp(logp, out=ws.grads[-1][:n])
     g -= ws.onehot  # exact off the label too: x - 0.0 is x
@@ -373,4 +408,5 @@ def mlp_loss_and_grad(
         logits, losses, loss,
         g if want_input else None,
         tuple(param_grads) if want_params else None,
+        ws.exps,
     )

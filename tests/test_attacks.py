@@ -752,6 +752,58 @@ class TestSettledRows:
                 assert a.tobytes() == b[i:i + 1].tobytes(), (i, f.name)
 
 
+def tied_model(classes, ulps):
+    """A random relu model whose classes 1 and 2 have the same weights, and
+    biases that are equal (ulps 0) or 2 ulps apart per unit of ulps, class 2
+    above on ulps > 0. Both biases are raised by 1, so the pair holds the
+    row max in most rows."""
+    rng = np.random.default_rng(3)
+    p = random_params(rng, (2, 16, classes), "relu")
+    w, b = [t.data.copy() for t in p.weights], [t.data.copy() for t in p.biases]
+    w[-1][:, 2] = w[-1][:, 1]
+    b[-1][1] += 1.0
+    b[-1][2] = b[-1][1] + 2 * ulps * np.spacing(b[-1][1])
+    return make_params(p.config, w, b)
+
+
+class TestCorrectnessFromTheHead:
+    """A pass of more than one block reads each row's correctness off the
+    head's exponentials, whose row maxima are exactly 1.0, and falls back
+    to argmax unless every row holds a single 1.0. Every output keeps the
+    bits of the full-batch loop, which reads argmax on every pass."""
+
+    @pytest.mark.parametrize("classes", [4, 33], ids=["F-ordered-exps", "C-ordered-exps"])
+    @pytest.mark.parametrize("ulps, alpha, ties", [
+        (0, 1.0, True), (-2, 0.01, True), (2, 0.01, True), (-2, 1.0, False),
+    ], ids=["exact-tie", "near-tie-lower-index-above", "near-tie-higher-index-above", "apart-at-alpha-1"])
+    @pytest.mark.parametrize("n", [20, 64, 300], ids=["restart-stacked", "one-block", "multi-block"])
+    def test_same_bits_as_argmax(self, monkeypatch, classes, ulps, alpha, ties, n):
+        # Labels 1 and 2 in most rows: where the pair holds the max, argmax picks the lower
+        # index on an exact tie and the larger logit on a near one, and the other label is
+        # wrong although its exponential is 1.0 too (a near-tie's rounds to 1.0 at alpha 0.01).
+        params = tied_model(classes, ulps)
+        rng = np.random.default_rng(n)
+        x0, y = rng.uniform(0, 1, size=(n, 2)), rng.choice([0, 1, 2, 2, 1], size=n)
+        cfg = AttackConfig(epsilon=0.1, steps=12, step_size=0.03, restarts=3, alpha=alpha, random_start=True)
+        passes = []  # per pass: its rows, and its rows whose label's exponential is 1.0 but not argmax's
+
+        def spy(params, x, lab, *args):
+            step = mlp_loss_and_grad(params, x, lab, *args)
+            misread = (step.exps[np.arange(len(lab)), lab] == 1.0) & (step.logits.argmax(axis=1) != lab)
+            passes.append((x.shape[0], np.count_nonzero(misread)))
+            return step
+
+        monkeypatch.setattr(attacks, "mlp_loss_and_grad", spy)
+        for slack in (None, 1):
+            got = pgd_attack(params, Tensor(x0), y, cfg, domain=DomainBox.unit(2), seed=5, friendly_slack=slack)
+            want, _ = full_batch_pgd(params, x0, y, cfg, DomainBox.unit(2), 5, slack)
+            assert_same_result(got, want)
+        first = passes[0][0]
+        assert first == {20: 60, 64: 64, 300: 300}[n]  # 20 rows stack their 3 restarts into one block
+        read = [misread for rows, misread in passes if rows == first]
+        assert (min(read) > 0) if ties else (max(read) == 0)
+
+
 class TestKappa:
     def test_natural_misclassification_is_zero(self):
         trace = np.array([[False, True, True]])

@@ -1,11 +1,17 @@
 """Tensor core: forward ops, the scale-aware loss, and the fused reverse pass."""
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robustlab import attacks, tensor, training
+from robustlab.attacks import AttackConfig, pgd_attack
+from robustlab.datasets import DomainBox, gen_two_moons
 from robustlab.errors import ParameterError, ShapeError
 from robustlab.model import MlpConfig, forward_logits
+from robustlab.training import TrainConfig, train
 from robustlab.tensor import (
     Tensor,
     _log_softmax,
@@ -460,6 +466,122 @@ class TestReusedWorkspace:
         x, y, w = batch(n)
         assert full.narrowed(y) is full
         self.assert_new_workspace_bits(params, full, x, y, alpha, w)
+
+
+class _NanFilled:
+    """numpy, except that `empty` and `empty_like` fill every byte of their
+    arrays with 0xFF: a NaN in each float, -1 in each integer."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def _filled(a):
+        (a if a.flags.c_contiguous else a.T).view(np.uint8).fill(0xFF)
+        return a
+
+    def empty(self, *args, **kwargs):
+        return self._filled(np.empty(*args, **kwargs))
+
+    def empty_like(self, *args, **kwargs):
+        return self._filled(np.empty_like(*args, **kwargs))
+
+
+class TestUnwrittenEntries:
+    """Workspaces, layer arrays and bias tiles come from `np.empty`; only the
+    padding of the input and of the upstream gradient is zeroed. With every
+    new array of the tensor and attack modules filled with NaN, each output
+    keeps its bits and every pass finds that padding zero: no pass reads an
+    entry it has not written."""
+
+    SIZES = (1, 64, 65, 4000)
+
+    @staticmethod
+    def twice(monkeypatch, run):
+        """run() as it is, then with the new arrays filled with NaN and every
+        pass checked for zero padding."""
+
+        def padding_is_zero(acts, grads, n):
+            assert not acts[0][n:].any() and (grads is None or not grads[-1][n:].any())
+
+        def forward(params, x, acts, *args):
+            padding_is_zero(acts, None, x.shape[0])
+            return tensor_forward(params, x, acts, *args)
+
+        def loss_and_grad(params, x, *args, **kwargs):
+            step = tensor_loss_and_grad(params, x, *args, **kwargs)
+            ws = kwargs.get("ws", args[5] if len(args) > 5 else None)
+            if ws is not None:  # after the pass: it wrote neither
+                padding_is_zero(ws.acts, ws.grads, x.shape[0])
+            return step
+
+        tensor_forward, tensor_loss_and_grad = tensor._forward, tensor.mlp_loss_and_grad
+        want = run()
+        for module in (tensor, attacks):
+            monkeypatch.setattr(module, "np", _NanFilled())
+            monkeypatch.setattr(module, "_forward", forward)
+        for module in (tensor, attacks, training):
+            monkeypatch.setattr(module, "mlp_loss_and_grad", loss_and_grad)
+        got = run()
+        monkeypatch.undo()
+        return got, want
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        for a, b in zip(got, want, strict=True):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_mlp_forward(self, rng, monkeypatch, n):
+        params = random_params(rng, (2, 16, 16, 4), activation="relu")
+        x = rng.uniform(0, 1, size=(n, 2))
+        got, want = self.twice(monkeypatch, lambda: tensor.mlp_forward(params, x))
+        self.assert_same_bits([got], [want])
+
+    @pytest.mark.parametrize("classes", [4, 33])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_the_sgd_pass(self, rng, monkeypatch, classes, n):
+        # As `train` runs it: in a workspace for a larger batch, narrowed to this one's labels,
+        # after a pass with the previous step's params.
+        before, params = (random_params(rng, (2, 16, 16, classes), activation="tanh") for _ in range(2))
+        x, y, w = rng.uniform(0, 1, size=(n, 2)), rng.integers(0, classes, size=n), rng.uniform(0.1, 2, size=n)
+        other = rng.integers(0, classes, size=n + 70)
+
+        def run():
+            ws = _Workspace.for_batch(params.config.layer_sizes, other)
+            tensor.mlp_loss_and_grad(before, rng.uniform(0, 1, size=(n + 70, 2)), other, 1.0, None, True, True, ws)
+            step = tensor.mlp_loss_and_grad(params, x, y, 1.0, w, True, True, ws.narrowed(y))
+            return [step.logits, step.losses, np.array(step.loss), step.input_grad, *step.param_grads, step.exps]
+
+        got, want = self.twice(monkeypatch, run)
+        self.assert_same_bits(got, want)
+        fresh = tensor.mlp_loss_and_grad(params, x, y, 1.0, w, True, True)  # in a new workspace
+        self.assert_same_bits(want, [fresh.logits, fresh.losses, np.array(fresh.loss), fresh.input_grad,
+                                     *fresh.param_grads, fresh.exps])
+
+    @pytest.mark.parametrize("classes", [4, 33])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_pgd_runs(self, rng, monkeypatch, classes, n):
+        params = random_params(rng, (2, 16, 16, classes), activation="relu")
+        x0, y = Tensor(rng.uniform(0, 1, size=(n, 2))), rng.integers(0, classes, size=n)
+        cfg = AttackConfig(epsilon=0.05, steps=8, step_size=0.01, restarts=3, alpha=0.5, random_start=True)
+
+        def run():
+            res = pgd_attack(params, x0, y, cfg, domain=DomainBox.unit(2), seed=4, friendly_slack=1)
+            return [getattr(res, f.name) for f in fields(res)]
+
+        got, want = self.twice(monkeypatch, run)
+        self.assert_same_bits(*([a.data if isinstance(a, Tensor) else a for a in r] for r in (got, want)))
+
+    def test_train(self, monkeypatch):
+        # Batch 67 on 130 points: each epoch's SGD passes take two blocks, then one on a prefix.
+        inner = AttackConfig(epsilon=0.05, steps=5, step_size=0.0125, random_start=True)
+        cfg = TrainConfig(method="gairat", epochs=3, batch_size=67, learning_rate=0.1, seed=2, inner_attack=inner,
+                          burn_in_epochs=1, omega_lambda=0.0)
+        data = gen_two_moons(130, 0.1, seed=21)
+        got, want = self.twice(monkeypatch, lambda: train(MlpConfig((2, 16, 16, 2)), data, cfg))
+        self.assert_same_bits([t.data for t in got[0].leaves()], [t.data for t in want[0].leaves()])
+        assert got[1] == want[1]
 
 
 class TestReductions:

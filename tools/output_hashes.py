@@ -22,6 +22,10 @@ The runs are:
 - on the same model and a 20-point `gen-data` set, whose pgdplus passes
   stack several restarts, `eval --out` under both verdicts and
   `attack --out-adv` for pgdplus;
+- on 9-center blobs of 801 points (the workflow's size rounded up to a
+  multiple of 9), an AT `train` and `eval --out` for pgd20 and pgdplus
+  under both verdicts: a 9-class head keeps its exponentials in C order,
+  and the runs' 13-block passes read correctness off them;
 - on the same files, after those are listed, seven runs refused before any
   work: stderr and exit code only (`cli/refused/<name>`);
 - the digest `check` returns for each op of one period of every perfbench
@@ -107,6 +111,17 @@ def _commands(size: workloads.Size) -> list[tuple[str, list[str]]]:
         name = f"eval-pgdplus-{verdict}-20"
         commands.append((name, ["eval", *on_20, "--verdict", verdict, "--out", f"{name}.csv"]))
     commands.append(("attack-pgdplus-20", ["attack", *on_20, "--out-adv", "attack-pgdplus-20.csv"]))
+    nine = ";".join(f"{x}:{y}" for x in (0.2, 0.5, 0.8) for y in (0.2, 0.5, 0.8))
+    commands.append(("gen-data-9", ["gen-data", "--kind", "blobs", "--n", str(-(-s.n // 9) * 9), "--seed", "13",
+                                    "--noise", "0.08", "--centers", nine, "--out", "blobs9.csv"]))
+    on_9 = list(common)
+    on_9[on_9.index("--data") + 1] = "blobs9.csv"
+    commands.append(("train-at-9", ["train", "--method", "at", *on_9, "--out", "at9.ckpt"]))
+    for attack in ("pgd20", "pgdplus"):
+        for verdict in ("best_iterate", "all_iterates"):
+            name = f"eval-{attack}-{verdict}-9"
+            commands.append((name, ["eval", "--model", "at9.ckpt", "--data", "blobs9.csv", "--seed", "5",
+                                    "--attack", attack, "--verdict", verdict, "--out", f"{name}.csv"]))
     return commands
 
 
