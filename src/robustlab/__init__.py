@@ -12,7 +12,6 @@ from .attacks import (
     AttackConfig,
     AttackResult,
     brute_force_attack,
-    count_kappa,
     pgd20_config,
     pgd200_config,
     pgd_attack,

@@ -38,7 +38,7 @@ import numpy as np
 
 from .datasets import DomainBox
 from .errors import (
-    CapabilityError, ContractError, NumericalError, ParameterError, ShapeError,
+    CapabilityError, NumericalError, ParameterError, ShapeError,
     check_at_least, check_positive, check_seed, check_size,
 )
 from .model import MlpParams, predict
@@ -203,14 +203,6 @@ def _keep_better(best: _Rows, loss: np.ndarray, x: np.ndarray, correct: np.ndarr
         np.copyto(best.correct, correct, where=beats)
 
 
-def _label_entries(exps: np.ndarray, lab: np.ndarray) -> np.ndarray:
-    """Each row's label entry of `exps`, a contiguous (m, classes) array,
-    as an index into its entries in memory order (`ravel(order="K")`)."""
-    m, classes = exps.shape
-    rows = np.arange(m)
-    return lab * m + rows if exps.flags.f_contiguous else rows * classes + lab
-
-
 def _starts(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, u: np.ndarray | None) -> np.ndarray:
     """A batch's starts: x0 moved by the uniform draw u and clipped to lo..hi, or a copy of x0 given no draw."""
     if u is None:
@@ -282,20 +274,11 @@ def _climb(model: MlpParams, config: AttackConfig, x: np.ndarray, lab: np.ndarra
     3/4 of the pass's blocks (`_rows_to_keep`): they are then gathered by
     index into a smaller pass, on the first rows of `ws`. The climb stops
     when every row has settled.
-
-    A pass of more than one block reads correctness off the head's
-    exponentials, whose entries lie in [0, 1] with each row's maxima
-    exactly 1.0: when the pass holds m (classes - 1) entries below 1.0,
-    every row has a single 1.0, at argmax's index, and a row is correct
-    where its label's entry is 1.0. Any other count (a tie, a near-tie
-    that rounds to 1.0, a NaN) falls back to argmax, as a one-block pass
-    always does, where argmax costs less than the count.
     """
     T, (m, d) = config.steps, x.shape
     # The rows this pass still steps, as indices into `whole` (None: all of them), and
     # their state: `whole` until the first shrink, gathered copies after it.
     rows, own, beats, cap, rec = None, whole, np.empty(m, dtype=bool), _cap(m), whole.x.dtype
-    at = None  # the labels' entries of the pass's exponentials (`_label_entries`), once read
     # The iterate, the next one and the one before it; each step rotates them.
     its = [_views(a, rec) for a in (x, np.empty_like(x), np.empty_like(x))]
     moved = np.ones((3, m, d), dtype=bool)  # see `_rows_to_keep`
@@ -305,18 +288,13 @@ def _climb(model: MlpParams, config: AttackConfig, x: np.ndarray, lab: np.ndarra
             if own.traj is not None:
                 own.traj[:, t] = xr
             step = mlp_loss_and_grad(model, x, lab, config.alpha, None, t < T, False, ws)
-            correct, exps = own.trace[:, t], step.exps
-            if lab.size > _BLOCK and np.count_nonzero(exps < 1.0) == exps.size - lab.size:
-                at = _label_entries(exps, lab) if at is None else at
-                np.equal(exps.ravel(order="K").take(at), 1.0, out=correct)
-            else:
-                np.equal(step.logits.argmax(axis=1), lab, out=correct)
+            own.trace[:, t] = step.correct
             if t:
-                _keep_better(own, step.losses, xr, correct, beats)
+                _keep_better(own, step.losses, xr, step.correct, beats)
             else:  # every loss is >= 0 or +inf, so each row's first is its best so far
                 np.copyto(own.loss, step.losses)
                 np.copyto(own.x, xr)
-                np.copyto(own.correct, correct)
+                np.copyto(own.correct, step.correct)
             if t == T:
                 break
             # The sign step overwrites the gradient, which no one reads again.
@@ -342,7 +320,7 @@ def _climb(model: MlpParams, config: AttackConfig, x: np.ndarray, lab: np.ndarra
             rows = idx if rows is None else rows.take(idx)
             own = _Rows(*(None if a is None else a.take(idx, axis=0) for a in own))
             lab, lo, hi, beats = lab.take(idx), lo.take(idx, axis=0), hi.take(idx, axis=0), beats[:idx.size]
-            ws, moved, cap, at = ws.narrowed(lab), moved[:, :idx.size], _cap(idx.size), None
+            ws, moved, cap = ws.narrowed(lab), moved[:, :idx.size], _cap(idx.size)
             # The new iterate and the current one, now a step back, gathered; new scratch between.
             its = [_views(a.view(np.float64).reshape(idx.size, d), rec)
                    for a in (its[0][1].take(idx), np.empty(idx.size, rec), its[2][1].take(idx))]
@@ -450,7 +428,7 @@ def pgd_attack(
         friendly = Tensor._wrap(friendly.view(np.float64).reshape(n, d))
     # kappa counts from the natural point regardless of random starts, then follows the first
     # restart's iterates: the first wrong column, with column T read as wrong, so that a row that
-    # never flips gets T (`count_kappa`'s rule, without its checks of a trace made here).
+    # never flips gets T.
     np.logical_not(natural_correct, out=wrong[:, 0])
     wrong[:, T] = True
     return AttackResult(
@@ -461,23 +439,6 @@ def pgd_attack(
         final_correct=best.correct,
         friendly=friendly,
     )
-
-
-def count_kappa(correct_trace, steps: int) -> np.ndarray:
-    """Iterations survived before the first flip.
-
-    correct_trace is (n, steps+1) booleans where column 0 is the natural
-    point. Returns the index of the first False per row (0 = naturally
-    misclassified), or `steps` for rows that never flip.
-    """
-    tr = np.asarray(correct_trace, dtype=bool)
-    if tr.ndim != 2 or tr.shape[1] != steps + 1:
-        raise ContractError(
-            f"trace must cover iterations 0..{steps} per example, got shape {tr.shape}"
-        )
-    wrong = ~tr
-    first = wrong.argmax(axis=1)
-    return np.where(wrong.any(axis=1), first, steps).astype(np.int64)
 
 
 def brute_force_attack(

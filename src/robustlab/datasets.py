@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError, ParseError, SchemaError, ShapeError, check_seed, check_size
-from .tensor import Tensor
+from .tensor import Tensor, _check_label_dtype
 from .textfile import fmt, fmt_vec, read_table, write_table
 
 
@@ -88,8 +88,7 @@ class Dataset:
             raise ShapeError(f"labels shape {lab.shape} does not match {pts.shape[0]} points")
         if not lab.size:
             raise ParameterError("a dataset needs at least one point, got 0")
-        if not np.issubdtype(lab.dtype, np.integer):
-            raise ParameterError(f"labels must be integers, got dtype {lab.dtype}")
+        _check_label_dtype(lab)
         if self.num_classes < 2:
             raise ParameterError("num_classes must be at least 2")
         if lab.min() < 0 or lab.max() >= self.num_classes:

@@ -121,12 +121,17 @@ def scaled_softmax(logits: Tensor, alpha: float = 1.0) -> Tensor:
     return Tensor._wrap(np.exp(_log_softmax(ld, a)))
 
 
+def _check_label_dtype(lab: np.ndarray) -> None:
+    """The package's one rule for a label array's dtype, `Dataset`'s included."""
+    if lab.dtype.kind not in "iu":  # signed or unsigned integers (np.issubdtype would pass timedelta64 too)
+        raise ParameterError(f"labels must be integers, got dtype {lab.dtype}")
+
+
 def _check_labels(labels, n: int, num_classes: int) -> np.ndarray:
     lab = np.asarray(labels)
     if lab.ndim != 1 or lab.shape[0] != n:
         raise ShapeError(f"labels must be a length-{n} vector, got shape {lab.shape}")
-    if lab.dtype.kind not in "iu":  # signed or unsigned integers (np.issubdtype would pass timedelta64 too)
-        raise ParameterError(f"labels must be integers, got dtype {lab.dtype}")
+    _check_label_dtype(lab)
     if lab.size and (lab.min() < 0 or lab.max() >= num_classes):
         raise IndexError(f"label out of range [0, {num_classes})")
     return lab.astype(np.int64, copy=False)
@@ -217,7 +222,10 @@ class _Workspace(NamedTuple):
     first receives a copy of the logits; `exps`, the head's exponentials,
     is Fortran-ordered below `_PAIRWISE_FROM` classes and C-ordered from
     there (`_log_softmax`). `onehot` holds 1.0 at each row's label and
-    `flat` each label's index into logp's Fortran-order flattening.
+    `flat` each label's index into the Fortran-order flattening of an
+    (n, classes) array: the pass takes by it logp's label entries for the
+    loss and, when `exps` is Fortran-ordered, its label entries for the
+    rows' correctness.
     """
 
     acts: list[np.ndarray]
@@ -327,8 +335,7 @@ class LossAndGrad(NamedTuple):
     logits and the input gradient are C-ordered. loss is the weighted-mean
     reduction `train` descends, None for a pass without weights.
     param_grads follows `MlpParams.leaves()` order: w0, b0, w1, b1, ...
-    exps are the head's exponentials exp(alpha * (logits - row max)), in
-    the order `_Workspace` gives them: each row's maxima are exactly 1.0.
+    correct marks the rows whose label argmax of the logits picks.
     """
 
     logits: np.ndarray
@@ -336,7 +343,7 @@ class LossAndGrad(NamedTuple):
     loss: float | None
     input_grad: np.ndarray | None
     param_grads: tuple[np.ndarray, ...] | None
-    exps: np.ndarray
+    correct: np.ndarray
 
 
 def mlp_loss_and_grad(
@@ -366,9 +373,17 @@ def mlp_loss_and_grad(
     fixed sequence of numpy kernels, so identical inputs give bit-identical
     gradients, and a row's input gradient has the same bits in any batch.
 
+    `correct` is argmax's verdict on every pass. A pass of more than one
+    block reads it off the head's exponentials exp(alpha * (logits - row
+    max)), whose row maxima are exactly 1.0: when they are Fortran-ordered
+    and every row holds a single 1.0, at argmax's index, a row is correct
+    where its label's entry is 1.0. Any other pass (a tie, a near-tie that
+    rounds to 1.0, a NaN, C-ordered exponentials, or one block, where
+    argmax costs less than the count) takes argmax.
+
     Given a workspace made for `lab`, the pass writes into it, so the
-    returned logits, exponentials and input gradient hold until the next
-    pass with that workspace.
+    returned logits and input gradient hold until the next pass with that
+    workspace.
     """
     if ws is None:
         ws = _Workspace.for_batch(params.config.layer_sizes, lab)
@@ -377,9 +392,14 @@ def mlp_loss_and_grad(
     np.copyto(ws.logp, logits)
     logp = _log_softmax(ws.logp, alpha, ws.logp, ws.exps)
     losses = -logp.T.take(ws.flat)  # logp.T is C-contiguous: a flat take reads it in place
+    exps = ws.exps
+    if n > _BLOCK and exps.flags.f_contiguous and np.count_nonzero(exps < 1.0) == exps.size - n:
+        correct = exps.T.take(ws.flat) == 1.0
+    else:
+        correct = logits.argmax(axis=1) == lab
     loss = None if weights is None else float((weights * losses).sum() / n)
     if not (want_input or want_params):
-        return LossAndGrad(logits, losses, loss, None, None, ws.exps)
+        return LossAndGrad(logits, losses, loss, None, None, correct)
 
     g = np.exp(logp, out=ws.grads[-1][:n])
     g -= ws.onehot  # exact off the label too: x - 0.0 is x
@@ -408,5 +428,5 @@ def mlp_loss_and_grad(
         logits, losses, loss,
         g if want_input else None,
         tuple(param_grads) if want_params else None,
-        ws.exps,
+        correct,
     )

@@ -1,4 +1,5 @@
 """Synthetic generators: geometry, noise statistics, and CSV exchange."""
+import re
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ from robustlab.datasets import (
     split_dataset,
 )
 from robustlab.errors import ParameterError, ParseError, SchemaError
-from robustlab.tensor import Tensor
+from robustlab.tensor import Tensor, _check_labels
 
 
 def moon_arc_distance(points: np.ndarray, label: int) -> np.ndarray:
@@ -294,3 +295,13 @@ class TestDomainBox:
                 points=Tensor([[1.5, 0.5]]), labels=np.array([0]),
                 domain=box, num_classes=2,
             )
+
+    @pytest.mark.parametrize("dtype", ["m8[s]", "f8", "bool"])
+    def test_labels_must_be_integers_by_the_package_rule(self, dtype):
+        # timedelta64 passes np.issubdtype(..., np.integer); no label check of the package takes it.
+        labels = np.array([0, 1], dtype=dtype)
+        message = f"^labels must be integers, got dtype {re.escape(str(labels.dtype))}$"
+        with pytest.raises(ParameterError, match=message):
+            Dataset(points=Tensor([[0.1, 0.2], [0.3, 0.4]]), labels=labels, domain=DomainBox.unit(2), num_classes=2)
+        with pytest.raises(ParameterError, match=message):
+            _check_labels(labels, 2, 2)

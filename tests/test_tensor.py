@@ -551,13 +551,13 @@ class TestUnwrittenEntries:
             ws = _Workspace.for_batch(params.config.layer_sizes, other)
             tensor.mlp_loss_and_grad(before, rng.uniform(0, 1, size=(n + 70, 2)), other, 1.0, None, True, True, ws)
             step = tensor.mlp_loss_and_grad(params, x, y, 1.0, w, True, True, ws.narrowed(y))
-            return [step.logits, step.losses, np.array(step.loss), step.input_grad, *step.param_grads, step.exps]
+            return [step.logits, step.losses, np.array(step.loss), step.input_grad, *step.param_grads, step.correct]
 
         got, want = self.twice(monkeypatch, run)
         self.assert_same_bits(got, want)
         fresh = tensor.mlp_loss_and_grad(params, x, y, 1.0, w, True, True)  # in a new workspace
         self.assert_same_bits(want, [fresh.logits, fresh.losses, np.array(fresh.loss), fresh.input_grad,
-                                     *fresh.param_grads, fresh.exps])
+                                     *fresh.param_grads, fresh.correct])
 
     @pytest.mark.parametrize("classes", [4, 33])
     @pytest.mark.parametrize("n", SIZES)
@@ -591,3 +591,45 @@ class TestReductions:
         x = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
         res = mlp_loss_and_grad(params, x, np.array([0, 0, 0]), 1.0, np.ones(3), False, False)
         assert res.loss == pytest.approx((LN_1P_EXP_NEG1 + np.log(2.0) + np.log1p(np.e)) / 3)
+
+
+class TestCorrect:
+    """`LossAndGrad.correct` is argmax's verdict on every pass, whether the
+    pass reads it off the head's exponentials or takes argmax."""
+
+    @staticmethod
+    def tied_params(classes, ulps):
+        # Classes 0 and 1 share their weights; their biases are equal (ulps 0) or 2 ulps apart per
+        # unit of ulps, class 1 above on ulps > 0, and both raised by 1 to hold the row max in most rows.
+        p = random_params(np.random.default_rng(3), (2, 16, classes), "relu")
+        w, b = [t.data.copy() for t in p.weights], [t.data.copy() for t in p.biases]
+        w[-1][:, 1] = w[-1][:, 0]
+        b[-1][0] += 1.0
+        b[-1][1] = b[-1][0] + 2 * ulps * np.spacing(b[-1][0])
+        return make_params(p.config, w, b)
+
+    @pytest.mark.parametrize("kind", ["pgd", "sgd"])
+    @pytest.mark.parametrize("classes", [2, 4, 33])
+    @pytest.mark.parametrize("ulps, alpha, ties", [
+        (0, 1.0, True), (-2, 0.01, True), (2, 0.01, True), (-2, 1.0, False),
+    ], ids=["exact-tie", "near-tie-lower-index-above", "near-tie-higher-index-above", "apart-at-alpha-1"])
+    @pytest.mark.parametrize("n", [1, 64, 65, 4000])
+    def test_is_argmax(self, kind, classes, ulps, alpha, ties, n):
+        params = self.tied_params(classes, ulps)
+        rng = np.random.default_rng(n)
+        x, lab = rng.uniform(0, 1, size=(n, 2)), rng.choice([0, 1, 0, 1, classes - 1], size=n)
+        sizes = params.config.layer_sizes
+        if kind == "pgd":  # as `pgd_attack` runs it: the run's own workspace, input gradient only
+            step = mlp_loss_and_grad(params, x, lab, alpha, None, True, False, _Workspace.for_batch(sizes, lab))
+        else:  # as `train` runs it: weights, parameter gradients, a larger batch's workspace narrowed to this one
+            ws = _Workspace.for_batch(sizes, rng.integers(0, classes, size=n + 70)).narrowed(lab)
+            step = mlp_loss_and_grad(params, x, lab, alpha, rng.uniform(0.1, 2, n), False, True, ws)
+        want = step.logits.argmax(axis=1) == lab
+        assert (step.correct.dtype, step.correct.shape) == (want.dtype, want.shape)
+        assert step.correct.tobytes() == want.tobytes()
+        # The head's exponentials, as it computes them: a tie gives some wrong row a label entry of 1.0.
+        logits = np.asfortranarray(step.logits)
+        exps = np.empty_like(logits)
+        _log_softmax(logits, alpha, exps=exps)
+        misread = np.count_nonzero((exps[np.arange(n), lab] == 1.0) & ~want)
+        assert misread > 0 or not (ties and n == 4000)

@@ -25,7 +25,10 @@ The runs are:
 - on 9-center blobs of 801 points (the workflow's size rounded up to a
   multiple of 9), an AT `train` and `eval --out` for pgd20 and pgdplus
   under both verdicts: a 9-class head keeps its exponentials in C order,
-  and the runs' 13-block passes read correctness off them;
+  so the runs' 13-block passes take each row's correctness from argmax;
+- the same four evals and AT `train` on 800 two-moons points (the CLI's
+  default kind) with a tanh model: a 2-class head whose 13-block passes
+  read correctness off its Fortran-ordered exponentials;
 - on the same files, after those are listed, seven runs refused before any
   work: stderr and exit code only (`cli/refused/<name>`);
 - the digest `check` returns for each op of one period of every perfbench
@@ -114,14 +117,17 @@ def _commands(size: workloads.Size) -> list[tuple[str, list[str]]]:
     nine = ";".join(f"{x}:{y}" for x in (0.2, 0.5, 0.8) for y in (0.2, 0.5, 0.8))
     commands.append(("gen-data-9", ["gen-data", "--kind", "blobs", "--n", str(-(-s.n // 9) * 9), "--seed", "13",
                                     "--noise", "0.08", "--centers", nine, "--out", "blobs9.csv"]))
-    on_9 = list(common)
-    on_9[on_9.index("--data") + 1] = "blobs9.csv"
-    commands.append(("train-at-9", ["train", "--method", "at", *on_9, "--out", "at9.ckpt"]))
-    for attack in ("pgd20", "pgdplus"):
-        for verdict in ("best_iterate", "all_iterates"):
-            name = f"eval-{attack}-{verdict}-9"
-            commands.append((name, ["eval", "--model", "at9.ckpt", "--data", "blobs9.csv", "--seed", "5",
-                                    "--attack", attack, "--verdict", verdict, "--out", f"{name}.csv"]))
+    commands.append(("gen-data-moons", ["gen-data", "--kind", "two-moons", "--n", str(s.n), "--seed", "14",
+                                        "--noise", "0.1", "--out", "moons.csv"]))
+    for suffix, data, extra in (("9", "blobs9.csv", []), ("moons", "moons.csv", ["--activation", "tanh"])):
+        on_data = list(common)
+        on_data[on_data.index("--data") + 1] = data
+        commands.append((f"train-at-{suffix}", ["train", "--method", "at", *extra, *on_data, "--out", f"at{suffix}.ckpt"]))
+        for attack in ("pgd20", "pgdplus"):
+            for verdict in ("best_iterate", "all_iterates"):
+                name = f"eval-{attack}-{verdict}-{suffix}"
+                commands.append((name, ["eval", "--model", f"at{suffix}.ckpt", "--data", data, "--seed", "5",
+                                        "--attack", attack, "--verdict", verdict, "--out", f"{name}.csv"]))
     return commands
 
 
