@@ -16,7 +16,6 @@ from .attacks import (
     pgd200_config,
     pgd_attack,
     pgd_plus_config,
-    project_linf,
 )
 from .datasets import (
     Dataset,
@@ -25,7 +24,6 @@ from .datasets import (
     gen_rings,
     gen_two_moons,
     load_csv,
-    rescale_inverse,
     save_csv,
     split_dataset,
 )
@@ -63,7 +61,7 @@ from .model import (
     predict,
     save_checkpoint,
 )
-from .tensor import Tensor, scaled_softmax, scaled_softmax_cross_entropy
+from .tensor import Tensor
 from .training import (
     EpochRecord,
     TrainConfig,

@@ -38,11 +38,13 @@ import numpy as np
 
 from .datasets import DomainBox
 from .errors import (
-    CapabilityError, NumericalError, ParameterError, ShapeError,
+    CapabilityError, NumericalError, ParameterError,
     check_at_least, check_positive, check_seed, check_size,
 )
 from .model import MlpParams, predict
-from .model import forward_logits  # noqa: F401 -- unused; perfbench's tracer shims this name here
+# Unused here, but perfbench's tracer shims this name, and
+# perfbench/test_perfbench.py::test_shims_are_removed_on_exit_even_after_an_error reads it.
+from .model import forward_logits  # noqa: F401
 from .tensor import _BLOCK, Tensor, _check_input, _check_labels, _forward, _padded, _Workspace, mlp_loss_and_grad
 from .textfile import fmt
 
@@ -140,8 +142,8 @@ def _ball_bounds(x0: np.ndarray, epsilon: float, domain: DomainBox | None) -> tu
 
     Clamping is monotone, so one clip to these bounds gives the bits of a
     clip to the ball followed by a clip to the box, even where x0 lies
-    outside the box. PGD's steps, `project_linf` and the grid oracle all
-    take their ball from here.
+    outside the box. PGD's steps and the grid oracle both take their ball
+    from here.
     """
     eps = check_positive(epsilon, "epsilon")
     lo, hi = x0 - eps, x0 + eps
@@ -150,13 +152,6 @@ def _ball_bounds(x0: np.ndarray, epsilon: float, domain: DomainBox | None) -> tu
         lo.clip(lower, upper, out=lo)
         hi.clip(lower, upper, out=hi)
     return lo, hi
-
-
-def project_linf(x: Tensor, x0: Tensor, epsilon: float, domain: DomainBox | None = None) -> Tensor:
-    """Clamp x into the epsilon-ball around x0, then into the domain box."""
-    if x.shape != x0.shape:
-        raise ShapeError(f"project_linf shapes differ: {x.shape} vs {x0.shape}")
-    return Tensor._wrap(x.data.clip(*_ball_bounds(x0.data, epsilon, domain)))
 
 
 class _Rows(NamedTuple):
@@ -443,21 +438,21 @@ def pgd_attack(
 
 def brute_force_attack(
     model: MlpParams,
-    x0,
+    x0: np.ndarray,
     y: int,
     epsilon: float,
     grid_resolution: int,
     *,
     domain: DomainBox | None = None,
 ) -> bool:
-    """Exhaustive grid check of one low-dimensional point.
+    """Exhaustive grid check of one low-dimensional point, `x0`, an array of its d coordinates.
 
     Evaluates predict on the full G^d grid over the epsilon-ball clamped
     into the domain box (the ball `pgd_attack` walks), corners included;
     robust-correct iff correct at every grid point. Independent of any gradient machinery, so it serves as an
     oracle that PGD verdicts can be checked against.
     """
-    point = np.asarray(x0.data if isinstance(x0, Tensor) else x0, dtype=np.float64).reshape(-1)
+    point = np.asarray(x0, dtype=np.float64).reshape(-1)
     d, G = point.size, _check_grid(point.size, grid_resolution)
     lo, hi = _ball_bounds(point, epsilon, domain)
     axes = [np.linspace(lo[j], hi[j], G) for j in range(d)]

@@ -1,9 +1,9 @@
 """Seeded synthetic 2-d classification sets and their CSV exchange format.
 
 All generators emit points inside the unit box. Two-moons and rings are
-min/max rescaled into [0,1]^2 and record the affine transform in the
-dataset metadata (`rescale_offset`, `rescale_scale`) so tests can recover
-pre-rescale geometry exactly; blobs are clipped instead.
+min/max rescaled into [0,1]^2, and their files record the affine transform
+in the dataset metadata (`rescale_offset`, `rescale_scale`): points * scale
++ offset recovers the pre-rescale geometry. Blobs are clipped instead.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterError, ParseError, SchemaError, ShapeError, check_seed, check_size
-from .tensor import Tensor, _check_label_dtype
+from .tensor import Tensor, _check_label_dtype, _check_label_range
 from .textfile import fmt, fmt_vec, read_table, write_table
 
 
@@ -91,8 +91,7 @@ class Dataset:
         _check_label_dtype(lab)
         if self.num_classes < 2:
             raise ParameterError("num_classes must be at least 2")
-        if lab.min() < 0 or lab.max() >= self.num_classes:
-            raise ParameterError(f"labels must lie in [0, {self.num_classes})")
+        _check_label_range(lab, self.num_classes)
         if not self.domain.contains(pts):
             raise ParameterError("points must lie inside the domain box")
         lab = lab.astype(np.int64)
@@ -243,16 +242,6 @@ def gen_rings(n: int, radii: tuple[float, float], noise_sigma: float, seed: int)
     return _noisy_unit_square(np.concatenate([ring0, ring1]), noise_sigma, rng, {
         "generator": "rings", "seed": str(seed), "r_inner": fmt(r_inner), "r_outer": fmt(r_outer),
     })
-
-
-def rescale_inverse(dataset: Dataset) -> np.ndarray:
-    """Undo the recorded affine rescale, recovering pre-rescale coordinates."""
-    try:
-        offset = np.array([float(v) for v in dataset.meta["rescale_offset"].split()])
-        scale = np.array([float(v) for v in dataset.meta["rescale_scale"].split()])
-    except KeyError as e:
-        raise SchemaError(f"dataset metadata lacks {e.args[0]!r}; was it rescaled?") from None
-    return dataset.points.data * scale + offset
 
 
 def save_csv(dataset: Dataset, path) -> None:

@@ -1,14 +1,14 @@
 """Dense float64 tensors and one fused MLP loss-and-gradient pass.
 
-`Tensor` is the validated boundary for user data; the scale-aware softmax
-and cross-entropy take tensors of logits. `mlp_forward`, the one checked MLP
-forward entry (affine layers, relu/tanh), makes new arrays on every call and
-returns only the logits; `_check_input` is its input rule and `pgd_attack`'s.
-`mlp_loss_and_grad` runs the same pass on raw arrays its callers have checked,
-then the alpha-scaled cross-entropy with a sum or weighted-mean reduction
-and one reverse pass that computes only the gradients asked for. A PGD run
-makes every pass in one `_Workspace`, its natural forward pass on the clean
-points included. Scope is deliberately the minimum an MLP robustness lab needs.
+`Tensor` is the validated boundary for user data. `mlp_forward`, the one
+checked MLP forward entry (affine layers, relu/tanh), makes new arrays on
+every call and returns only the logits; `_check_input` is its input rule and
+`pgd_attack`'s. `mlp_loss_and_grad` runs the same pass on raw arrays its
+callers have checked, then the alpha-scaled cross-entropy (the package's one
+softmax) with a sum or weighted-mean reduction and one reverse pass that
+computes only the gradients asked for. A PGD run makes every pass in one
+`_Workspace`, its natural forward pass on the clean points included. Scope
+is deliberately the minimum an MLP robustness lab needs.
 
 Every layer product that maps rows to rows (x @ w forward, g @ w.T back)
 runs as one stacked `np.matmul` over blocks of `_BLOCK` rows, the batch's
@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError, check_positive
+from .errors import ParameterError, ShapeError
 
 if TYPE_CHECKING:
     from .model import MlpParams
@@ -41,9 +41,8 @@ _BLOCK = 64
 class Tensor:
     """Immutable dense array of 64-bit floats.
 
-    Construction from user data validates finiteness; op outputs go through
-    the trusted `_wrap` path and may hold whatever finite or infinite values
-    the arithmetic produced (e.g. a saturated cross-entropy).
+    Construction from user data validates finiteness; arrays the package
+    computed itself go through the trusted `_wrap` path unchecked.
     """
 
     __slots__ = ("_data",)
@@ -57,13 +56,10 @@ class Tensor:
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
-        # Trusted constructor for op outputs. Takes ownership: the caller
-        # must not mutate `arr` afterwards.
+        # Trusted constructor for computed arrays. Takes ownership: the
+        # caller must not mutate `arr` afterwards.
         out = cls.__new__(cls)
-        a = np.asarray(arr, dtype=np.float64)
-        if a.ndim and not a.flags["C_CONTIGUOUS"]:
-            # ascontiguousarray would promote 0-d arrays to 1-d
-            a = np.ascontiguousarray(a)
+        a = np.ascontiguousarray(arr, dtype=np.float64)
         a.setflags(write=False)
         out._data = a
         return out
@@ -84,16 +80,9 @@ def _activate(h: np.ndarray, kind: str, out: np.ndarray) -> np.ndarray:
     return np.maximum(h, 0.0, out=out) if kind == "relu" else np.tanh(h, out=out)  # MlpConfig admits no other
 
 
-def _check_logits(logits: Tensor) -> np.ndarray:
-    ld = logits.data
-    if ld.ndim != 2 or ld.shape[1] < 1:
-        raise ShapeError(f"logits must have shape (n, C), got {ld.shape}")
-    return ld
-
-
-def _log_softmax(logits: np.ndarray, alpha: float, out: np.ndarray | None = None,
-                 exps: np.ndarray | None = None) -> np.ndarray:
-    """log softmax(alpha * logits) by rows, written into `out` if given.
+def _log_softmax(logits: np.ndarray, alpha: float, out: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """log softmax(alpha * logits) by rows, written into `out`; the
+    exponentials exp(alpha * (logits - row max)) are left in `exps`.
 
     The fused pass hands in a Fortran-ordered copy of the logits: the row
     max and the row sum then run down contiguous columns, several times
@@ -101,8 +90,7 @@ def _log_softmax(logits: np.ndarray, alpha: float, out: np.ndarray | None = None
     they give the bits of the C-ordered axis-1 reductions, with one
     exception: numpy sums a C-ordered row of 8 or more terms pairwise,
     and column by column it adds them in order. So from
-    `_PAIRWISE_FROM` classes on, the exponentials must go into a C-ordered
-    `exps` (or, given none, the logits must be C-ordered).
+    `_PAIRWISE_FROM` classes on, `exps` must be C-ordered.
     """
     # Stabilized by max-subtraction so exp() stays in [0, 1] even when the
     # scale pushes logits far apart (the sweep goes up to alpha = 100).
@@ -114,17 +102,16 @@ def _log_softmax(logits: np.ndarray, alpha: float, out: np.ndarray | None = None
     return shifted
 
 
-def scaled_softmax(logits: Tensor, alpha: float = 1.0) -> Tensor:
-    """Row-wise softmax of `alpha * logits`."""
-    a = check_positive(alpha, "alpha")
-    ld = _check_logits(logits)
-    return Tensor._wrap(np.exp(_log_softmax(ld, a)))
-
-
 def _check_label_dtype(lab: np.ndarray) -> None:
     """The package's one rule for a label array's dtype, `Dataset`'s included."""
     if lab.dtype.kind not in "iu":  # signed or unsigned integers (np.issubdtype would pass timedelta64 too)
         raise ParameterError(f"labels must be integers, got dtype {lab.dtype}")
+
+
+def _check_label_range(lab: np.ndarray, num_classes: int) -> None:
+    """The package's one rule for integer labels' values, `Dataset`'s included."""
+    if lab.size and (lab.min() < 0 or lab.max() >= num_classes):
+        raise ParameterError(f"labels must lie in [0, {num_classes})")
 
 
 def _check_labels(labels, n: int, num_classes: int) -> np.ndarray:
@@ -132,17 +119,8 @@ def _check_labels(labels, n: int, num_classes: int) -> np.ndarray:
     if lab.ndim != 1 or lab.shape[0] != n:
         raise ShapeError(f"labels must be a length-{n} vector, got shape {lab.shape}")
     _check_label_dtype(lab)
-    if lab.size and (lab.min() < 0 or lab.max() >= num_classes):
-        raise IndexError(f"label out of range [0, {num_classes})")
+    _check_label_range(lab, num_classes)
     return lab.astype(np.int64, copy=False)
-
-
-def scaled_softmax_cross_entropy(logits: Tensor, labels, alpha: float = 1.0) -> Tensor:
-    """Per-example loss -log softmax(alpha * logits)[label], as a length-n tensor."""
-    a = check_positive(alpha, "alpha")
-    ld = _check_logits(logits)
-    lab = _check_labels(labels, *ld.shape)
-    return Tensor._wrap(-_log_softmax(ld, a)[np.arange(ld.shape[0]), lab])
 
 
 def _padded(n: int) -> int:

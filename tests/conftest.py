@@ -4,8 +4,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from robustlab.model import MlpConfig, MlpParams, forward_logits
-from robustlab.tensor import _BLOCK, Tensor, mlp_loss_and_grad, scaled_softmax_cross_entropy
+from robustlab.model import MlpConfig, MlpParams
+from robustlab.tensor import _BLOCK, Tensor, mlp_loss_and_grad
 
 
 def make_params(config: MlpConfig, weights, biases) -> MlpParams:
@@ -32,8 +32,8 @@ def linear_model(weight, bias, activation="relu") -> MlpParams:
 
 
 def total_loss(params: MlpParams, x: Tensor, y: np.ndarray, alpha: float) -> float:
-    logits = forward_logits(params, x)
-    return float(scaled_softmax_cross_entropy(logits, y, alpha).data.sum())
+    """The summed loss, from the fused pass's per-example losses."""
+    return float(mlp_loss_and_grad(params, x.data, y, alpha, None, False, False).losses.sum())
 
 
 def analytic_grads(params: MlpParams, x: Tensor, y: np.ndarray, alpha: float):

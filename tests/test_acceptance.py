@@ -22,8 +22,8 @@ from robustlab.attacks import (
     brute_force_attack,
     pgd20_config,
     pgd_attack,
+    _ball_bounds,
     pgd_plus_config,
-    project_linf,
 )
 from robustlab.datasets import (
     DomainBox,
@@ -46,15 +46,16 @@ from robustlab.evaluate import (
 )
 from robustlab.model import (
     MlpConfig,
+    forward_logits,
     init_params,
     load_checkpoint,
     predict,
     save_checkpoint,
 )
-from robustlab.tensor import Tensor, scaled_softmax
+from robustlab.tensor import Tensor, mlp_loss_and_grad
 from robustlab.training import TrainConfig, compute_weights, train
 
-from conftest import fd_max_rel_error, random_params, relu_preactivation_margin
+from conftest import fd_max_rel_error, linear_model, random_params, relu_preactivation_margin
 
 EPSILON = 0.031
 PIPELINE_BUDGET_S = 600.0
@@ -104,13 +105,14 @@ def test_criterion_2_projection_and_ball_containment():
     # 10,000 random (x0, perturbation, epsilon) triples, 100 per epsilon
     for _ in range(100):
         eps = float(rng.uniform(1e-4, 0.5))
-        x0 = Tensor(rng.uniform(0, 1, size=(100, 2)))
-        x = Tensor(rng.uniform(-1, 2, size=(100, 2)))
-        proj = project_linf(x, x0, eps, domain=box)
-        assert np.abs(proj.data - x0.data).max() <= eps + 1e-12
-        assert box.contains(proj.data)
-        again = project_linf(proj, x0, eps, domain=box)
-        np.testing.assert_array_equal(proj.data, again.data)
+        x0 = rng.uniform(0, 1, size=(100, 2))
+        x = rng.uniform(-1, 2, size=(100, 2))
+        # The projection of PGD's starts and steps: one clip to the clamped ball.
+        lo, hi = _ball_bounds(x0, eps, box)
+        proj = x.clip(lo, hi)
+        assert np.abs(proj - x0).max() <= eps + 1e-12
+        assert box.contains(proj)
+        np.testing.assert_array_equal(proj.clip(*_ball_bounds(x0, eps, box)), proj)
     # every attack output stays inside the ball and the domain
     outputs = 0
     for trial in range(10):
@@ -273,25 +275,29 @@ def test_criterion_6_attack_strength_monotonicity(pipeline):
 def test_criterion_7_argmax_alpha_invariance(pipeline):
     rng = np.random.default_rng(7007)
     alphas = (1e-6, 0.01, 1.0, 10.0, 100.0)
+    # The fused pass's verdict at every scale is the logits' argmax: each of
+    # 1000 logit draws, fed through a one-layer identity model, once per label.
     for _ in range(1000):
         c = int(rng.integers(2, 11))
-        logits = Tensor(rng.uniform(-1, 1, size=(1, c)))
-        ref = int(np.argmax(logits.data[0]))
+        logits = np.repeat(rng.uniform(-1, 1, size=(1, c)), c, axis=0)
+        identity = linear_model(np.eye(c), np.zeros(c))
+        ref = np.arange(c) == np.argmax(logits[0])
         for alpha in alphas:
-            assert int(np.argmax(scaled_softmax(logits, alpha).data[0])) == ref
+            step = mlp_loss_and_grad(identity, logits, np.arange(c), alpha, None, False, False)
+            np.testing.assert_array_equal(step.logits, logits)
+            np.testing.assert_array_equal(step.correct, ref)
     # fixed crafted adversarial set: accuracy identical across scales, exactly
-    from robustlab.model import forward_logits
-
     test_set = pipeline["test_set"]
     for method, r in pipeline["results"].items():
-        logits = forward_logits(r["params"], r["adversarial"])
-        ref_pred = np.argmax(logits.data, axis=1)
-        ref_acc = float(np.mean(ref_pred == test_set.labels))
+        logits = forward_logits(r["params"], r["adversarial"]).data
+        ref_correct = np.argmax(logits, axis=1) == test_set.labels
+        ref_acc = float(np.mean(ref_correct))
         for alpha in alphas:
-            pred = np.argmax(scaled_softmax(logits, alpha).data, axis=1)
-            np.testing.assert_array_equal(pred, ref_pred)
-            assert float(np.mean(pred == test_set.labels)) == ref_acc
-    print("\nPASS criterion 7: argmax invariant over 1000 logit draws and all crafted sets")
+            step = mlp_loss_and_grad(r["params"], r["adversarial"].data, test_set.labels, alpha, None, False, False)
+            np.testing.assert_array_equal(step.logits, logits)
+            np.testing.assert_array_equal(step.correct, ref_correct)
+            assert float(np.mean(step.correct)) == ref_acc
+    print("\nPASS criterion 7: the fused pass's verdict is argmax's at every alpha, 1000 draws and all crafted sets")
 
 
 def test_criterion_8_end_to_end_pipeline(pipeline, tmp_path):

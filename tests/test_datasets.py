@@ -12,12 +12,17 @@ from robustlab.datasets import (
     gen_rings,
     gen_two_moons,
     load_csv,
-    rescale_inverse,
     save_csv,
     split_dataset,
 )
 from robustlab.errors import ParameterError, ParseError, SchemaError
 from robustlab.tensor import Tensor, _check_labels
+
+
+def pre_rescale(ds: Dataset) -> np.ndarray:
+    """The points before the generator's rescale into the unit box, from the transform its metadata records."""
+    offset, scale = (np.array(ds.meta[key].split(), dtype=float) for key in ("rescale_offset", "rescale_scale"))
+    return ds.points.data * scale + offset
 
 
 def moon_arc_distance(points: np.ndarray, label: int) -> np.ndarray:
@@ -47,7 +52,7 @@ class TestTwoMoons:
 
     def test_noiseless_points_on_arcs(self):
         ds = gen_two_moons(200, 0.0, seed=3)
-        pre = rescale_inverse(ds)
+        pre = pre_rescale(ds)
         for label in (0, 1):
             d = moon_arc_distance(pre[ds.labels == label], label)
             assert d.max() < 1e-12
@@ -55,7 +60,7 @@ class TestTwoMoons:
     def test_noise_rms_matches_its_own_model(self):
         # Monte-Carlo: with sigma=0.1, arc-distance RMS per class ~ sigma.
         ds = gen_two_moons(2000, 0.1, seed=5)
-        pre = rescale_inverse(ds)
+        pre = pre_rescale(ds)
         for label in (0, 1):
             d = moon_arc_distance(pre[ds.labels == label], label)
             rms = float(np.sqrt(np.mean(d**2)))
@@ -117,7 +122,7 @@ class TestBlobs:
 class TestRings:
     def test_noiseless_radii(self):
         ds = gen_rings(100, (0.5, 1.0), 0.0, seed=4)
-        pre = rescale_inverse(ds)
+        pre = pre_rescale(ds)
         r = np.hypot(pre[:, 0], pre[:, 1])
         assert np.abs(r[ds.labels == 0] - 0.5).max() < 1e-12
         assert np.abs(r[ds.labels == 1] - 1.0).max() < 1e-12
@@ -128,7 +133,7 @@ class TestRings:
 
     def test_radial_std(self):
         ds = gen_rings(2000, (0.5, 1.0), 0.02, seed=6)
-        pre = rescale_inverse(ds)
+        pre = pre_rescale(ds)
         r = np.hypot(pre[:, 0], pre[:, 1])
         for label, target in ((0, 0.5), (1, 1.0)):
             std = float(np.std(r[ds.labels == label] - target))
@@ -304,4 +309,13 @@ class TestDomainBox:
         with pytest.raises(ParameterError, match=message):
             Dataset(points=Tensor([[0.1, 0.2], [0.3, 0.4]]), labels=labels, domain=DomainBox.unit(2), num_classes=2)
         with pytest.raises(ParameterError, match=message):
+            _check_labels(labels, 2, 2)
+
+    @pytest.mark.parametrize("labels", [[0, 2], [-1, 1], [0, 2**40]], ids=["at-C", "negative", "far-above"])
+    def test_labels_must_lie_in_range_by_the_package_rule(self, labels):
+        # Dataset and pgd_attack's `_check_labels` refuse a label outside [0, C) in one wording.
+        labels = np.array(labels)
+        with pytest.raises(ParameterError, match=r"^labels must lie in \[0, 2\)$"):
+            Dataset(points=Tensor([[0.1, 0.2], [0.3, 0.4]]), labels=labels, domain=DomainBox.unit(2), num_classes=2)
+        with pytest.raises(ParameterError, match=r"^labels must lie in \[0, 2\)$"):
             _check_labels(labels, 2, 2)

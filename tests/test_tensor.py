@@ -1,4 +1,5 @@
 """Tensor core: forward ops, the scale-aware loss, and the fused reverse pass."""
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -18,8 +19,6 @@ from robustlab.tensor import (
     _Workspace,
     mlp_forward,
     mlp_loss_and_grad,
-    scaled_softmax,
-    scaled_softmax_cross_entropy,
 )
 
 from conftest import blocked_product, fd_max_rel_error, linear_model, make_params, per_op_grads, random_params
@@ -106,51 +105,77 @@ class TestActivation:
         assert abs(hidden_output("tanh", [0.5])[0] - TANH_HALF) < 1e-12
 
 
+def head(z, alpha):
+    """The loss head on logits z, as the fused pass runs it: `_log_softmax`
+    on a Fortran-ordered copy. Returns the log-probabilities and exp of them."""
+    logp = np.array(z, dtype=float, order="F")
+    logp = _log_softmax(logp, alpha, logp, np.empty_like(logp))
+    return logp, np.exp(logp)
+
+
+def identity_pass(z, y, alpha):
+    """The fused pass through a one-layer identity model fed logits z, so that
+    its losses and correctness are those of the head on z (its + 0.0 bias
+    turns -0.0 into 0.0)."""
+    z = np.asarray(z, dtype=float)
+    c = z.shape[1]
+    res = mlp_loss_and_grad(linear_model(np.eye(c), np.zeros(c)), z, np.asarray(y, dtype=np.int64), alpha, None,
+                            False, False)
+    assert res.logits.tobytes() == (z + 0.0).tobytes()
+    return res
+
+
 class TestScaledCrossEntropy:
     @pytest.mark.parametrize("alpha", [0.01, 1.0, 10.0, 100.0])
     def test_equal_logits_gives_ln_c(self, alpha):
-        logits = Tensor(np.full((3, 4), 1.7))
-        losses = scaled_softmax_cross_entropy(logits, np.array([0, 1, 3]), alpha)
-        np.testing.assert_allclose(losses.data, LN_4, rtol=0, atol=1e-12)
+        losses = identity_pass(np.full((3, 4), 1.7), [0, 1, 3], alpha).losses
+        np.testing.assert_allclose(losses, LN_4, rtol=0, atol=1e-12)
 
     def test_two_class_closed_form(self):
-        losses = scaled_softmax_cross_entropy(Tensor([[1.0, 0.0]]), np.array([0]), 1.0)
-        assert abs(losses.data[0] - LN_1P_EXP_NEG1) < 1e-12
+        losses = identity_pass([[1.0, 0.0]], [0], 1.0).losses
+        assert abs(losses[0] - LN_1P_EXP_NEG1) < 1e-12
 
     @pytest.mark.parametrize("alpha", [0.01, 1.0, 10.0, 100.0])
     def test_argmax_scale_invariance(self, alpha):
-        probs = scaled_softmax(Tensor([[2.0, 1.0]]), alpha)
-        assert np.argmax(probs.data[0]) == 0
+        _, probs = head([[2.0, 1.0]], alpha)
+        assert np.argmax(probs[0]) == 0
+        assert identity_pass([[2.0, 1.0], [2.0, 1.0]], [0, 1], alpha).correct.tolist() == [True, False]
 
-    def test_alpha_must_be_positive(self):
-        logits = Tensor([[1.0, 2.0]])
-        for bad in (0.0, -1.0, np.nan):
-            with pytest.raises(ParameterError):
-                scaled_softmax_cross_entropy(logits, np.array([0]), bad)
 
-    def test_label_out_of_range(self):
-        logits = Tensor([[1.0, 2.0]])
-        with pytest.raises(IndexError):
-            scaled_softmax_cross_entropy(logits, np.array([2]), 1.0)
-        with pytest.raises(IndexError):
-            scaled_softmax_cross_entropy(logits, np.array([-1]), 1.0)
+def attack_with_labels(labels):
+    """`pgd_attack` on 2 points of a 2-class model, its labels checked by `_check_labels`."""
+    params = linear_model([[1.0, -1.0], [-1.0, 1.0]], [0.0, 0.0])
+    cfg = AttackConfig(epsilon=0.1, steps=2, step_size=0.05)
+    return pgd_attack(params, Tensor([[0.6, 0.4], [0.3, 0.7]]), labels, cfg, domain=DomainBox.unit(2))
+
+
+class TestLabels:
+    """pgd_attack's label rule, `_check_labels`: dtype and range as `Dataset` has them."""
+
+    @pytest.mark.parametrize("labels", [[0, 2], [-1, 0]], ids=["above-range", "negative"])
+    def test_label_out_of_range(self, labels):
+        with pytest.raises(ParameterError, match=re.escape("labels must lie in [0, 2)")):
+            attack_with_labels(np.array(labels))
 
     def test_non_integer_labels_rejected(self):
         with pytest.raises(ParameterError):
-            scaled_softmax_cross_entropy(Tensor([[1.0, 2.0]]), np.array([0.0]), 1.0)
+            attack_with_labels(np.array([0.0, 1.0]))
 
     @pytest.mark.parametrize("dtype", ["bool", "timedelta64[s]", "object"])
     def test_labels_of_a_dtype_of_another_kind_rejected(self, dtype):
         # Only signed and unsigned integers are labels: not bools, and not
         # timedeltas, although numpy counts those as a subtype of np.integer.
         with pytest.raises(ParameterError, match="labels must be integers"):
-            scaled_softmax_cross_entropy(Tensor([[1.0, 2.0]]), np.array([0]).astype(dtype), 1.0)
+            attack_with_labels(np.array([0, 1]).astype(dtype))
 
     @pytest.mark.parametrize("dtype", ["int8", "uint8", "int32", "uint64"])
     def test_every_integer_label_dtype_accepted(self, dtype):
-        logits = Tensor([[1.0, 2.0], [0.5, -1.0]])
-        got = scaled_softmax_cross_entropy(logits, np.array([1, 0], dtype=dtype), 1.0).data
-        np.testing.assert_array_equal(got, scaled_softmax_cross_entropy(logits, np.array([1, 0]), 1.0).data)
+        got = attack_with_labels(np.array([1, 0], dtype=dtype))
+        want = attack_with_labels(np.array([1, 0]))
+        for f in fields(want):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            a, b = (a.data, b.data) if isinstance(a, Tensor) else (a, b)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), f.name
 
 
 class TestSoftmaxProperties:
@@ -160,32 +185,34 @@ class TestSoftmaxProperties:
     )
     @settings(max_examples=200, deadline=None)
     def test_sums_to_one(self, logits, alpha):
-        probs = scaled_softmax(Tensor([logits]), alpha)
-        assert abs(probs.data.sum() - 1.0) < 1e-12
+        _, probs = head([logits], alpha)
+        assert abs(probs.sum() - 1.0) < 1e-12
 
     def test_sums_to_one_extreme_spread(self):
-        probs = scaled_softmax(Tensor([[1e300, -1e300, 0.0]]), 100.0)
-        assert abs(probs.data.sum() - 1.0) < 1e-12
+        _, probs = head([[1e300, -1e300, 0.0]], 100.0)
+        assert abs(probs.sum() - 1.0) < 1e-12
 
     def test_max_probability_nondecreasing_in_alpha(self, rng):
         for _ in range(20):
-            logits = Tensor([rng.uniform(-3, 3, size=5)])
+            logits = [rng.uniform(-3, 3, size=5)]
             alphas = np.logspace(-6, 2, 30)
-            maxima = [scaled_softmax(logits, a).data.max() for a in alphas]
+            maxima = [head(logits, a)[1].max() for a in alphas]
             assert all(b >= a - 1e-12 for a, b in zip(maxima, maxima[1:]))
 
     def test_flattens_to_uniform_at_tiny_alpha(self, rng):
         # O(1) logits: the deviation from 1/C at alpha=1e-6 is O(alpha).
         for c in (2, 3, 5, 8):
-            logits = Tensor([rng.uniform(-1, 1, size=c)])
-            assert abs(scaled_softmax(logits, 1e-6).data.max() - 1.0 / c) < 1e-6
+            logits = [rng.uniform(-1, 1, size=c)]
+            assert abs(head(logits, 1e-6)[1].max() - 1.0 / c) < 1e-6
 
     def test_argmax_matches_logits_argmax(self, rng):
         for _ in range(50):
             logits = rng.uniform(-1, 1, size=(1, 6))
             for alpha in (1e-6, 0.01, 1.0, 10.0, 100.0):
-                probs = scaled_softmax(Tensor(logits), alpha)
-                assert np.argmax(probs.data[0]) == np.argmax(logits[0])
+                _, probs = head(logits, alpha)
+                assert np.argmax(probs[0]) == np.argmax(logits[0])
+                assert identity_pass(np.repeat(logits, 6, axis=0), np.arange(6), alpha).correct.tolist() == [
+                    label == np.argmax(logits[0]) for label in range(6)]
 
     def test_ties_and_signed_zeros_keep_the_axis_max_bits(self):
         # On the Fortran-ordered logits of the fused pass the row max runs
@@ -195,17 +222,15 @@ class TestSoftmaxProperties:
         for alpha in (0.01, 1.0, 100.0):
             shifted = alpha * (z - z.max(axis=1, keepdims=True))
             logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-            np.testing.assert_array_equal(_log_softmax(np.asfortranarray(z), alpha).view(np.uint64),
-                                          logp.view(np.uint64))
-            np.testing.assert_array_equal(scaled_softmax(Tensor(z), alpha).data, np.exp(logp))
-            for label in range(3):
-                y = np.full(len(z), label)
-                got = scaled_softmax_cross_entropy(Tensor(z), y, alpha).data
-                np.testing.assert_array_equal(got.view(np.uint64), (-logp[:, label]).view(np.uint64))
+            got = np.asfortranarray(z)
+            exps = np.empty_like(got)
+            np.testing.assert_array_equal(_log_softmax(got, alpha, got, exps).view(np.uint64), logp.view(np.uint64))
+            np.testing.assert_array_equal(exps.view(np.uint64), np.exp(shifted).view(np.uint64))
 
     def test_tie_resolution_lowest_index(self):
-        probs = scaled_softmax(Tensor([[3.0, 3.0, 1.0]]), 1.0)
-        assert np.argmax(probs.data[0]) == 0
+        _, probs = head([[3.0, 3.0, 1.0]], 1.0)
+        assert np.argmax(probs[0]) == 0
+        assert identity_pass([[3.0, 3.0, 1.0]] * 3, [0, 1, 2], 1.0).correct.tolist() == [True, False, False]
 
 
 def _relu_net(w0, b0):
@@ -357,9 +382,11 @@ class TestBackward:
         x = Tensor(rng.uniform(-1, 1, size=(6, 3)))
         y = rng.integers(0, 3, size=6)
         res = mlp_loss_and_grad(params, x.data, y, 0.5, None, False, False)
-        logits = forward_logits(params, x)
-        np.testing.assert_array_equal(res.logits, logits.data)
-        np.testing.assert_array_equal(res.losses, scaled_softmax_cross_entropy(logits, y, 0.5).data)
+        logits = forward_logits(params, x).data
+        np.testing.assert_array_equal(res.logits, logits)
+        shifted = 0.5 * (logits - logits.max(axis=1, keepdims=True))
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        np.testing.assert_array_equal(res.losses, -logp[np.arange(6), y])
 
     @pytest.mark.parametrize("act", ["relu", "tanh"])
     @pytest.mark.parametrize("n", [64, 800, 4000])
@@ -630,6 +657,6 @@ class TestCorrect:
         # The head's exponentials, as it computes them: a tie gives some wrong row a label entry of 1.0.
         logits = np.asfortranarray(step.logits)
         exps = np.empty_like(logits)
-        _log_softmax(logits, alpha, exps=exps)
+        _log_softmax(logits, alpha, np.empty_like(logits), exps)
         misread = np.count_nonzero((exps[np.arange(n), lab] == 1.0) & ~want)
         assert misread > 0 or not (ties and n == 4000)
