@@ -411,6 +411,7 @@ def pgd_attack(
             for k in range(r == 0, g):  # in restart order, as `_keep_better` asks
                 part = slice(k * n, (k + 1) * n)
                 _keep_better(best, group.loss[part], group.x[part], group.correct[part], beats)
+    ws.give_back()
     best_x = best.x.view(np.float64).reshape(n, d)
 
     wrong = ~trace[0]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -427,15 +428,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate a synthetic dataset CSV")
     _add_flags(p, "data")
     p.add_argument("--config", help=config_help)
-    p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train a model and write a checkpoint")
     _add_flags(p, "train")
     p.add_argument("--history", help="history CSV path (default: <out>.history.csv)")
     p.add_argument("--config", help=config_help)
-    p.set_defaults(func=cmd_train)
 
-    def attack_parser(name, func, summary, sweep_keys=("attack",)):
+    def attack_parser(name, summary, sweep_keys=("attack",)):
         p = sub.add_parser(name, help=summary)
         p.add_argument("--model", required=True)
         p.add_argument("--data", required=True)
@@ -443,13 +442,12 @@ def build_parser() -> argparse.ArgumentParser:
         _add_flags(p, "attack")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", help=config_help)
-        p.set_defaults(func=func)
         return p
 
-    p = attack_parser("attack", cmd_attack, "run one attack, report accuracy, optionally dump points")
+    p = attack_parser("attack", "run one attack, report accuracy, optionally dump points")
     p.add_argument("--out-adv", dest="out_adv")
-    for p in (attack_parser("eval", cmd_eval, "natural + robust accuracy under one attack"),
-              attack_parser("sweep", cmd_sweep, "robust accuracy across a logit-scale grid",
+    for p in (attack_parser("eval", "natural + robust accuracy under one attack"),
+              attack_parser("sweep", "robust accuracy across a logit-scale grid",
                             ("attack", "alpha_grid"))):
         p.add_argument("--verdict", choices=VERDICTS)
         p.add_argument("--out")
@@ -461,24 +459,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=51)
     p.add_argument("--limit", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("report", help="pretty-print a report CSV")
     p.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(func=cmd_report)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one `build_parser()` result of the process, which every `main` call parses with."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         # argparse already printed usage/help
         return 0 if e.code in (0, None) else _USAGE_ERROR
+    # Looked up when it runs, so that the parser binds no function.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (RobustlabError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return _DATA_ERROR

@@ -1,14 +1,15 @@
 """Dense float64 tensors and one fused MLP loss-and-gradient pass.
 
 `Tensor` is the validated boundary for user data. `mlp_forward`, the one
-checked MLP forward entry (affine layers, relu/tanh), makes new arrays on
-every call and returns only the logits; `_check_input` is its input rule and
-`pgd_attack`'s. `mlp_loss_and_grad` runs the same pass on raw arrays its
-callers have checked, then the alpha-scaled cross-entropy (the package's one
-softmax) with a sum or weighted-mean reduction and one reverse pass that
-computes only the gradients asked for. A PGD run makes every pass in one
-`_Workspace`, its natural forward pass on the clean points included. Scope
-is deliberately the minimum an MLP robustness lab needs.
+checked MLP forward entry (affine layers, relu/tanh), runs in a kept
+`_Workspace` and returns a copy of the logits only; `_check_input` is its
+input rule and `pgd_attack`'s. `mlp_loss_and_grad` runs the same pass on raw
+arrays its callers have checked, then the alpha-scaled cross-entropy (the
+package's one softmax) with a sum or weighted-mean reduction and one reverse
+pass that computes only the gradients asked for. A PGD run makes every pass
+in one `_Workspace`, its natural forward pass on the clean points included,
+and the module keeps the last workspace given back for the next run of the
+same shape. Scope is deliberately the minimum an MLP robustness lab needs.
 
 Every layer product that maps rows to rows (x @ w forward, g @ w.T back)
 runs as one stacked `np.matmul` over blocks of `_BLOCK` rows, the batch's
@@ -22,6 +23,7 @@ tail kernels for others), and its last bits follow.
 """
 from __future__ import annotations
 
+import threading
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -154,28 +156,40 @@ def _check_input(params: MlpParams, x: np.ndarray) -> None:
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """The logits of `x`, a C-ordered view of the first n rows of a padded array.
+    """The logits of `x`, a new C-ordered (n, classes) array.
 
     The package's one checked forward entry, behind `model.forward_logits`:
-    it refuses an `x` that is not (n, input_dim). `mlp_loss_and_grad` runs
-    the same pass on inputs its callers have checked.
+    it refuses an `x` that is not (n, input_dim). It runs in a workspace
+    `_Workspace.taken` hands out and gives back, so it copies its logits out
+    of it first. `mlp_loss_and_grad` runs the same pass on inputs its callers
+    have checked.
     """
     _check_input(params, x)
-    sizes = params.config.layer_sizes
-    acts = _layers(sizes, _padded(x.shape[0]))
-    acts[0][x.shape[0]:] = 0.0
-    return _forward(params, x, acts, [_blocks(a) for a in acts], _tiled(params, _layers(sizes[1:], _BLOCK)))
+    ws = _Workspace.taken(params.config.layer_sizes, x.shape[0])
+    logits = _forward(params, x, ws.acts, ws.act_blocks, ws.tiles_of(params)).copy()
+    ws.give_back()
+    return logits
 
 
 class _Workspace(NamedTuple):
-    """The arrays every pass of one PGD run writes into, and the run's
-    labels in the two forms the loss head reads. `pgd_attack` makes one for
-    its batch, runs its natural forward pass and then every step in it,
-    narrows it when rows settle, and drops it when it returns; `train`
-    makes one for its batch size and narrows it to each batch's labels for
-    that batch's SGD pass; `mlp_loss_and_grad` makes one for a pass given
-    none. (Freed after every pass, a large batch's arrays were trimmed off
-    the heap by glibc and faulted in again on the next.)
+    """The arrays every pass of one run writes into, and the run's labels
+    in the two forms the loss head reads.
+
+    Holders: the module keeps, in one slot, the workspace last given back
+    (`give_back`). `taken` and `for_batch` hand it out for a model of the
+    same layer widths and a batch of as many rows, and a new workspace for
+    any other; taking empties the slot, so a workspace has one holder at a
+    time and two threads never share one. `pgd_attack` takes one for its
+    batch, runs its natural forward pass and then every step in it, narrows
+    it when rows settle, and gives it back after its last pass; `train`
+    takes one per batch for its SGD pass, the batch's PGD workspace with the
+    bias tiles that run filled for the same params, and gives it back;
+    `mlp_forward` takes one and gives it back once it has copied its logits
+    out. A run that raises drops its workspace, and only a workspace that
+    was taken is given back, never a `narrowed` one. `mlp_loss_and_grad`
+    makes a new one for a pass given none, since its results alias it.
+    (Freed after every run, a large batch's arrays were trimmed off the heap
+    by glibc and faulted in again on the next; kept, they stay faulted in.)
 
     Layer products: `acts` holds the input and every layer's output, and
     `grads` every layer's input gradient and then the upstream gradient
@@ -185,16 +199,16 @@ class _Workspace(NamedTuple):
     `grad_blocks` are their 3-D block views, the operands of the stacked
     products. Only the padding rows of the input and of the upstream
     gradient are zeroed, and no pass writes them, so every padding row
-    stays finite: the forward pass computes the layers of a zero input, and
-    the reverse pass carries zeros. Every other entry a pass reads it has
-    written first. Only the products and the bias and activation read the
-    padding; the loss head, the masks of the reverse pass and the parameter
-    gradients read the first n rows.
+    stays finite, in a kept workspace too: the forward pass computes the
+    layers of a zero input, and the reverse pass carries zeros. Every other
+    entry a pass reads it has written first. Only the products and the bias
+    and activation read the padding; the loss head, the masks of the
+    reverse pass and the parameter gradients read the first n rows.
 
     Biases: `tiles` holds each layer's bias tile (`_tiled`), and `tiled`, a
     one-item list, the params they were last filled from. `tiles_of` fills
-    them for other params only, so a PGD run fills them once, and `train`,
-    whose every step makes new params, once per SGD pass.
+    them for other params only, so a PGD run fills them once, and the SGD
+    pass of `train` that follows it on the same params not at all.
 
     The head: `logp` is Fortran-ordered, for the head's row reductions, and
     first receives a copy of the logits; `exps`, the head's exponentials,
@@ -218,10 +232,27 @@ class _Workspace(NamedTuple):
     tiled: list
 
     @classmethod
+    def new(cls, sizes: tuple[int, ...], n: int) -> "_Workspace":
+        """A new workspace for n rows on a model of layer widths `sizes`, its label arrays unwritten."""
+        rows = _padded(n)
+        return cls._over(_layers(sizes, rows), _layers(sizes, rows), n)
+
+    @classmethod
+    def taken(cls, sizes: tuple[int, ...], n: int) -> "_Workspace":
+        """The kept workspace, if it has layer widths `sizes` and n rows, else a new one; its label arrays as they were."""
+        ws = _take_kept()
+        if ws is None or ws.flat.shape[0] != n or tuple(a.shape[1] for a in ws.acts) != sizes:
+            return cls.new(sizes, n)
+        return ws
+
+    @classmethod
     def for_batch(cls, sizes: tuple[int, ...], lab: np.ndarray) -> "_Workspace":
-        """A workspace for `lab`, labels `_check_labels` returned, on a model of layer widths `sizes`."""
-        rows = _padded(lab.shape[0])
-        return cls._over(_layers(sizes, rows), _layers(sizes, rows), lab)
+        """The workspace `taken` hands out for `lab`, labels `_check_labels` returned, labelled for them."""
+        return cls.taken(sizes, lab.shape[0]).narrowed(lab)
+
+    def give_back(self) -> None:
+        """Keep this workspace, the one a holder took, for the next run of its shape."""
+        _kept[0] = self
 
     def tiles_of(self, params: MlpParams) -> list[np.ndarray]:
         """The bias tiles of `params`, filled unless the last pass was with them."""
@@ -243,20 +274,21 @@ class _Workspace(NamedTuple):
         this one, its label arrays refilled for `lab` in place.
         """
         m = lab.shape[0]
+        ws = self
         if m < self.flat.shape[0]:
             rows = _padded(m)
-            return self._over([a[:rows] for a in self.acts], [g[:rows] for g in self.grads], lab, self)
-        _label(lab, self.onehot, self.flat)
-        return self
+            ws = self._over([a[:rows] for a in self.acts], [g[:rows] for g in self.grads], m, self)
+        _label(lab, ws.onehot, ws.flat)
+        return ws
 
     @classmethod
-    def _over(cls, acts: list[np.ndarray], grads: list[np.ndarray], lab: np.ndarray,
+    def _over(cls, acts: list[np.ndarray], grads: list[np.ndarray], n: int,
               on: "_Workspace | None" = None) -> "_Workspace":
-        """The workspace on layer arrays `acts` and `grads`, their input and
-        upstream gradient padding zeroed, with new label arrays for `lab`,
-        and the head's scratch and the bias tiles: new, or those of `on`
-        (the scratch on its first entries)."""
-        n, classes = lab.shape[0], acts[-1].shape[1]
+        """The workspace for n rows on layer arrays `acts` and `grads`, their
+        input and upstream gradient padding zeroed, with new, unwritten label
+        arrays, and the head's scratch and the bias tiles: new, or those of
+        `on` (the scratch on its first entries)."""
+        classes = acts[-1].shape[1]
         if on is None:
             logp = np.empty((n, classes), order="F")
             exps = np.empty((n, classes), order="C" if classes >= _PAIRWISE_FROM else "F")
@@ -265,10 +297,22 @@ class _Workspace(NamedTuple):
             logp, exps, tiles, tiled = _prefix(on.logp, n), _prefix(on.exps, n), on.tiles, on.tiled
         acts[0][n:] = 0.0
         grads[-1][n:] = 0.0
-        onehot, flat = np.empty((n, classes)), np.empty(n, dtype=np.int64)
-        _label(lab, onehot, flat)
-        return cls(acts, grads, [_blocks(a) for a in acts], [_blocks(g) for g in grads], logp, exps, onehot, flat,
-                   tiles, tiled)
+        return cls(acts, grads, [_blocks(a) for a in acts], [_blocks(g) for g in grads], logp, exps,
+                   np.empty((n, classes)), np.empty(n, dtype=np.int64), tiles, tiled)
+
+
+# The one slot that keeps a workspace between runs (see `_Workspace`), and the
+# lock that makes emptying it one step.
+_kept: list[_Workspace | None] = [None]
+_kept_lock = threading.Lock()
+
+
+def _take_kept() -> _Workspace | None:
+    """Empty the slot and return the workspace it kept, if any. Tests call
+    it to start from an empty slot or to reach the kept workspace."""
+    with _kept_lock:
+        ws, _kept[0] = _kept[0], None
+    return ws
 
 
 def _label(lab: np.ndarray, onehot: np.ndarray, flat: np.ndarray) -> None:
@@ -363,8 +407,8 @@ def mlp_loss_and_grad(
     returned logits and input gradient hold until the next pass with that
     workspace.
     """
-    if ws is None:
-        ws = _Workspace.for_batch(params.config.layer_sizes, lab)
+    if ws is None:  # not a kept one: the results alias it
+        ws = _Workspace.new(params.config.layer_sizes, lab.shape[0]).narrowed(lab)
     logits = _forward(params, x, ws.acts, ws.act_blocks, ws.tiles_of(params))
     n = x.shape[0]
     np.copyto(ws.logp, logits)

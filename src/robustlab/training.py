@@ -208,8 +208,6 @@ def train(model_config: MlpConfig, dataset: Dataset, config: TrainConfig) -> tup
         # kappa and crafting both run at scale 1: the logit scale belongs
         # to the attacker, not to training.
         inner = replace(config.inner_attack, alpha=1.0)
-    # Every batch's SGD pass runs in this one workspace, narrowed to its labels.
-    ws = _Workspace.for_batch(model_config.layer_sizes, labels[:config.batch_size])
 
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
@@ -243,9 +241,12 @@ def train(model_config: MlpConfig, dataset: Dataset, config: TrainConfig) -> tup
             if kappa_counts is not None:
                 kappa_counts += np.bincount(kappa, minlength=inner.steps + 1)
 
-            step = mlp_loss_and_grad(params, x_train, yb, 1.0, omega, False, True, ws.narrowed(yb))
+            # The batch's PGD workspace, if it ran one, its bias tiles already filled for these params.
+            ws = _Workspace.for_batch(model_config.layer_sizes, yb)
+            step = mlp_loss_and_grad(params, x_train, yb, 1.0, omega, False, True, ws)
             if not np.isfinite(step.loss):
                 raise _diverged(f"non-finite loss {step.loss}", epoch, batch, config)
+            ws.give_back()  # the parameter gradients are new arrays
             params = sgd_step(params, step.param_grads, config.learning_rate)
             losses.append(step.loss)
 

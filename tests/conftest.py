@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from robustlab.model import MlpConfig, MlpParams
-from robustlab.tensor import _BLOCK, Tensor, mlp_loss_and_grad
+from robustlab.tensor import _BLOCK, Tensor, _take_kept, mlp_loss_and_grad
+
+
+@pytest.fixture(autouse=True)
+def no_kept_workspace():
+    """Every test starts with no workspace kept from an earlier one (see `tensor._Workspace`)."""
+    _take_kept()
 
 
 def make_params(config: MlpConfig, weights, biases) -> MlpParams:

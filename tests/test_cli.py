@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from robustlab.cli import _SETTINGS, main
+from robustlab.cli import _SETTINGS, build_parser, main
 from robustlab.datasets import load_csv
 from robustlab.evaluate import read_report
 from robustlab.model import load_checkpoint
@@ -693,3 +693,50 @@ class TestHelp:
         for table, section in sections.items():
             for key, setting in _SETTINGS[table].items():
                 assert f" {setting.flag} " in text and f"INI [{section}] {key}" in text
+
+
+class TestOneParser:
+    """`main` parses every call with one `build_parser()` result per process."""
+
+    CENTERS = "0.25:0.25;0.75:0.25;0.25:0.75;0.75:0.75"
+    WORKFLOW = [
+        ["gen-data", "--kind", "blobs", "--n", "60", "--seed", "11", "--noise", "0.13", "--centers", CENTERS,
+         "--out", "blobs.csv"],
+        ["train", "--method", "gairat", "--epochs", "3", "--burn-in", "1", "--inner-steps", "3", "--batch-size", "16",
+         "--hidden", "8", "--seed", "3", "--data", "blobs.csv", "--out", "gairat.ckpt"],
+        ["sweep", "--model", "gairat.ckpt", "--data", "blobs.csv", "--attack", "pgd20", "--alpha-grid", "1e-1:1e1:3",
+         "--out", "sweep.csv"],
+        ["sweep", "--model", "gairat.ckpt", "--data", "blobs.csv", "--attack", "pgdplus", "--alpha-grid",
+         "1e-1:1e1:3", "--out", "sweep_plus.csv"],
+        ["report", "--in", "sweep.csv"],
+        ["oracle-check", "--model", "gairat.ckpt", "--data", "blobs.csv", "--eps", "0.05", "--grid", "11",
+         "--limit", "2"],
+    ]
+
+    def test_two_readme_workflows_write_the_same_files_and_stdout(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("ROBUSTLAB_OUT", raising=False)
+
+        def workflow(directory):
+            directory.mkdir()
+            monkeypatch.chdir(directory)
+            runs = [(main(list(argv)), capsys.readouterr()) for argv in self.WORKFLOW]
+            files = {p.name: [line for line in p.read_text().splitlines() if not line.startswith("# generated_at")]
+                     for p in sorted(directory.iterdir())}
+            return runs, files
+
+        first = workflow(tmp_path / "a")
+        assert [code for code, _ in first[0][:5]] == [0] * 5
+        assert set(first[1]) == {"blobs.csv", "gairat.ckpt", "gairat.history.csv", "sweep.csv", "sweep_plus.csv"}
+        assert workflow(tmp_path / "b") == first
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["sweep", "--help"], ["oracle-check", "--help"], [], ["bogus"], ["train", "--bogus"],
+        ["eval", "--model", "m.ckpt"], ["report", "--in"],
+    ])
+    def test_help_and_usage_errors_are_those_of_a_new_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        want = capsys.readouterr()
+        for _ in range(2):
+            assert main(list(argv)) == (0 if exit_info.value.code == 0 else 1)
+            assert capsys.readouterr() == want

@@ -1,5 +1,11 @@
 """Tensor core: forward ops, the scale-aware loss, and the fused reverse pass."""
+import hashlib
+import json
+import os
 import re
+import subprocess
+import sys
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -11,7 +17,7 @@ from robustlab import attacks, tensor, training
 from robustlab.attacks import AttackConfig, pgd_attack
 from robustlab.datasets import DomainBox, gen_two_moons
 from robustlab.errors import ParameterError, ShapeError
-from robustlab.model import MlpConfig, forward_logits
+from robustlab.model import MlpConfig, forward_logits, predict
 from robustlab.training import TrainConfig, train
 from robustlab.tensor import (
     Tensor,
@@ -453,9 +459,11 @@ class TestBackward:
 
 
 class TestReusedWorkspace:
-    """`train` makes one workspace per run and narrows it to each batch's
-    labels: to as many rows, it is relabelled in place, and to fewer, its
-    prefix. A pass in it keeps the bits of a pass in a new workspace."""
+    """A workspace narrowed to a batch's labels: to as many rows, as the kept
+    workspace is for a run of its shape, it is relabelled in place, and to
+    fewer, as a PGD run's is when rows settle, its prefix. A pass in it
+    keeps the bits of a pass in a new workspace. The runs that take the kept
+    workspace make a new one only for another shape."""
 
     @staticmethod
     def assert_new_workspace_bits(params, ws, x, y, alpha, weights):
@@ -494,6 +502,21 @@ class TestReusedWorkspace:
         assert full.narrowed(y) is full
         self.assert_new_workspace_bits(params, full, x, y, alpha, w)
 
+    def test_new_workspaces_only_for_new_shapes(self, rng, monkeypatch):
+        made = []
+        new = _Workspace.new.__func__
+        monkeypatch.setattr(_Workspace, "new", classmethod(lambda cls, sizes, n: made.append(n) or new(cls, sizes, n)))
+        inner = AttackConfig(epsilon=0.05, steps=3, step_size=0.0125, random_start=True)
+        tc = TrainConfig(method="at", epochs=2, batch_size=64, learning_rate=0.1, inner_attack=inner)
+        params, _ = train(MlpConfig((2, 16, 16, 2)), gen_two_moons(128, 0.1, seed=3), tc)
+        # Per epoch: one for both batches' PGD runs and SGD passes, one for the natural accuracy on all 128 rows.
+        assert made == [64, 128] * 2
+        made.clear()
+        x = rng.uniform(0, 1, size=(100, 2))
+        for p in (params, params, random_params(rng, (2, 16, 16, 2), activation="tanh")):
+            mlp_forward(p, x)
+        assert made == [100]
+
 
 class _NanFilled:
     """numpy, except that `empty` and `empty_like` fill every byte of their
@@ -519,7 +542,8 @@ class TestUnwrittenEntries:
     padding of the input and of the upstream gradient is zeroed. With every
     new array of the tensor and attack modules filled with NaN, each output
     keeps its bits and every pass finds that padding zero: no pass reads an
-    entry it has not written."""
+    entry it has not written. Each run starts with no kept workspace, so
+    that its workspaces are new."""
 
     SIZES = (1, 64, 65, 4000)
 
@@ -544,6 +568,7 @@ class TestUnwrittenEntries:
 
         tensor_forward, tensor_loss_and_grad = tensor._forward, tensor.mlp_loss_and_grad
         want = run()
+        tensor._take_kept()
         for module in (tensor, attacks):
             monkeypatch.setattr(module, "np", _NanFilled())
             monkeypatch.setattr(module, "_forward", forward)
@@ -568,8 +593,8 @@ class TestUnwrittenEntries:
     @pytest.mark.parametrize("classes", [4, 33])
     @pytest.mark.parametrize("n", SIZES)
     def test_the_sgd_pass(self, rng, monkeypatch, classes, n):
-        # As `train` runs it: in a workspace for a larger batch, narrowed to this one's labels,
-        # after a pass with the previous step's params.
+        # In a workspace for a larger batch, narrowed to this one's labels, after a pass with
+        # other params, as a PGD run's passes are once rows settle.
         before, params = (random_params(rng, (2, 16, 16, classes), activation="tanh") for _ in range(2))
         x, y, w = rng.uniform(0, 1, size=(n, 2)), rng.integers(0, classes, size=n), rng.uniform(0.1, 2, size=n)
         other = rng.integers(0, classes, size=n + 70)
@@ -601,7 +626,7 @@ class TestUnwrittenEntries:
         self.assert_same_bits(*([a.data if isinstance(a, Tensor) else a for a in r] for r in (got, want)))
 
     def test_train(self, monkeypatch):
-        # Batch 67 on 130 points: each epoch's SGD passes take two blocks, then one on a prefix.
+        # Batch 67 on 130 points: each epoch's batches take two blocks, then one.
         inner = AttackConfig(epsilon=0.05, steps=5, step_size=0.0125, random_start=True)
         cfg = TrainConfig(method="gairat", epochs=3, batch_size=67, learning_rate=0.1, seed=2, inner_attack=inner,
                           burn_in_epochs=1, omega_lambda=0.0)
@@ -609,6 +634,178 @@ class TestUnwrittenEntries:
         got, want = self.twice(monkeypatch, lambda: train(MlpConfig((2, 16, 16, 2)), data, cfg))
         self.assert_same_bits([t.data for t in got[0].leaves()], [t.data for t in want[0].leaves()])
         assert got[1] == want[1]
+
+
+def _digest(outputs) -> str:
+    """One sha256 of a list of arrays, Tensors and None: each one's dtype, shape and bytes."""
+    h = hashlib.sha256()
+    for a in outputs:
+        a = a.data if isinstance(a, Tensor) else a
+        h.update(b"None" if a is None else f"{a.dtype.str} {a.shape}".encode() + a.tobytes())
+    return h.hexdigest()
+
+
+def reuse_cases() -> dict:
+    """Runs that take and give back kept workspaces, each a function returning its outputs."""
+    rng = np.random.default_rng(31)
+    relu, tanh = (random_params(rng, (2, 16, 16, 4), activation=kind) for kind in ("relu", "tanh"))
+    box = DomainBox.unit(2)
+
+    def attack(params, n, cfg, seed):
+        x0, y = Tensor(rng.uniform(0, 1, size=(n, 2))), rng.integers(0, 4, size=n)
+
+        def run():
+            res = pgd_attack(params, x0, y, cfg, domain=box, seed=seed, friendly_slack=1)
+            return [getattr(res, f.name) for f in fields(res)]
+        return run
+
+    def sgd_pass():
+        # As `train` runs it: in the workspace `for_batch` hands out, given back after the pass.
+        x, y, w = rng.uniform(0, 1, size=(64, 2)), rng.integers(0, 4, size=64), rng.uniform(0.1, 2, size=64)
+
+        def run():
+            ws = _Workspace.for_batch(tanh.config.layer_sizes, y)
+            step = tensor.mlp_loss_and_grad(tanh, x, y, 1.0, w, True, True, ws)
+            out = [step.logits.copy(), step.losses, np.array(step.loss), step.input_grad.copy(), *step.param_grads,
+                   step.correct]
+            ws.give_back()
+            return out
+        return run
+
+    def forward(n):
+        x = rng.uniform(0, 1, size=(n, 2))
+        return lambda: [mlp_forward(relu, x)]
+
+    def training(batch_size):
+        inner = AttackConfig(epsilon=0.05, steps=5, step_size=0.0125, random_start=True)
+        cfg = TrainConfig(method="gairat", epochs=3, batch_size=batch_size, learning_rate=0.1, seed=2,
+                          inner_attack=inner, burn_in_epochs=1, omega_lambda=0.0, fat_slack=1,
+                          gairat_crafting="fat")
+        data = gen_two_moons(130, 0.1, seed=21)
+
+        def run():
+            params, history = train(MlpConfig((2, 16, 16, 2)), data, cfg)
+            return [*params.leaves(), np.frombuffer(repr(history).encode(), dtype=np.uint8)]
+        return run
+
+    pgd20 = AttackConfig(epsilon=0.05, steps=20, step_size=0.0125, random_start=True)
+    pgdplus = AttackConfig(epsilon=0.05, steps=20, step_size=0.01, restarts=5, alpha=3.0, random_start=True)
+    return {
+        "pgd-one-block": attack(relu, 50, pgd20, 4),  # one 64-row pass: it never shrinks
+        "pgd-20-stacked": attack(tanh, 20, pgdplus, 5),  # 3, then 2, restarts per 64-row pass
+        "pgd-800-shrinking": attack(relu, 800, pgdplus, 6),
+        "sgd-pass": sgd_pass(),
+        "mlp-forward-65": forward(65),
+        "mlp-forward-4000": forward(4000),
+        "train-64": training(64),  # batches of 64, 64 and 2 rows
+        "train-67": training(67),  # batches of 67 and 63 rows
+    }
+
+
+@pytest.fixture(scope="module")
+def fresh_process_digests():
+    """Each `reuse_cases` run's digest from a new process, every run from an empty slot."""
+    code = ("import json, test_tensor as t\n"
+            "from robustlab.tensor import _take_kept\n"
+            "digests = {}\n"
+            "for name, run in t.reuse_cases().items():\n"
+            "    _take_kept()\n"
+            "    digests[name] = t._digest(run())\n"
+            "print(json.dumps(digests))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _dirty(ws: _Workspace) -> None:
+    """Fill with NaN bytes every entry of `ws` that a pass writes before it reads it: all but the
+    padding rows of the input and of the upstream gradient, and the bias tiles, which stay those
+    of `ws.tiled[0]`."""
+    n = ws.flat.shape[0]
+    for a in (ws.acts[0][:n], ws.grads[-1][:n], *ws.acts[1:], *ws.grads[:-1], ws.logp, ws.exps, ws.onehot, ws.flat):
+        _NanFilled._filled(a)
+
+
+class TestDirtyReuse:
+    """A kept workspace holds whatever its last run left. With every entry
+    a pass must write first filled with NaN bytes at each give-back, a run
+    that reuses it keeps the bits a new process gives."""
+
+    @pytest.mark.parametrize("name", list(reuse_cases()))
+    def test_matches_a_fresh_process(self, monkeypatch, fresh_process_digests, name):
+        run = reuse_cases()[name]
+        given = []
+        give_back = _Workspace.give_back
+
+        def dirty_give_back(ws):
+            _dirty(ws)
+            given.append(ws)
+            give_back(ws)
+
+        monkeypatch.setattr(_Workspace, "give_back", dirty_give_back)
+        for _ in range(3):
+            assert _digest(run()) == fresh_process_digests[name]
+        # Some workspace was given back, taken and given back again: reuse happened.
+        assert len({id(ws) for ws in given}) < len(given)
+
+
+class TestNothingReturnedAliasesTheKeptWorkspace:
+    """Outputs keep their bytes while later passes reuse the kept workspace."""
+
+    @staticmethod
+    def snapshot(outputs):
+        return [None if a is None else (a.data if isinstance(a, Tensor) else a).tobytes() for a in outputs]
+
+    def test_logits_predictions_attack_results_and_trained_params(self, rng):
+        params = random_params(rng, (2, 16, 16, 4), activation="relu")
+        cfg = AttackConfig(epsilon=0.05, steps=10, step_size=0.0125, restarts=2, random_start=True)
+        inner = AttackConfig(epsilon=0.05, steps=3, step_size=0.0125, random_start=True)
+        data = gen_two_moons(128, 0.1, seed=3)
+        tc = TrainConfig(method="at", epochs=2, batch_size=64, learning_rate=0.1, inner_attack=inner)
+
+        def outputs(seed):
+            x = Tensor(np.random.default_rng(seed).uniform(0, 1, size=(64, 2)))
+            res = pgd_attack(params, x, np.arange(64) % 4, cfg, domain=DomainBox.unit(2), seed=seed, friendly_slack=0)
+            trained, _ = train(MlpConfig((2, 16, 16, 2), init_seed=seed), data, tc)
+            return [forward_logits(params, x), predict(params, x), *(getattr(res, f.name) for f in fields(res)),
+                    *trained.leaves()]
+
+        first = outputs(1)
+        kept = self.snapshot(first)
+        assert kept != self.snapshot(outputs(2))  # the same shapes, other values, in the same workspaces
+        assert self.snapshot(first) == kept
+
+    def test_two_threads_give_the_sequential_results(self, rng):
+        params = random_params(rng, (2, 16, 16, 4), activation="tanh")
+        cfg = AttackConfig(epsilon=0.05, steps=10, step_size=0.0125, restarts=3, random_start=True)
+        # Batches of one shape, so that each thread's runs fit the workspace the other gives back.
+        batches = [(Tensor(rng.uniform(0, 1, size=(64, 2))), rng.integers(0, 4, size=64)) for _ in range(4)]
+
+        def results(x, y):
+            res = pgd_attack(params, x, y, cfg, domain=DomainBox.unit(2), seed=3, friendly_slack=1)
+            return self.snapshot(getattr(res, f.name) for f in fields(res))
+
+        want = [results(*b) for b in batches]
+        got = [[], []]
+
+        def worker(k):
+            for _ in range(10):
+                got[k].append([results(*b) for b in batches[k::2]])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k in range(2):
+            assert got[k] == [want[k::2]] * 10
 
 
 class TestReductions:

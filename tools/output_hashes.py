@@ -32,7 +32,11 @@ The runs are:
 - on the same files, after those are listed, seven runs refused before any
   work: stderr and exit code only (`cli/refused/<name>`);
 - the digest `check` returns for each op of one period of every perfbench
-  workload, on seeds 1 and 7.
+  workload, on seeds 1 and 7;
+- in one process, runs that interleave their shapes, so that each takes the
+  workspace another gave back or finds it of another shape: `predict` on
+  4000 rows, `pgd_attack` on 64 and 800 rows and a short `train`, each
+  output hashed with its dtype and shape (`inproc/<run>/<output>`).
 
 BLAS runs on one thread, as in the benchmark.
 """
@@ -47,6 +51,7 @@ if __name__ == "__main__":  # before numpy is first imported
     os.environ.pop("ROBUSTLAB_OUT", None)  # the CLI would redirect its outputs
 
 import contextlib  # noqa: E402
+from dataclasses import replace  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import tempfile  # noqa: E402
@@ -55,8 +60,14 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from robustlab import cli  # noqa: E402
+from robustlab.attacks import AttackConfig, pgd20_config, pgd_attack, pgd_plus_config  # noqa: E402
+from robustlab.datasets import gen_gaussian_blobs  # noqa: E402
+from robustlab.model import MlpConfig, predict  # noqa: E402
+from robustlab.tensor import Tensor  # noqa: E402
+from robustlab.training import TrainConfig, train  # noqa: E402
 
 SEEDS = (1, 7)
 
@@ -192,8 +203,50 @@ def perfbench_hashes(size: workloads.Size) -> list[str]:
     return lines
 
 
+def _array_sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(f"{a.dtype.str} {a.shape} ".encode() + np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def reuse_hashes() -> list[str]:
+    """Listing lines for in-process runs on the workflow's data and a held-out
+    set, in an order that moves the kept workspace between shapes."""
+    data = gen_gaussian_blobs(800, workloads.CENTERS, 0.13, 11)
+    held = gen_gaussian_blobs(4000, workloads.CENTERS, 0.13, 99)
+    inner = AttackConfig(epsilon=0.031, steps=5, step_size=0.031 / 4, random_start=True)
+    first64 = Tensor._wrap(data.points.data[:64].copy())
+    lines = []
+
+    def listed(name, outputs):
+        lines.extend(f"{_array_sha256(a)}  inproc/{name}/{key}" for key, a in outputs.items() if a is not None)
+
+    def trained(name, method, epochs):
+        cfg = TrainConfig(method=method, epochs=epochs, batch_size=64, learning_rate=0.15, seed=3,
+                          inner_attack=inner, burn_in_epochs=1 if method == "gairat" else 0,
+                          omega_lambda=0.0 if method == "gairat" else None)
+        params, history = train(MlpConfig((2, 16, 16, 4), init_seed=3), data, cfg)
+        keys = [f"{kind}{i}" for i in range(params.config.num_layers) for kind in "wb"]
+        listed(name, {**{k: t.data for k, t in zip(keys, params.leaves())},
+                      "history": np.frombuffer(repr(history).encode(), dtype=np.uint8)})
+        return params
+
+    def attacked(name, params, x, y, cfg, seed):
+        res = pgd_attack(params, x, y, cfg, domain=data.domain, seed=seed, friendly_slack=1)
+        listed(name, {k: v.data if isinstance(v, Tensor) else v for k, v in vars(res).items()})
+
+    params = trained("train-gairat", "gairat", 3)
+    listed("predict-4000-a", {"classes": predict(params, held.points)})
+    attacked("pgd20-64-a", params, first64, data.labels[:64], pgd20_config(), 5)
+    attacked("pgdplus-800", params, data.points, data.labels, pgd_plus_config(), 5)
+    listed("predict-4000-b", {"classes": predict(params, held.points)})
+    attacked("pgd20-64-b", params, first64, data.labels[:64], pgd20_config(), 6)
+    params = trained("train-at", "at", 2)
+    attacked("pgd20-800-alpha10", params, data.points, data.labels, replace(pgd20_config(), alpha=10.0), 7)
+    listed("predict-4000-c", {"classes": predict(params, held.points)})
+    return lines
+
+
 def main() -> int:
-    for line in cli_hashes(workloads.FULL) + perfbench_hashes(workloads.FULL):
+    for line in cli_hashes(workloads.FULL) + perfbench_hashes(workloads.FULL) + reuse_hashes():
         print(line)
     return 0
 
