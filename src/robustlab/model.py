@@ -80,6 +80,28 @@ class MlpParams:
             if not (np.isfinite(w.data).all() and np.isfinite(b.data).all()):
                 raise ParameterError(f"layer {i} contains non-finite parameters")
 
+    @classmethod
+    def _of_vector(cls, config: MlpConfig, theta: np.ndarray) -> "MlpParams":
+        """Params whose leaves, in `leaves()` order, are read-only views of
+        `theta`, a float64 vector of exactly the config's parameter count.
+        The shapes follow from the config, so only finiteness is checked, once
+        for every layer; the per-layer rule runs only when that check fails,
+        to name the layer."""
+        theta.setflags(write=False)
+        sizes, leaves, at = config.layer_sizes, [], 0
+        for fan_in, fan_out in zip(sizes, sizes[1:]):
+            for shape in ((fan_in, fan_out), (fan_out,)):
+                size = math.prod(shape)
+                leaves.append(Tensor._wrap(theta[at:at + size].reshape(shape)))
+                at += size
+        weights, biases = tuple(leaves[0::2]), tuple(leaves[1::2])
+        if not np.isfinite(theta).all():
+            return cls(config, weights, biases)  # raises the ParameterError naming the first non-finite layer
+        params = cls.__new__(cls)
+        for name, value in (("config", config), ("weights", weights), ("biases", biases)):
+            object.__setattr__(params, name, value)
+        return params
+
     @cached_property
     def transposed_weights(self) -> tuple[np.ndarray, ...]:
         """Each layer's w.T, C-ordered: the operand of the reverse pass's

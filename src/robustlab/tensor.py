@@ -19,7 +19,10 @@ row's logits and input gradient have the same bits in a batch of any size,
 one row included, as long as BLAS treats every row of a block alike (the
 README gives the layer sizes for which that was measured). A plain 2-D
 product lets BLAS pick its kernel by the batch's size (gemv for one row,
-tail kernels for others), and its last bits follow.
+tail kernels for others), and its last bits follow. A pass of one block
+runs its products through `np.dot` on the 2-D arrays: that is the same gemm
+call on the same (64, k) operands, without the stacked product's per-call
+cost.
 """
 from __future__ import annotations
 
@@ -38,6 +41,9 @@ ACTIVATION_KINDS = ("relu", "tanh")
 _PAIRWISE_FROM = 8
 # The rows of every block a layer product runs on.
 _BLOCK = 64
+# The most float64 entries (8 MB) of layer arrays a kept workspace holds: a
+# 4032-row pass on the README model needs 306,432, a 200,000-row `predict` 15 M.
+_KEEP_AT_MOST = 1 << 20
 
 
 class Tensor:
@@ -190,6 +196,8 @@ class _Workspace(NamedTuple):
     makes a new one for a pass given none, since its results alias it.
     (Freed after every run, a large batch's arrays were trimmed off the heap
     by glibc and faulted in again on the next; kept, they stay faulted in.)
+    A workspace past `_KEEP_AT_MOST` is dropped when given back, so a
+    process does not hold a large batch's arrays until its next run.
 
     Layer products: `acts` holds the input and every layer's output, and
     `grads` every layer's input gradient and then the upstream gradient
@@ -251,8 +259,10 @@ class _Workspace(NamedTuple):
         return cls.taken(sizes, lab.shape[0]).narrowed(lab)
 
     def give_back(self) -> None:
-        """Keep this workspace, the one a holder took, for the next run of its shape."""
-        _kept[0] = self
+        """Keep this workspace, the one a holder took, for the next run of its
+        shape, unless its layer arrays hold more than `_KEEP_AT_MOST` entries."""
+        if 2 * sum(a.size for a in self.acts) <= _KEEP_AT_MOST:
+            _kept[0] = self
 
     def tiles_of(self, params: MlpParams) -> list[np.ndarray]:
         """The bias tiles of `params`, filled unless the last pass was with them."""
@@ -333,6 +343,14 @@ def _prefix(a: np.ndarray, n: int) -> np.ndarray:
     return a.reshape(-1, order=order)[:n * a.shape[1]].reshape((n, a.shape[1]), order=order)
 
 
+def _products(layers: list[np.ndarray], blocks: list[np.ndarray]) -> tuple:
+    """The product that maps rows to rows and its operands: `np.dot` on the
+    2-D `layers` when they are one block, the stacked `np.matmul` on their
+    `blocks` else. Both make one gemm call per 64-row block, so a row gets
+    the same bits either way; `np.dot` costs about 1 us less per call."""
+    return (np.dot, layers) if layers[0].shape[0] == _BLOCK else (np.matmul, blocks)
+
+
 def _forward(params: MlpParams, x: np.ndarray, acts: list[np.ndarray], blocks: list[np.ndarray],
              tiles: list[np.ndarray]) -> np.ndarray:
     """Write x into the first rows of acts[0], whose padding rows must be
@@ -343,9 +361,10 @@ def _forward(params: MlpParams, x: np.ndarray, acts: list[np.ndarray], blocks: l
     np.copyto(acts[0][:x.shape[0]], x)
     kind = params.config.activation
     last = params.config.num_layers - 1
+    mul, ops = _products(acts, blocks)
     for i, w in enumerate(params.weights):
-        np.matmul(blocks[i], w.data, out=blocks[i + 1])
-        blocks[i + 1] += tiles[i]
+        mul(ops[i], w.data, out=ops[i + 1])
+        ops[i + 1] += tiles[i]
         if i < last:
             _activate(acts[i + 1], kind, out=acts[i + 1])
     return acts[-1][:x.shape[0]]
@@ -430,14 +449,15 @@ def mlp_loss_and_grad(
     if weights is not None:
         g *= (weights / n)[:, None]
     kind = params.config.activation
+    mul, ops = _products(ws.grads, ws.grad_blocks)
     param_grads = [None] * (2 * params.config.num_layers)
     for i in range(params.config.num_layers - 1, -1, -1):
         if want_params:
-            param_grads[2 * i] = ws.acts[i][:n].T @ g
+            param_grads[2 * i] = np.dot(ws.acts[i][:n].T, g)
             param_grads[2 * i + 1] = g.sum(axis=0)
         if i == 0 and not want_input:
             break
-        np.matmul(ws.grad_blocks[i + 1], params.transposed_weights[i], out=ws.grad_blocks[i])
+        mul(ops[i + 1], params.transposed_weights[i], out=ops[i])
         g = ws.grads[i][:n]
         if i:
             h = ws.acts[i][:n]  # the activation's output: relu > 0 exactly where its input is

@@ -9,6 +9,7 @@ bit-identical to plain adversarial training.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -101,19 +102,31 @@ def compute_weights(kappa, steps: int, omega_lambda: float) -> WeightAssignment:
     k = np.asarray(kappa)
     if k.ndim != 1 or k.size == 0:
         raise ContractError(f"kappa must be a non-empty vector, got shape {k.shape}")
+    if k.dtype.kind not in "iu":
+        raise ContractError(f"kappa must be integer counts, got dtype {k.dtype}")
     check_at_least(steps, 1, "steps")
     if k.min() < 0 or k.max() > steps:
         raise ContractError(f"kappa values must lie in [0, {steps}], got range [{k.min()}, {k.max()}]")
-    lam = float(omega_lambda)
-    raw = (1.0 + np.tanh(lam + 5.0 * (1.0 - 2.0 * k.astype(np.float64) / steps))) / 2.0
+    raw = _raw_weights(steps, float(omega_lambda)).take(k)
     total = raw.sum()
     if total == 0.0:
         return WeightAssignment(np.ones(k.size))
     return WeightAssignment(raw * (k.size / total))
 
 
+@functools.lru_cache(maxsize=16)
+def _raw_weights(steps: int, lam: float) -> np.ndarray:
+    """compute_weights' raw weight of each kappa in 0..steps, read-only: the
+    closed form on a float64 vector, so taking a batch's weights from it
+    gives the bits of the closed form on the batch."""
+    raw = (1.0 + np.tanh(lam + 5.0 * (1.0 - 2.0 * np.arange(steps + 1, dtype=np.float64) / steps))) / 2.0
+    raw.setflags(write=False)
+    return raw
+
+
 def sgd_step(params: MlpParams, grads: Sequence[np.ndarray], learning_rate: float) -> MlpParams:
-    """theta <- theta - lr * g, elementwise; returns fresh params.
+    """theta <- theta - lr * g, elementwise; returns fresh params, whose
+    leaves are read-only views of one new vector.
 
     `grads` holds one array per parameter, in `params.leaves()` order
     (w0, b0, w1, b1, ...), as `mlp_loss_and_grad` returns them.
@@ -122,17 +135,17 @@ def sgd_step(params: MlpParams, grads: Sequence[np.ndarray], learning_rate: floa
     n_leaves = 2 * params.config.num_layers
     if len(grads) != n_leaves:
         raise ContractError(f"expected {n_leaves} gradient arrays (w0, b0, ...), got {len(grads)}")
-    new_w, new_b = [], []
     for w, b, gw, gb in zip(params.weights, params.biases, grads[0::2], grads[1::2]):
-        gw, gb = np.asarray(gw, dtype=np.float64), np.asarray(gb, dtype=np.float64)
-        if gw.shape != w.shape or gb.shape != b.shape:
+        if np.shape(gw) != w.shape or np.shape(gb) != b.shape:
             raise ShapeError(
-                f"gradient shapes {gw.shape}/{gb.shape} do not match parameter shapes {w.shape}/{b.shape}"
+                f"gradient shapes {np.shape(gw)}/{np.shape(gb)} do not match parameter shapes {w.shape}/{b.shape}"
             )
-        dw, db = lr * gw, lr * gb  # theta - lr * g is written into the lr * g temporary
-        new_w.append(Tensor._wrap(np.subtract(w.data, dw, out=dw)))
-        new_b.append(Tensor._wrap(np.subtract(b.data, db, out=db)))
-    return MlpParams(config=params.config, weights=tuple(new_w), biases=tuple(new_b))
+    # theta - lr * g on every leaf at once, written into the lr * g temporary: the same
+    # elementwise operations as leaf by leaf, so the same bits.
+    step = np.concatenate(grads, axis=None, dtype=np.float64)
+    step *= lr
+    theta = np.subtract(np.concatenate([t.data for t in params.leaves()], axis=None), step, out=step)
+    return MlpParams._of_vector(params.config, theta)
 
 
 @dataclass(frozen=True)

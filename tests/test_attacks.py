@@ -18,9 +18,10 @@ from robustlab.attacks import (
     pgd_attack,
     pgd_plus_config,
 )
-from robustlab.datasets import DomainBox
+from robustlab.datasets import DomainBox, gen_gaussian_blobs
 from robustlab.errors import CapabilityError, NumericalError, ParameterError, ShapeError
 from robustlab.model import MlpConfig, init_params, predict
+from robustlab.training import TrainConfig, train
 from robustlab.tensor import Tensor, mlp_loss_and_grad
 
 from conftest import linear_model, make_params, random_params
@@ -745,6 +746,62 @@ class TestSettledRows:
                 if isinstance(a, Tensor):
                     a, b = a.data, b.data
                 assert a.tobytes() == b[i:i + 1].tobytes(), (i, f.name)
+
+
+def gairat_on_blobs():
+    """A GAIRAT model trained with a 5-step inner PGD on 192 blobs points, and the points."""
+    data = gen_gaussian_blobs(192, ((0.3, 0.3), (0.7, 0.3), (0.3, 0.7), (0.7, 0.7)), 0.13, 11)
+    inner = AttackConfig(epsilon=0.031, steps=5, step_size=0.031 / 4, random_start=True)
+    cfg = TrainConfig(method="gairat", epochs=3, batch_size=64, learning_rate=0.15, seed=3, inner_attack=inner,
+                      burn_in_epochs=1, omega_lambda=0.0)
+    return train(MlpConfig((2, 16, 16, 4), init_seed=3), data, cfg)[0], data
+
+
+class TestOneBlockSettleGate:
+    """A one-block pass stops only once every row has settled, so it runs the
+    settle test only at a step where its first row has. The passes made are
+    the ones a settle test at every step makes: the counts below were taken
+    with that test, on the same model, data and seeds."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        return gairat_on_blobs()
+
+    def test_a_five_step_training_run_makes_every_pass(self, monkeypatch):
+        rows = spy_on_passes(monkeypatch)
+        gairat_on_blobs()
+        assert (len(rows), sum(rows)) == (54, 3456)  # 3 epochs x 3 batches x 6 passes of 64 rows
+
+    def test_oracle_check_runs_stop_where_they_did(self, monkeypatch, trained):
+        # oracle-check's runs: one row, 5 restarts stacked into one pass, 50 steps.
+        params, data = trained
+        cfg = AttackConfig(epsilon=0.05, steps=50, step_size=0.005, restarts=5, random_start=True)
+        rows = spy_on_passes(monkeypatch)
+        passes = []
+        for i in range(6):
+            pgd_attack(params, Tensor(data.points.data[i:i + 1]), data.labels[i:i + 1], cfg, domain=data.domain,
+                       seed=2 + i)
+            passes.append(len(rows))
+            rows.clear()
+        assert passes == [20, 20, 21, 21, 14, 21]
+
+    def test_a_stacked_pgdplus_run_stops_where_it_did(self, monkeypatch, trained):
+        # 20 points: 3 restarts stacked into a 60-row pass, then 2 into a 40-row one.
+        params, data = trained
+        rows = spy_on_passes(monkeypatch)
+        pgd_attack(params, Tensor(data.points.data[:20]), data.labels[:20], pgd_plus_config(), domain=data.domain,
+                   seed=5)
+        assert rows == [60] * 8 + [40] * 8
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_rows_holding_a_true(d):
+    # A row of 1, 2, 4 or 8 bools is read as one unsigned integer, others by a product by ones;
+    # a gathered pass's masks are prefix rows of the run's.
+    a = np.random.default_rng(d).random((3, 50, d)) < 0.1
+    a[1, :4] = True
+    for rows in (a[0], a[1], a[2, :17]):
+        np.testing.assert_array_equal(attacks._any_by_row(rows), rows.any(axis=1))
 
 
 def tied_model(classes, ulps):

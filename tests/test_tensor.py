@@ -458,6 +458,39 @@ class TestBackward:
         np.testing.assert_array_equal(grad_with(2.0 * w), 2.0 * grad_with(w))
 
 
+class TestOneBlockProducts:
+    """A one-block pass runs its products through np.dot on 2-D arrays, a pass
+    of more blocks through the stacked np.matmul: both make one gemm call per
+    64-row block, so a row gets the same bits from either."""
+
+    @staticmethod
+    def pass_in(params, x, y):
+        ws = _Workspace.for_batch(params.config.layer_sizes, y)
+        return ws, mlp_loss_and_grad(params, x, y, 3.0, None, True, True, ws)
+
+    @pytest.mark.parametrize("act", ["relu", "tanh"])
+    @pytest.mark.parametrize("classes", [2, 4, 9])
+    @pytest.mark.parametrize("width", [1, 2, 16, 33, 245])
+    def test_rows_match_the_same_rows_of_a_two_block_pass(self, rng, width, classes, act):
+        params = random_params(rng, (3, width, width, classes), activation=act)
+        x = rng.uniform(-1, 1, size=(128, 3))
+        y = rng.integers(0, classes, size=128)
+        both, whole = self.pass_in(params, x, y)
+        assert both.acts[0].shape[0] == 128
+        for rows in (np.arange(64), np.arange(64, 128), np.arange(64, 101)):
+            one, res = self.pass_in(params, x[rows], y[rows])
+            assert one.acts[0].shape[0] == 64
+            m = len(rows)
+            for got, want in zip([*one.acts[1:], res.input_grad], [*both.acts[1:], whole.input_grad]):
+                assert got[:m].tobytes() == want[rows].tobytes()
+            # Each layer's parameter gradients, by the 2-D matmul and the row sum, on the
+            # two-block pass's rows of that layer's input and of its masked upstream gradient.
+            for i in range(params.config.num_layers):
+                h, g = both.acts[i][rows], both.grads[i + 1][rows]
+                assert res.param_grads[2 * i].tobytes() == (h.T @ g).tobytes()
+                assert res.param_grads[2 * i + 1].tobytes() == g.sum(axis=0).tobytes()
+
+
 class TestReusedWorkspace:
     """A workspace narrowed to a batch's labels: to as many rows, as the kept
     workspace is for a run of its shape, it is relabelled in place, and to
@@ -516,6 +549,16 @@ class TestReusedWorkspace:
         for p in (params, params, random_params(rng, (2, 16, 16, 2), activation="tanh")):
             mlp_forward(p, x)
         assert made == [100]
+
+
+    def test_a_large_workspace_is_not_kept(self, rng):
+        # A 200,000-row predict's layer arrays are 15 M entries; a 4000-row run's, 306,432, are kept.
+        params = random_params(rng, (2, 16, 16, 4), activation="relu")
+        predict(params, Tensor(rng.uniform(0, 1, size=(200_000, 2))))
+        assert tensor._kept[0] is None
+        x, y = Tensor(rng.uniform(0, 1, size=(4000, 2))), rng.integers(0, 4, size=4000)
+        pgd_attack(params, x, y, AttackConfig(epsilon=0.05, steps=3, step_size=0.0125), domain=DomainBox.unit(2))
+        assert tensor._kept[0] is not None and tensor._kept[0].acts[0].shape == (4032, 2)
 
 
 class _NanFilled:

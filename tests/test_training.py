@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from robustlab import training
 from robustlab.attacks import AttackConfig, pgd_attack
 from robustlab.datasets import gen_gaussian_blobs, gen_two_moons
-from robustlab.errors import ConfigError, ContractError, ShapeError
+from robustlab.errors import ConfigError, ContractError, ParameterError, ShapeError
 from robustlab.evaluate import eval_natural
 from robustlab.model import MlpConfig, init_params
 from robustlab.tensor import Tensor, mlp_loss_and_grad
@@ -77,6 +77,21 @@ class TestComputeWeights:
         w = compute_weights(np.full(4, 10), 10, -30.0).omega
         np.testing.assert_array_equal(w, np.ones(4))
 
+    @pytest.mark.parametrize("steps", [1, 3, 5, 10, 20, 50])
+    @pytest.mark.parametrize("lam", [-3.0, -1.0, 0.0, 0.5, 1.0, 3.0])
+    def test_table_has_the_closed_forms_bits(self, rng, steps, lam):
+        for n in (1, 2, 7, 64, 65, 1000):
+            kappa = rng.integers(0, steps + 1, size=n)
+            raw = (1.0 + np.tanh(lam + 5.0 * (1.0 - 2.0 * kappa.astype(np.float64) / steps))) / 2.0
+            want = np.ones(n) if raw.sum() == 0.0 else raw * (n / raw.sum())
+            assert compute_weights(kappa, steps, lam).omega.tobytes() == want.tobytes()
+        table = training._raw_weights(steps, lam)
+        assert table.shape == (steps + 1,) and not table.flags.writeable
+
+    def test_non_integer_kappa_refused(self):
+        with pytest.raises(ContractError, match="integer"):
+            compute_weights(np.array([0.0, 2.0]), 10, 0.0)
+
     @given(
         st.integers(1, 30).flatmap(
             lambda k: st.tuples(
@@ -121,6 +136,26 @@ class TestSgdStep:
             g_w = 2.0 * (params.weights[0].data - target_w)
             params = sgd_step(params, [g_w, np.zeros(2)], lr)
         assert np.abs(params.weights[0].data - target_w).max() < 1e-6
+
+    @pytest.mark.parametrize("sizes", [(2, 16, 16, 4), (3, 1, 2), (5, 9)])
+    def test_leaves_are_read_only_views_of_one_vector_with_the_per_layer_bits(self, rng, sizes):
+        params = init_params(MlpConfig(sizes, init_seed=2))
+        grads = [rng.standard_normal(t.shape) for t in params.leaves()]
+        out = sgd_step(params, grads, 0.15)
+        theta = out.weights[0].data.base
+        assert theta.ndim == 1 and theta.size == sum(t.data.size for t in out.leaves())
+        assert not theta.flags.writeable
+        for t, p, g in zip(out.leaves(), params.leaves(), grads):
+            assert t.data.base is theta and not t.data.flags.writeable
+            assert t.data.tobytes() == (p.data - 0.15 * g).tobytes()
+
+    def test_non_finite_update_names_its_layer(self):
+        params = init_params(MlpConfig((2, 3, 3, 2), init_seed=1))
+        for leaf in range(6):
+            grads = [np.zeros(t.shape) for t in params.leaves()]
+            grads[leaf].flat[-1] = np.inf
+            with pytest.raises(ParameterError, match=f"layer {leaf // 2} contains non-finite parameters"):
+                sgd_step(params, grads, 0.1)
 
     def test_unmatched_gradient_rejected(self):
         params = init_params(MlpConfig((2, 3, 2), init_seed=1))

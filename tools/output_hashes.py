@@ -29,6 +29,10 @@ The runs are:
 - the same four evals and AT `train` on 800 two-moons points (the CLI's
   default kind) with a tanh model: a 2-class head whose 13-block passes
   read correctness off its Fortran-ordered exponentials;
+- GAIRAT `train` at `--omega-lambda` -1 and 3, AT `train` with hidden
+  widths 16,1, whose one-block products include matrix-vector and outer
+  products, and AT `train` at batch 32, whose SGD passes are one block of
+  32 real rows;
 - on the same files, after those are listed, seven runs refused before any
   work: stderr and exit code only (`cli/refused/<name>`);
 - the digest `check` returns for each op of one period of every perfbench
@@ -139,6 +143,16 @@ def _commands(size: workloads.Size) -> list[tuple[str, list[str]]]:
                 name = f"eval-{attack}-{verdict}-{suffix}"
                 commands.append((name, ["eval", "--model", f"at{suffix}.ckpt", "--data", data, "--seed", "5",
                                         "--attack", attack, "--verdict", verdict, "--out", f"{name}.csv"]))
+    # GAIRAT weights off either side of lambda 0; a 1-unit hidden layer, whose one-block
+    # products are matrix-vector and outer products; and one-block SGD passes of 32 real rows.
+    for lam in ("-1", "3"):
+        commands.append((f"train-gairat-lambda{lam}", ["train", "--method", "gairat", "--burn-in", str(s.burn_in),
+                                                       "--omega-lambda", lam, *common,
+                                                       "--out", f"gairat-lambda{lam}.ckpt"]))
+    width1 = list(common)
+    width1[width1.index("--hidden") + 1] = "16,1"
+    commands.append(("train-at-width1", ["train", "--method", "at", *width1, "--out", "at-width1.ckpt"]))
+    commands.append(("train-at-32", ["train", "--method", "at", *at_batch("32"), "--out", "at32.ckpt"]))
     return commands
 
 
