@@ -266,7 +266,7 @@ def cmd_train(args) -> int:
     inner_step_size = t.epsilon / 4 if t.inner_step_size is None else t.inner_step_size
     burn_in = int(round(0.3 * t.epochs)) if t.burn_in is None else t.burn_in  # default bootstrap: 30% of epochs
     try:
-        widths = tuple(int(h) for h in t.hidden.split(",") if h)
+        widths = tuple(int(h) for h in t.hidden.split(",")) if t.hidden else ()  # int("") refuses an empty width
     except ValueError:
         raise ParameterError(f"hidden must be comma-separated layer widths, got {t.hidden!r}") from None
     layer_sizes = (dataset.dim, *widths, dataset.num_classes)

@@ -11,7 +11,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import ParameterError, ParseError, SchemaError, ShapeError, check_size
-from .tensor import ACTIVATION_KINDS, Tensor, mlp_forward
+from .tensor import ACTIVATION_KINDS, Tensor, _leaf_views, mlp_forward
 from .textfile import fmt_vec, write_text_atomic
 
 CHECKPOINT_HEADER = "MLPCKPT v1"
@@ -56,11 +56,14 @@ class MlpConfig:
 
 @dataclass(frozen=True)
 class MlpParams:
-    """Per-layer weights and biases; immutable once built."""
+    """Per-layer weights and biases; immutable once built. `theta` holds
+    every parameter in one read-only float64 vector, in `leaves()` order,
+    and the leaves are views of it (`_leaf_views`)."""
 
     config: MlpConfig
     weights: tuple[Tensor, ...]
     biases: tuple[Tensor, ...]
+    theta: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sizes = self.config.layer_sizes
@@ -77,30 +80,28 @@ class MlpParams:
                     f"layer {i}: weight {w.shape} / bias {b.shape} conflict with "
                     f"config shapes {want_w} / {want_b}"
                 )
-            if not (np.isfinite(w.data).all() and np.isfinite(b.data).all()):
-                raise ParameterError(f"layer {i} contains non-finite parameters")
+        self._hold(np.concatenate([t.data for t in self.leaves()], axis=None))
 
     @classmethod
     def _of_vector(cls, config: MlpConfig, theta: np.ndarray) -> "MlpParams":
-        """Params whose leaves, in `leaves()` order, are read-only views of
-        `theta`, a float64 vector of exactly the config's parameter count.
-        The shapes follow from the config, so only finiteness is checked, once
-        for every layer; the per-layer rule runs only when that check fails,
-        to name the layer."""
-        theta.setflags(write=False)
-        sizes, leaves, at = config.layer_sizes, [], 0
-        for fan_in, fan_out in zip(sizes, sizes[1:]):
-            for shape in ((fan_in, fan_out), (fan_out,)):
-                size = math.prod(shape)
-                leaves.append(Tensor._wrap(theta[at:at + size].reshape(shape)))
-                at += size
-        weights, biases = tuple(leaves[0::2]), tuple(leaves[1::2])
-        if not np.isfinite(theta).all():
-            return cls(config, weights, biases)  # raises the ParameterError naming the first non-finite layer
+        """Params that take over `theta`, a float64 vector of the config's parameter count."""
         params = cls.__new__(cls)
-        for name, value in (("config", config), ("weights", weights), ("biases", biases)):
-            object.__setattr__(params, name, value)
+        object.__setattr__(params, "config", config)
+        params._hold(theta)
         return params
+
+    def _hold(self, theta: np.ndarray) -> None:
+        """Take `theta`, made read-only, as these params' vector, with the leaves as views of it. Both
+        builders' finiteness rule: one check of the whole vector, then, only if it fails, a search for
+        the first non-finite layer, which the ParameterError names."""
+        theta.setflags(write=False)
+        views = _leaf_views(self.config.layer_sizes, theta)
+        if not np.isfinite(theta).all():
+            bad = next(i for i, v in enumerate(views) if not np.isfinite(v).all())
+            raise ParameterError(f"layer {bad // 2} contains non-finite parameters")
+        leaves = [Tensor._wrap(v) for v in views]
+        for name, value in (("theta", theta), ("weights", tuple(leaves[0::2])), ("biases", tuple(leaves[1::2]))):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def transposed_weights(self) -> tuple[np.ndarray, ...]:

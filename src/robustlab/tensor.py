@@ -156,6 +156,19 @@ def _tiled(params: MlpParams, tiles: list[np.ndarray]) -> list[np.ndarray]:
     return tiles
 
 
+def _leaf_views(sizes: tuple[int, ...], vector: np.ndarray) -> list[np.ndarray]:
+    """The package's one parameter layout: views of `vector`, which holds
+    exactly the parameters of a model of layer widths `sizes`, one per leaf
+    in `MlpParams.leaves()` order, each layer's C-ordered (fan_in, fan_out)
+    weight and then its bias."""
+    views, at = [], 0
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        end = at + fan_in * fan_out
+        views += [vector[at:end].reshape(fan_in, fan_out), vector[end:end + fan_out]]
+        at = end + fan_out
+    return views
+
+
 def _check_input(params: MlpParams, x: np.ndarray) -> None:
     if x.ndim != 2 or x.shape[1] != params.config.input_dim:
         raise ShapeError(f"input shape {x.shape} does not match model input dim {params.config.input_dim}")
@@ -375,7 +388,7 @@ class LossAndGrad(NamedTuple):
 
     logits and the input gradient are C-ordered. loss is the weighted-mean
     reduction `train` descends, None for a pass without weights.
-    param_grads follows `MlpParams.leaves()` order: w0, b0, w1, b1, ...
+    param_grad is one new vector in `MlpParams.theta`'s layout (`_leaf_views`).
     correct marks the rows whose label argmax of the logits picks.
     """
 
@@ -383,7 +396,7 @@ class LossAndGrad(NamedTuple):
     losses: np.ndarray
     loss: float | None
     input_grad: np.ndarray | None
-    param_grads: tuple[np.ndarray, ...] | None
+    param_grad: np.ndarray | None
     correct: np.ndarray
 
 
@@ -450,11 +463,12 @@ def mlp_loss_and_grad(
         g *= (weights / n)[:, None]
     kind = params.config.activation
     mul, ops = _products(ws.grads, ws.grad_blocks)
-    param_grads = [None] * (2 * params.config.num_layers)
+    param_grad = np.empty(params.theta.size) if want_params else None
+    grad_views = _leaf_views(params.config.layer_sizes, param_grad) if want_params else None
     for i in range(params.config.num_layers - 1, -1, -1):
         if want_params:
-            param_grads[2 * i] = np.dot(ws.acts[i][:n].T, g)
-            param_grads[2 * i + 1] = g.sum(axis=0)
+            np.dot(ws.acts[i][:n].T, g, out=grad_views[2 * i])
+            g.sum(axis=0, out=grad_views[2 * i + 1])
         if i == 0 and not want_input:
             break
         mul(ops[i + 1], params.transposed_weights[i], out=ops[i])
@@ -466,9 +480,4 @@ def mlp_loss_and_grad(
             else:
                 slope = h * h
                 g *= np.subtract(1.0, slope, out=slope)
-    return LossAndGrad(
-        logits, losses, loss,
-        g if want_input else None,
-        tuple(param_grads) if want_params else None,
-        correct,
-    )
+    return LossAndGrad(logits, losses, loss, g if want_input else None, param_grad, correct)

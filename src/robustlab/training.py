@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -124,28 +124,14 @@ def _raw_weights(steps: int, lam: float) -> np.ndarray:
     return raw
 
 
-def sgd_step(params: MlpParams, grads: Sequence[np.ndarray], learning_rate: float) -> MlpParams:
-    """theta <- theta - lr * g, elementwise; returns fresh params, whose
-    leaves are read-only views of one new vector.
-
-    `grads` holds one array per parameter, in `params.leaves()` order
-    (w0, b0, w1, b1, ...), as `mlp_loss_and_grad` returns them.
-    """
+def sgd_step(params: MlpParams, grad: np.ndarray, learning_rate: float) -> MlpParams:
+    """theta <- theta - lr * g, elementwise, for `grad` a vector of `params.theta`'s shape and layout, as
+    `mlp_loss_and_grad` returns it (anything else is a ShapeError); returns fresh params on the new vector."""
     lr = check_positive(learning_rate, "learning_rate")
-    n_leaves = 2 * params.config.num_layers
-    if len(grads) != n_leaves:
-        raise ContractError(f"expected {n_leaves} gradient arrays (w0, b0, ...), got {len(grads)}")
-    for w, b, gw, gb in zip(params.weights, params.biases, grads[0::2], grads[1::2]):
-        if np.shape(gw) != w.shape or np.shape(gb) != b.shape:
-            raise ShapeError(
-                f"gradient shapes {np.shape(gw)}/{np.shape(gb)} do not match parameter shapes {w.shape}/{b.shape}"
-            )
-    # theta - lr * g on every leaf at once, written into the lr * g temporary: the same
-    # elementwise operations as leaf by leaf, so the same bits.
-    step = np.concatenate(grads, axis=None, dtype=np.float64)
-    step *= lr
-    theta = np.subtract(np.concatenate([t.data for t in params.leaves()], axis=None), step, out=step)
-    return MlpParams._of_vector(params.config, theta)
+    if not (isinstance(grad, np.ndarray) and grad.shape == params.theta.shape):
+        got = grad.shape if isinstance(grad, np.ndarray) else type(grad).__name__
+        raise ShapeError(f"gradient must be an array of params.theta's shape {params.theta.shape}, got {got}")
+    return MlpParams._of_vector(params.config, params.theta - grad * lr)
 
 
 @dataclass(frozen=True)
@@ -259,8 +245,8 @@ def train(model_config: MlpConfig, dataset: Dataset, config: TrainConfig) -> tup
             step = mlp_loss_and_grad(params, x_train, yb, 1.0, omega, False, True, ws)
             if not np.isfinite(step.loss):
                 raise _diverged(f"non-finite loss {step.loss}", epoch, batch, config)
-            ws.give_back()  # the parameter gradients are new arrays
-            params = sgd_step(params, step.param_grads, config.learning_rate)
+            ws.give_back()  # the parameter gradient is a new vector
+            params = sgd_step(params, step.param_grad, config.learning_rate)
             losses.append(step.loss)
 
         history.append(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from robustlab.model import MlpConfig, MlpParams
-from robustlab.tensor import _BLOCK, Tensor, _take_kept, mlp_loss_and_grad
+from robustlab.tensor import _BLOCK, Tensor, _leaf_views, _take_kept, mlp_loss_and_grad
 
 
 @pytest.fixture(autouse=True)
@@ -45,7 +45,17 @@ def total_loss(params: MlpParams, x: Tensor, y: np.ndarray, alpha: float) -> flo
 def analytic_grads(params: MlpParams, x: Tensor, y: np.ndarray, alpha: float):
     """Fused-pass gradients of the summed loss w.r.t. every parameter and the input."""
     res = mlp_loss_and_grad(params, x.data, y, alpha, None, True, True)
-    return list(res.param_grads) + [res.input_grad]
+    return _leaf_views(params.config.layer_sizes, res.param_grad) + [res.input_grad]
+
+
+def assert_leaves_are_views_of_theta(params: MlpParams) -> None:
+    """Every leaf is a read-only view of `params.theta`, a read-only float64
+    vector that holds the leaves' bytes in leaves() order."""
+    theta = params.theta
+    assert theta.dtype == np.float64 and theta.ndim == 1 and not theta.flags.writeable
+    for t in params.leaves():
+        assert t.data.base is theta and not t.data.flags.writeable
+    assert theta.tobytes() == b"".join(t.data.tobytes() for t in params.leaves())
 
 
 def blocked_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -103,7 +103,11 @@ class TestUsageErrors:
         ("gen-data", "--kind", "blobs", "--centers", "0.3:0.3;0.7"),
         ("gen-data", "--kind", "rings", "--radii", "0.5:x"),
         ("train", "--hidden", "8,x"),
-    ], ids=["alpha-list", "alpha-range", "centers", "ragged-centers", "radii", "hidden"])
+        ("train", "--hidden", "8,,8"),
+        ("train", "--hidden", "8,"),
+        ("train", "--hidden", ","),
+    ], ids=["alpha-list", "alpha-range", "centers", "ragged-centers", "radii", "hidden", "hidden-inner-empty",
+            "hidden-trailing-empty", "hidden-comma"])
     def test_malformed_number_exits_2_with_one_line(self, tmp_path, data_csv, ckpt, capsys, argv):
         paths = {"sweep": ("--model", str(ckpt), "--data", str(data_csv)),
                  "gen-data": ("--n", "20", "--out", str(tmp_path / "d.csv")),
@@ -111,6 +115,15 @@ class TestUsageErrors:
         assert run(*argv, *paths[argv[0]]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_hidden_means_no_hidden_layer(self, tmp_path, data_csv, source):
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text("[train]\nhidden =\n")
+        argv = ("--hidden", "") if source == "flag" else ("--config", str(cfg))
+        out = tmp_path / "m.ckpt"
+        assert run("train", "--data", str(data_csv), "--method", "erm", "--epochs", "1", *argv, "--out", str(out)) == 0
+        assert load_checkpoint(out).params.config.layer_sizes == (2, 2)
 
     @pytest.mark.parametrize("command", ["gen-data", "attack", "eval", "sweep", "oracle-check"])
     def test_negative_seed_exits_2_with_one_line(self, tmp_path, data_csv, ckpt, capsys, command):

@@ -22,7 +22,7 @@ POSITIVE_SITES = {
     "EvalReport": (lambda v: EvalReport("m", "0" * 64, "d", "0", 1.0, rows=(ReportRow("pgd20", v, 0.5, 1),)),
                    SchemaError, "alpha"),
     "TrainConfig.learning_rate": (lambda v: TrainConfig("erm", 1, 1, v), ConfigError, "learning_rate"),
-    "sgd_step": (lambda v: sgd_step(PARAMS, [np.zeros((2, 3)), np.zeros(3)], v), ParameterError, "learning_rate"),
+    "sgd_step": (lambda v: sgd_step(PARAMS, np.zeros_like(PARAMS.theta), v), ParameterError, "learning_rate"),
 }
 
 

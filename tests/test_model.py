@@ -20,7 +20,7 @@ from robustlab.model import (
 )
 from robustlab.tensor import Tensor
 
-from conftest import blocked_product, linear_model, make_params
+from conftest import assert_leaves_are_views_of_theta, blocked_product, linear_model, make_params
 
 
 class TestConfig:
@@ -50,6 +50,7 @@ class TestInit:
     def test_same_seed_bit_identical(self):
         cfg = MlpConfig((3, 8, 2), init_seed=99)
         a, b = init_params(cfg), init_params(cfg)
+        assert_leaves_are_views_of_theta(a)
         for ta, tb in zip(a.leaves(), b.leaves()):
             np.testing.assert_array_equal(ta.data, tb.data)
 
@@ -148,7 +149,9 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(params, {"method": "at", "epochs": "3"}, path)
         ckpt = load_checkpoint(path)
+        assert_leaves_are_views_of_theta(ckpt.params)
         assert ckpt.params.config == params.config
+        assert ckpt.params.theta.tobytes() == params.theta.tobytes()
         assert ckpt.metadata == {"method": "at", "epochs": "3"}
         for a, b in zip(ckpt.params.leaves(), params.leaves()):
             np.testing.assert_array_equal(a.data, b.data)
@@ -364,9 +367,28 @@ def test_any_checkpoint_body_loads_whole_or_raises_a_package_error(tmp_path_fact
     shapes = [s for a, b in zip(sizes, sizes[1:]) for s in ((a, b), (b,))]
     assert [t.shape for t in ckpt.params.leaves()] == shapes
     assert all(np.isfinite(t.data).all() for t in ckpt.params.leaves())
+    assert_leaves_are_views_of_theta(ckpt.params)
 
 
 class TestParamsInvariants:
+    def test_leaves_are_views_of_one_copy_of_the_given_leaves(self, rng):
+        cfg = MlpConfig((3, 5, 1, 2))
+        weights = [Tensor(rng.standard_normal((a, b))) for a, b in zip((3, 5, 1), (5, 1, 2))]
+        biases = [Tensor(rng.standard_normal(b)) for b in (5, 1, 2)]
+        params = MlpParams(config=cfg, weights=tuple(weights), biases=tuple(biases))
+        assert_leaves_are_views_of_theta(params)
+        for got, want in zip(params.leaves(), (t for pair in zip(weights, biases) for t in pair)):
+            assert got.data.tobytes() == want.data.tobytes() and not np.shares_memory(got.data, want.data)
+
+    @pytest.mark.parametrize("leaf", range(6))
+    def test_a_non_finite_leaf_names_its_layer(self, leaf):
+        cfg = MlpConfig((2, 3, 3, 2))
+        leaves = [np.zeros(s) for a, b in zip((2, 3, 3), (3, 3, 2)) for s in ((a, b), (b,))]
+        leaves[leaf].flat[-1] = np.nan
+        with pytest.raises(ParameterError) as info:  # Tensor._wrap, unlike Tensor, lets a NaN through
+            MlpParams(cfg, tuple(map(Tensor._wrap, leaves[0::2])), tuple(map(Tensor._wrap, leaves[1::2])))
+        assert str(info.value) == f"layer {leaf // 2} contains non-finite parameters"
+
     def test_shape_consistency_enforced(self):
         cfg = MlpConfig((2, 3, 2))
         with pytest.raises(ShapeError):

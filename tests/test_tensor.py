@@ -21,6 +21,7 @@ from robustlab.model import MlpConfig, forward_logits, predict
 from robustlab.training import TrainConfig, train
 from robustlab.tensor import (
     Tensor,
+    _leaf_views,
     _log_softmax,
     _Workspace,
     mlp_forward,
@@ -262,7 +263,8 @@ def _assert_per_op_bits(params, x, y, alpha):
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     np.testing.assert_array_equal(res.logits, h)
     np.testing.assert_array_equal(res.losses, -logp[np.arange(len(y)), y])
-    for got, want in zip(list(res.param_grads) + [res.input_grad], per_op_grads(params, x, y, alpha)):
+    for got, want in zip(_leaf_views(params.config.layer_sizes, res.param_grad) + [res.input_grad],
+                         per_op_grads(params, x, y, alpha)):
         np.testing.assert_array_equal(got, want)
 
 
@@ -284,22 +286,23 @@ class TestBackward:
         summed = mlp_loss_and_grad(params, x, y, 2.0, None, True, True)
         as_mean = mlp_loss_and_grad(params, x, y, 2.0, np.full(5, 5.0), True, True)
         assert summed.loss is None  # only the weighted mean, which train descends, is reduced
-        for a, b in zip(summed.param_grads + (summed.input_grad,), as_mean.param_grads + (as_mean.input_grad,)):
+        for a, b in zip((summed.param_grad, summed.input_grad), (as_mean.param_grad, as_mean.input_grad)):
             np.testing.assert_array_equal(a, b)
 
     def test_dead_relu_unit_gets_zero_gradient(self):
         # hidden unit 0 has pre-activation -5, unit 1 has +2
         params = _relu_net([[1.0, 1.0]], [-6.0, 1.0])
         res = mlp_loss_and_grad(params, np.array([[1.0]]), np.array([1]), 1.0, None, True, True)
-        gw0, gb0 = res.param_grads[:2]
+        gw0, gb0 = _leaf_views(params.config.layer_sizes, res.param_grad)[:2]
         assert gw0[0, 0] == 0.0 and gb0[0] == 0.0
         assert gw0[0, 1] != 0.0 and gb0[1] != 0.0
 
     def test_relu_gradient_zero_at_exactly_zero(self):
         params = _relu_net([[1.0]], [-1.0])
         res = mlp_loss_and_grad(params, np.array([[1.0]]), np.array([1]), 1.0, None, True, True)
-        assert res.param_grads[0][0, 0] == 0.0
-        assert res.param_grads[1][0] == 0.0
+        gw0, gb0 = _leaf_views(params.config.layer_sizes, res.param_grad)[:2]
+        assert gw0[0, 0] == 0.0
+        assert gb0[0] == 0.0
         assert res.input_grad[0, 0] == 0.0
 
     @pytest.mark.parametrize("alpha", [0.01, 1.0, 10.0])
@@ -322,7 +325,7 @@ class TestBackward:
 
         def run():
             res = mlp_loss_and_grad(params, x, y, 10.0, None, True, True)
-            return list(res.param_grads) + [res.input_grad]
+            return [res.param_grad, res.input_grad]
 
         for a, b in zip(run(), run()):
             np.testing.assert_array_equal(a, b)
@@ -336,7 +339,8 @@ class TestBackward:
         y = rng.integers(0, 4, size=9)
         weights = rng.uniform(0.1, 2.0, size=9) if weighted else None
         res = mlp_loss_and_grad(params, x, y, 3.0, weights, True, True)
-        for got, want in zip(list(res.param_grads) + [res.input_grad], per_op_grads(params, x, y, 3.0, weights)):
+        for got, want in zip(_leaf_views(params.config.layer_sizes, res.param_grad) + [res.input_grad],
+                             per_op_grads(params, x, y, 3.0, weights)):
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("n", [1, 2, 801])
@@ -374,11 +378,10 @@ class TestBackward:
         only_input = mlp_loss_and_grad(params, x, y, 2.0, None, True, False)
         only_params = mlp_loss_and_grad(params, x, y, 2.0, None, False, True)
         none = mlp_loss_and_grad(params, x, y, 2.0, None, False, False)
-        assert only_input.param_grads is None and only_params.input_grad is None
-        assert none.input_grad is None and none.param_grads is None
+        assert only_input.param_grad is None and only_params.input_grad is None
+        assert none.input_grad is None and none.param_grad is None
         np.testing.assert_array_equal(only_input.input_grad, both.input_grad)
-        for a, b in zip(only_params.param_grads, both.param_grads):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(only_params.param_grad, both.param_grad)
         for res in (only_input, only_params, none):
             np.testing.assert_array_equal(res.losses, both.losses)
             assert res.loss == both.loss
@@ -477,18 +480,26 @@ class TestOneBlockProducts:
         y = rng.integers(0, classes, size=128)
         both, whole = self.pass_in(params, x, y)
         assert both.acts[0].shape[0] == 128
+        self.assert_param_grad_bits(params, whole.param_grad, both, np.arange(128))
         for rows in (np.arange(64), np.arange(64, 128), np.arange(64, 101)):
             one, res = self.pass_in(params, x[rows], y[rows])
             assert one.acts[0].shape[0] == 64
             m = len(rows)
             for got, want in zip([*one.acts[1:], res.input_grad], [*both.acts[1:], whole.input_grad]):
                 assert got[:m].tobytes() == want[rows].tobytes()
-            # Each layer's parameter gradients, by the 2-D matmul and the row sum, on the
-            # two-block pass's rows of that layer's input and of its masked upstream gradient.
-            for i in range(params.config.num_layers):
-                h, g = both.acts[i][rows], both.grads[i + 1][rows]
-                assert res.param_grads[2 * i].tobytes() == (h.T @ g).tobytes()
-                assert res.param_grads[2 * i + 1].tobytes() == g.sum(axis=0).tobytes()
+            self.assert_param_grad_bits(params, res.param_grad, both, rows)
+
+    @staticmethod
+    def assert_param_grad_bits(params, param_grad, ws, rows):
+        """`param_grad` is a vector of theta's size whose views hold each layer's parameter gradients,
+        by the 2-D matmul and the row sum, on `rows` of that layer's input and of its masked upstream
+        gradient in the workspace `ws`."""
+        assert param_grad.shape == params.theta.shape
+        views = _leaf_views(params.config.layer_sizes, param_grad)
+        for i in range(params.config.num_layers):
+            h, g = ws.acts[i][rows], ws.grads[i + 1][rows]
+            assert views[2 * i].tobytes() == (h.T @ g).tobytes()
+            assert views[2 * i + 1].tobytes() == g.sum(axis=0).tobytes()
 
 
 class TestReusedWorkspace:
@@ -504,8 +515,8 @@ class TestReusedWorkspace:
         want = mlp_loss_and_grad(params, x, y, alpha, weights, True, True,
                                  _Workspace.for_batch(params.config.layer_sizes, y))
         assert got.loss == want.loss
-        for a, b in zip((got.logits, got.losses, got.input_grad, *got.param_grads),
-                        (want.logits, want.losses, want.input_grad, *want.param_grads)):
+        for a, b in zip((got.logits, got.losses, got.input_grad, got.param_grad),
+                        (want.logits, want.losses, want.input_grad, want.param_grad)):
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
     @pytest.mark.parametrize("alpha", [1.0, 3.0])
@@ -646,13 +657,13 @@ class TestUnwrittenEntries:
             ws = _Workspace.for_batch(params.config.layer_sizes, other)
             tensor.mlp_loss_and_grad(before, rng.uniform(0, 1, size=(n + 70, 2)), other, 1.0, None, True, True, ws)
             step = tensor.mlp_loss_and_grad(params, x, y, 1.0, w, True, True, ws.narrowed(y))
-            return [step.logits, step.losses, np.array(step.loss), step.input_grad, *step.param_grads, step.correct]
+            return [step.logits, step.losses, np.array(step.loss), step.input_grad, step.param_grad, step.correct]
 
         got, want = self.twice(monkeypatch, run)
         self.assert_same_bits(got, want)
         fresh = tensor.mlp_loss_and_grad(params, x, y, 1.0, w, True, True)  # in a new workspace
         self.assert_same_bits(want, [fresh.logits, fresh.losses, np.array(fresh.loss), fresh.input_grad,
-                                     *fresh.param_grads, fresh.correct])
+                                     fresh.param_grad, fresh.correct])
 
     @pytest.mark.parametrize("classes", [4, 33])
     @pytest.mark.parametrize("n", SIZES)
@@ -709,7 +720,7 @@ def reuse_cases() -> dict:
         def run():
             ws = _Workspace.for_batch(tanh.config.layer_sizes, y)
             step = tensor.mlp_loss_and_grad(tanh, x, y, 1.0, w, True, True, ws)
-            out = [step.logits.copy(), step.losses, np.array(step.loss), step.input_grad.copy(), *step.param_grads,
+            out = [step.logits.copy(), step.losses, np.array(step.loss), step.input_grad.copy(), step.param_grad,
                    step.correct]
             ws.give_back()
             return out

@@ -10,7 +10,7 @@ from robustlab.datasets import gen_gaussian_blobs, gen_two_moons
 from robustlab.errors import ConfigError, ContractError, ParameterError, ShapeError
 from robustlab.evaluate import eval_natural
 from robustlab.model import MlpConfig, init_params
-from robustlab.tensor import Tensor, mlp_loss_and_grad
+from robustlab.tensor import Tensor, _leaf_views, mlp_loss_and_grad
 from robustlab.training import (
     TrainConfig,
     WeightAssignment,
@@ -20,7 +20,7 @@ from robustlab.training import (
     write_history,
 )
 
-from conftest import linear_model
+from conftest import assert_leaves_are_views_of_theta, linear_model
 
 # Frozen oracle (mpmath, 50 digits): kappa=(0,10), K=10, lambda=0 under
 # raw = (1 + tanh(lambda + 5(1 - 2 kappa/K))) / 2, normalized to mean 1.
@@ -114,15 +114,13 @@ class TestComputeWeights:
 class TestSgdStep:
     def test_zero_gradient_keeps_params(self):
         params = init_params(MlpConfig((2, 3, 2), init_seed=1))
-        zeros = [np.zeros(t.shape) for t in params.leaves()]
-        out = sgd_step(params, zeros, 0.5)
+        out = sgd_step(params, np.zeros_like(params.theta), 0.5)
         for a, b in zip(out.leaves(), params.leaves()):
             np.testing.assert_array_equal(a.data, b.data)
 
     def test_lr_one_gradient_theta_zeroes_params(self):
         params = init_params(MlpConfig((2, 3, 2), init_seed=1))
-        gs = [t.data.copy() for t in params.leaves()]
-        out = sgd_step(params, gs, 1.0)
+        out = sgd_step(params, params.theta.copy(), 1.0)
         for t in out.leaves():
             np.testing.assert_array_equal(t.data, np.zeros(t.shape))
 
@@ -134,41 +132,38 @@ class TestSgdStep:
         lr = 0.1
         for _ in range(100):
             g_w = 2.0 * (params.weights[0].data - target_w)
-            params = sgd_step(params, [g_w, np.zeros(2)], lr)
+            params = sgd_step(params, np.concatenate([g_w, np.zeros(2)], axis=None), lr)
         assert np.abs(params.weights[0].data - target_w).max() < 1e-6
 
     @pytest.mark.parametrize("sizes", [(2, 16, 16, 4), (3, 1, 2), (5, 9)])
     def test_leaves_are_read_only_views_of_one_vector_with_the_per_layer_bits(self, rng, sizes):
         params = init_params(MlpConfig(sizes, init_seed=2))
-        grads = [rng.standard_normal(t.shape) for t in params.leaves()]
-        out = sgd_step(params, grads, 0.15)
-        theta = out.weights[0].data.base
-        assert theta.ndim == 1 and theta.size == sum(t.data.size for t in out.leaves())
-        assert not theta.flags.writeable
-        for t, p, g in zip(out.leaves(), params.leaves(), grads):
-            assert t.data.base is theta and not t.data.flags.writeable
+        grad = rng.standard_normal(params.theta.shape)
+        out = sgd_step(params, grad, 0.15)
+        assert_leaves_are_views_of_theta(out)
+        for t, p, g in zip(out.leaves(), params.leaves(), _leaf_views(sizes, grad)):
             assert t.data.tobytes() == (p.data - 0.15 * g).tobytes()
 
     def test_non_finite_update_names_its_layer(self):
         params = init_params(MlpConfig((2, 3, 3, 2), init_seed=1))
         for leaf in range(6):
-            grads = [np.zeros(t.shape) for t in params.leaves()]
-            grads[leaf].flat[-1] = np.inf
+            grad = np.zeros_like(params.theta)
+            _leaf_views(params.config.layer_sizes, grad)[leaf].flat[-1] = np.inf
             with pytest.raises(ParameterError, match=f"layer {leaf // 2} contains non-finite parameters"):
-                sgd_step(params, grads, 0.1)
+                sgd_step(params, grad, 0.1)
 
-    def test_unmatched_gradient_rejected(self):
+    @pytest.mark.parametrize("grad", [
+        [np.zeros((2, 3)), np.zeros(3), np.zeros((3, 2)), np.zeros(2)],
+        init_params(MlpConfig((2, 4, 4, 2), init_seed=1)).theta.copy(),
+        np.zeros((1, 17)),
+    ], ids=["leaf-list", "other-model-vector", "row-of-theta-size"])
+    def test_anything_but_an_array_of_theta_shape_is_refused(self, grad):
+        # A list of per-leaf arrays, another model's vector and a wrong shape get one refusal: a
+        # ShapeError naming the expected shape, never the ValueError np.shape raises on a ragged list.
         params = init_params(MlpConfig((2, 3, 2), init_seed=1))
-        other = init_params(MlpConfig((2, 4, 4, 2), init_seed=1))
-        grads = [np.zeros(t.shape) for t in params.leaves()]
-        with pytest.raises(ContractError):
-            sgd_step(other, grads, 0.1)
-
-    def test_shape_mismatch(self):
-        params = init_params(MlpConfig((2, 3, 2), init_seed=1))
-        bad = [np.zeros((1,)) for _ in params.leaves()]
-        with pytest.raises(ShapeError):
-            sgd_step(params, bad, 0.1)
+        with pytest.raises(ShapeError) as info:
+            sgd_step(params, grad, 0.1)
+        assert type(info.value) is ShapeError and "shape (17,)" in str(info.value)
 
 
 class TestTrainConfig:
@@ -286,10 +281,9 @@ class TestTrain:
         w = np.random.default_rng(0).uniform(0.1, 2.0, size=len(y))
 
         def grads_with(weights):
-            return mlp_loss_and_grad(params, x, y, 1.0, weights, False, True).param_grads
+            return mlp_loss_and_grad(params, x, y, 1.0, weights, False, True).param_grad
 
-        for a, b in zip(grads_with(2.0 * w), grads_with(w)):
-            np.testing.assert_array_equal(a, 2.0 * b)
+        np.testing.assert_array_equal(grads_with(2.0 * w), 2.0 * grads_with(w))
 
     @pytest.mark.parametrize("crafting", ["pgd", "fat"])
     def test_gairat_batch_points_and_kappa_match_separate_attacks(self, moons, monkeypatch, crafting):
@@ -364,7 +358,7 @@ class TestTrain:
                 if method == "gairat" and epoch >= cfg.burn_in_epochs:
                     omega = compute_weights(res.kappa, inner.steps, cfg.omega_lambda).omega
                 step = mlp_loss_and_grad(params, res.adversarial.data, y, 1.0, omega, False, True)
-                params = sgd_step(params, step.param_grads, cfg.learning_rate)
+                params = sgd_step(params, step.param_grad, cfg.learning_rate)
                 losses.append(step.loss)
             records.append(training.EpochRecord(epoch, float(np.mean(losses)), eval_natural(params, moons),
                                                 tuple(int(c) for c in counts) if method == "gairat" else None))
