@@ -192,10 +192,10 @@ def _keep_better(best: _Rows, loss: np.ndarray, x: np.ndarray, correct: np.ndarr
     """Copy loss, x (records) and correct into `best` on the rows where loss
     beats best.loss. Strict > keeps the earliest (restart-major, then
     iteration) max-loss iterate on ties."""
-    if np.greater(loss, best.loss, out=beats).any():
-        np.copyto(best.loss, loss, where=beats)
-        np.copyto(best.x, x, where=beats)
-        np.copyto(best.correct, correct, where=beats)
+    if np.logical_or.reduce(np.greater(loss, best.loss, out=beats)):
+        np.putmask(best.loss, beats, loss)  # on same-shape arrays, the copies of `np.copyto(where=)`
+        np.putmask(best.x, beats, x)
+        np.putmask(best.correct, beats, correct)
 
 
 def _starts(x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, u: np.ndarray | None) -> np.ndarray:
@@ -295,14 +295,19 @@ def _climb(model: MlpParams, config: AttackConfig, x: np.ndarray, lab: np.ndarra
             if t:
                 _keep_better(own, step.losses, xr, step.correct, beats)
             else:  # every loss is >= 0 or +inf, so each row's first is its best so far
-                np.copyto(own.loss, step.losses)
-                np.copyto(own.x, xr)
-                np.copyto(own.correct, step.correct)
+                own.loss[...] = step.losses
+                own.x[...] = xr
+                own.correct[...] = step.correct
             if t == T:
                 break
-            # The sign step overwrites the gradient, which no one reads again.
-            g = np.sign(step.input_grad, out=step.input_grad)
-            g *= config.step_size
+            # The sign step overwrites the gradient, which no one reads again. On a g with no zero and
+            # no NaN (|g|'s min > 0, in `new` before it is written), copysign(step, g) is sign(g) * step.
+            g = step.input_grad
+            if np.minimum.reduce(np.absolute(g, out=new), axis=None) > 0.0:
+                np.copysign(config.step_size, g, out=g)
+            else:
+                np.sign(g, out=g)
+                g *= config.step_size
             np.add(x, g, out=new)
             new.clip(lo, hi, out=new)
             settled = None
@@ -384,8 +389,8 @@ def pgd_attack(
     # The stacked rows' points, labels and bounds, restart-major: G copies of the run's.
     gx0, glab, glo, ghi = [a if G == 1 else np.concatenate([a] * G) for a in (x0d, lab, lo, hi)]
     ws = _Workspace.for_batch(model.config.layer_sizes, glab)
-    ws.acts[0][n:] = 0.0  # the natural pass's padding, the stacked restarts' rows included
-    natural_correct = _forward(model, x0d, ws.acts, ws.act_blocks, ws.tiles_of(model)).argmax(axis=1) == lab
+    # The natural pass runs on the stacked copies, as every pass in `ws` runs on all its rows.
+    natural_correct = _forward(model, gx0, ws)[:n].argmax(axis=1) == lab
     # Restart-major, so that a group's trace is one (g n, T + 1) block; returned (n, R, T + 1).
     trace = np.zeros((R, n, T + 1), dtype=bool)
     rec = np.dtype(f"V{8 * d}")  # (void, 8 d bytes): one row of x

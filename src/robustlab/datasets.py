@@ -154,20 +154,22 @@ def _balanced_labels(n: int, num_classes: int) -> np.ndarray:
 
 
 @contextmanager
-def _noise_overflow(sigma: float):
+def _noise_overflow(sigma: float, radii: tuple[float, float] | None = None):
     """Turn a float64 overflow of the noisy points into a ParameterError that
-    names the noise sigma, instead of numpy warnings and points from +-inf."""
+    names the noise sigma and any `radii`, not numpy warnings and +-inf points."""
     with np.errstate(over="raise", invalid="raise"):
         try:
             yield
         except FloatingPointError:
-            raise ParameterError(f"noise sigma {sigma!r} is too large: the noisy points overflow float64") from None
+            what = f"noise sigma {sigma!r} is" if radii is None else f"radii {radii} with noise sigma {sigma!r} are"
+            raise ParameterError(f"{what} too large: the noisy points overflow float64") from None
 
 
-def _noisy_unit_square(clean: np.ndarray, noise_sigma: float, rng: np.random.Generator, meta: dict) -> Dataset:
+def _noisy_unit_square(clean: np.ndarray, noise_sigma: float, rng: np.random.Generator, meta: dict,
+                       radii: tuple[float, float] | None = None) -> Dataset:
     """The tail shared by two-moons and rings: add noise to `clean` (class 0's
     half, then class 1's), rescale into [0,1]^2 and record both in `meta`."""
-    with _noise_overflow(noise_sigma):
+    with _noise_overflow(noise_sigma, radii):
         raw = clean + noise_sigma * rng.standard_normal(clean.shape)
         scaled, offset, scale = _rescale_to_unit(raw)
     meta.update(noise_sigma=fmt(noise_sigma), rescale_offset=fmt_vec(offset), rescale_scale=fmt_vec(scale))
@@ -232,8 +234,8 @@ def gen_rings(n: int, radii: tuple[float, float], noise_sigma: float, seed: int)
     then rescaled to [0,1]^2.
     """
     r_inner, r_outer = (float(r) for r in radii)
-    if not 0 < r_inner < r_outer:
-        raise ParameterError(f"radii must satisfy 0 < inner < outer, got {radii}")
+    if not 0 < r_inner < r_outer < math.inf:
+        raise ParameterError(f"radii must be finite with 0 < inner < outer, got {radii}")
     rng, half = _two_class_setup("rings", n, noise_sigma, seed)
     theta0 = rng.uniform(0.0, 2.0 * math.pi, half)
     theta1 = rng.uniform(0.0, 2.0 * math.pi, half)
@@ -241,7 +243,7 @@ def gen_rings(n: int, radii: tuple[float, float], noise_sigma: float, seed: int)
     ring1 = r_outer * np.column_stack([np.cos(theta1), np.sin(theta1)])
     return _noisy_unit_square(np.concatenate([ring0, ring1]), noise_sigma, rng, {
         "generator": "rings", "seed": str(seed), "r_inner": fmt(r_inner), "r_outer": fmt(r_outer),
-    })
+    }, (r_inner, r_outer) if 2 * r_outer == math.inf else None)  # a ring span past float64 is the radii's doing
 
 
 def save_csv(dataset: Dataset, path) -> None:

@@ -56,9 +56,9 @@ class MlpConfig:
 
 @dataclass(frozen=True)
 class MlpParams:
-    """Per-layer weights and biases; immutable once built. `theta` holds
-    every parameter in one read-only float64 vector, in `leaves()` order,
-    and the leaves are views of it (`_leaf_views`)."""
+    """Per-layer weights and biases; immutable once built. `theta` holds every
+    parameter in one read-only float64 vector, in `leaves()` order; the leaves,
+    and `_weight_arrays`, the raw weights the passes read, are views of it."""
 
     config: MlpConfig
     weights: tuple[Tensor, ...]
@@ -96,18 +96,21 @@ class MlpParams:
         the first non-finite layer, which the ParameterError names."""
         theta.setflags(write=False)
         views = _leaf_views(self.config.layer_sizes, theta)
-        if not np.isfinite(theta).all():
+        if not np.logical_and.reduce(np.isfinite(theta)):
             bad = next(i for i, v in enumerate(views) if not np.isfinite(v).all())
             raise ParameterError(f"layer {bad // 2} contains non-finite parameters")
-        leaves = [Tensor._wrap(v) for v in views]
-        for name, value in (("theta", theta), ("weights", tuple(leaves[0::2])), ("biases", tuple(leaves[1::2]))):
+        leaves = [Tensor.__new__(Tensor) for _ in views]
+        for t, v in zip(leaves, views):  # views of a read-only contiguous vector: `Tensor._wrap` has nothing to do
+            t._data = v
+        for name, value in (("theta", theta), ("weights", tuple(leaves[0::2])), ("biases", tuple(leaves[1::2])),
+                            ("_weight_arrays", tuple(views[0::2]))):
             object.__setattr__(self, name, value)
 
     @cached_property
     def transposed_weights(self) -> tuple[np.ndarray, ...]:
         """Each layer's w.T, C-ordered: the operand of the reverse pass's
         products, which BLAS runs several times faster than on the view."""
-        return tuple(np.ascontiguousarray(w.data.T) for w in self.weights)
+        return tuple(np.ascontiguousarray(w.T) for w in self._weight_arrays)
 
     def leaves(self) -> Iterator[Tensor]:
         """Parameter tensors in the fixed order w0, b0, w1, b1, ..."""

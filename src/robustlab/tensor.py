@@ -22,12 +22,13 @@ product lets BLAS pick its kernel by the batch's size (gemv for one row,
 tail kernels for others), and its last bits follow. A pass of one block
 runs its products through `np.dot` on the 2-D arrays: that is the same gemm
 call on the same (64, k) operands, without the stacked product's per-call
-cost.
+cost. A workspace is a pass plan: it builds once what a pass reads that
+depends only on its shape, so a pass makes only the calls its arithmetic needs.
 """
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -44,6 +45,9 @@ _BLOCK = 64
 # The most float64 entries (8 MB) of layer arrays a kept workspace holds: a
 # 4032-row pass on the README model needs 306,432, a 200,000-row `predict` 15 M.
 _KEEP_AT_MOST = 1 << 20
+# relu's zero operand on block views (see `_Workspace`).
+_ZERO = np.zeros(())
+_ZERO.setflags(write=False)
 
 
 class Tensor:
@@ -84,10 +88,6 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-def _activate(h: np.ndarray, kind: str, out: np.ndarray) -> np.ndarray:
-    return np.maximum(h, 0.0, out=out) if kind == "relu" else np.tanh(h, out=out)  # MlpConfig admits no other
-
-
 def _log_softmax(logits: np.ndarray, alpha: float, out: np.ndarray, exps: np.ndarray) -> np.ndarray:
     """log softmax(alpha * logits) by rows, written into `out`; the
     exponentials exp(alpha * (logits - row max)) are left in `exps`.
@@ -102,10 +102,10 @@ def _log_softmax(logits: np.ndarray, alpha: float, out: np.ndarray, exps: np.nda
     """
     # Stabilized by max-subtraction so exp() stays in [0, 1] even when the
     # scale pushes logits far apart (the sweep goes up to alpha = 100).
-    shifted = np.subtract(logits, logits.max(axis=1, keepdims=True), out=out)
+    shifted = np.subtract(logits, np.maximum.reduce(logits, axis=1, keepdims=True), out=out)
     if alpha != 1.0:  # x * 1.0 is x, bit for bit: every training pass skips it
         shifted *= alpha
-    lse = np.exp(shifted, out=exps).sum(axis=1, keepdims=True)
+    lse = np.add.reduce(np.exp(shifted, out=exps), axis=1, keepdims=True)
     shifted -= np.log(lse, out=lse)
     return shifted
 
@@ -118,7 +118,7 @@ def _check_label_dtype(lab: np.ndarray) -> None:
 
 def _check_label_range(lab: np.ndarray, num_classes: int) -> None:
     """The package's one rule for integer labels' values, `Dataset`'s included."""
-    if lab.size and (lab.min() < 0 or lab.max() >= num_classes):
+    if lab.size and (np.minimum.reduce(lab) < 0 or np.maximum.reduce(lab) >= num_classes):
         raise ParameterError(f"labels must lie in [0, {num_classes})")
 
 
@@ -152,7 +152,7 @@ def _tiled(params: MlpParams, tiles: list[np.ndarray]) -> list[np.ndarray]:
     the bits of the bias broadcast along the rows, several times faster on
     layers of a few units."""
     for tile, b in zip(tiles, params.biases):
-        np.copyto(tile, b.data)
+        tile[...] = b.data
     return tiles
 
 
@@ -185,14 +185,16 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """
     _check_input(params, x)
     ws = _Workspace.taken(params.config.layer_sizes, x.shape[0])
-    logits = _forward(params, x, ws.acts, ws.act_blocks, ws.tiles_of(params)).copy()
+    logits = _forward(params, x, ws).copy()
     ws.give_back()
     return logits
 
 
 class _Workspace(NamedTuple):
-    """The arrays every pass of one run writes into, and the run's labels
-    in the two forms the loss head reads.
+    """A pass plan: the arrays every pass of one run writes into, what a
+    pass reads that depends only on their shape, built once when the
+    workspace is made (`_over`), and the run's labels in the two forms the
+    loss head reads.
 
     Holders: the module keeps, in one slot, the workspace last given back
     (`give_back`). `taken` and `for_batch` hand it out for a model of the
@@ -215,16 +217,21 @@ class _Workspace(NamedTuple):
     Layer products: `acts` holds the input and every layer's output, and
     `grads` every layer's input gradient and then the upstream gradient
     (the loss's gradient with respect to the logits), one C-ordered array
-    per layer width each, from `np.empty`. They have the batch's n rows and
-    then padding up to a whole number of blocks; `act_blocks` and
-    `grad_blocks` are their 3-D block views, the operands of the stacked
-    products. Only the padding rows of the input and of the upstream
-    gradient are zeroed, and no pass writes them, so every padding row
-    stays finite, in a kept workspace too: the forward pass computes the
-    layers of a zero input, and the reverse pass carries zeros. Every other
-    entry a pass reads it has written first. Only the products and the bias
-    and activation read the padding; the loss head, the masks of the
-    reverse pass and the parameter gradients read the first n rows.
+    per layer width in `sizes` each, from `np.empty`. They have the batch's
+    n rows and then padding up to a whole number of blocks; `act_rows` and
+    `grad_rows` are their n-row views. `mul` is the product that maps rows
+    to rows, on operands `act_ops` and `grad_ops`: `np.dot` on the 2-D
+    arrays when they are one block (the same gemm call, about 1 us less),
+    the stacked `np.matmul` on their block views else. Only the padding
+    rows of the input and of the upstream gradient are zeroed, and no pass
+    writes them, so every padding row stays finite, in a kept workspace too:
+    the forward pass computes the layers of a zero input, and the reverse
+    pass carries zeros. Every other entry a pass reads it has written first.
+    Only the products, the bias, relu or tanh and their masks read the
+    padding; the loss head and the parameter gradients read the n-row views.
+    `zeros` holds relu's read-only zero operand per hidden layer, which
+    numpy need not convert as it does 0.0: (64, k) zeros in one block, the
+    0-d `_ZERO` on block views. `rows` is 0..n-1, for `_label`.
 
     Biases: `tiles` holds each layer's bias tile (`_tiled`), and `tiled`, a
     one-item list, the params they were last filled from. `tiles_of` fills
@@ -243,8 +250,14 @@ class _Workspace(NamedTuple):
 
     acts: list[np.ndarray]
     grads: list[np.ndarray]
-    act_blocks: list[np.ndarray]
-    grad_blocks: list[np.ndarray]
+    act_rows: list[np.ndarray]
+    grad_rows: list[np.ndarray]
+    mul: Callable
+    act_ops: list[np.ndarray]
+    grad_ops: list[np.ndarray]
+    zeros: list[np.ndarray]
+    sizes: tuple[int, ...]
+    rows: np.ndarray
     logp: np.ndarray
     exps: np.ndarray
     onehot: np.ndarray
@@ -262,7 +275,7 @@ class _Workspace(NamedTuple):
     def taken(cls, sizes: tuple[int, ...], n: int) -> "_Workspace":
         """The kept workspace, if it has layer widths `sizes` and n rows, else a new one; its label arrays as they were."""
         ws = _take_kept()
-        if ws is None or ws.flat.shape[0] != n or tuple(a.shape[1] for a in ws.acts) != sizes:
+        if ws is None or ws.rows.shape[0] != n or ws.sizes != sizes:
             return cls.new(sizes, n)
         return ws
 
@@ -274,7 +287,7 @@ class _Workspace(NamedTuple):
     def give_back(self) -> None:
         """Keep this workspace, the one a holder took, for the next run of its
         shape, unless its layer arrays hold more than `_KEEP_AT_MOST` entries."""
-        if 2 * sum(a.size for a in self.acts) <= _KEEP_AT_MOST:
+        if 2 * self.acts[0].shape[0] * sum(self.sizes) <= _KEEP_AT_MOST:
             _kept[0] = self
 
     def tiles_of(self, params: MlpParams) -> list[np.ndarray]:
@@ -298,30 +311,38 @@ class _Workspace(NamedTuple):
         """
         m = lab.shape[0]
         ws = self
-        if m < self.flat.shape[0]:
+        if m < self.rows.shape[0]:
             rows = _padded(m)
             ws = self._over([a[:rows] for a in self.acts], [g[:rows] for g in self.grads], m, self)
-        _label(lab, ws.onehot, ws.flat)
+        _label(lab, ws.onehot, ws.flat, ws.rows)
         return ws
 
     @classmethod
     def _over(cls, acts: list[np.ndarray], grads: list[np.ndarray], n: int,
               on: "_Workspace | None" = None) -> "_Workspace":
         """The workspace for n rows on layer arrays `acts` and `grads`, their
-        input and upstream gradient padding zeroed, with new, unwritten label
-        arrays, and the head's scratch and the bias tiles: new, or those of
-        `on` (the scratch on its first entries)."""
-        classes = acts[-1].shape[1]
+        input and upstream gradient padding zeroed, with its plan, new,
+        unwritten label arrays, and the head's scratch and the bias tiles:
+        new, or those of `on` (the scratch on its first entries)."""
+        sizes = tuple(a.shape[1] for a in acts)
         if on is None:
-            logp = np.empty((n, classes), order="F")
-            exps = np.empty((n, classes), order="C" if classes >= _PAIRWISE_FROM else "F")
-            tiles, tiled = _layers(tuple(a.shape[1] for a in acts[1:]), _BLOCK), [None]
+            logp = np.empty((n, sizes[-1]), order="F")
+            exps = np.empty((n, sizes[-1]), order="C" if sizes[-1] >= _PAIRWISE_FROM else "F")
+            tiles, tiled = _layers(sizes[1:], _BLOCK), [None]
         else:
             logp, exps, tiles, tiled = _prefix(on.logp, n), _prefix(on.exps, n), on.tiles, on.tiled
         acts[0][n:] = 0.0
         grads[-1][n:] = 0.0
-        return cls(acts, grads, [_blocks(a) for a in acts], [_blocks(g) for g in grads], logp, exps,
-                   np.empty((n, classes)), np.empty(n, dtype=np.int64), tiles, tiled)
+        if acts[0].shape[0] == _BLOCK:
+            mul, act_ops, grad_ops, zeros = np.dot, acts, grads, [np.zeros((_BLOCK, k)) for k in sizes[1:-1]]
+            for z in zeros:
+                z.setflags(write=False)
+        else:
+            mul, act_ops, grad_ops = np.matmul, [_blocks(a) for a in acts], [_blocks(g) for g in grads]
+            zeros = [_ZERO] * (len(sizes) - 2)
+        return cls(acts, grads, [a[:n] for a in acts], [g[:n] for g in grads], mul, act_ops, grad_ops, zeros,
+                   sizes, np.arange(n), logp, exps, np.empty((n, sizes[-1])), np.empty(n, dtype=np.int64), tiles,
+                   tiled)
 
 
 # The one slot that keeps a workspace between runs (see `_Workspace`), and the
@@ -338,15 +359,13 @@ def _take_kept() -> _Workspace | None:
     return ws
 
 
-def _label(lab: np.ndarray, onehot: np.ndarray, flat: np.ndarray) -> None:
+def _label(lab: np.ndarray, onehot: np.ndarray, flat: np.ndarray, rows: np.ndarray) -> None:
     """Write into `onehot`, (n, classes), 1.0 at each row's label and 0.0
     elsewhere, and into `flat` each label's index into the Fortran-order
-    flattening of an (n, classes) array."""
-    n = lab.shape[0]
-    rows = np.arange(n)
+    flattening of an (n, classes) array; `rows` is 0..n-1."""
     onehot.fill(0.0)
     onehot[rows, lab] = 1.0
-    np.multiply(lab, n, out=flat)
+    np.multiply(lab, rows.shape[0], out=flat)
     flat += rows
 
 
@@ -356,31 +375,25 @@ def _prefix(a: np.ndarray, n: int) -> np.ndarray:
     return a.reshape(-1, order=order)[:n * a.shape[1]].reshape((n, a.shape[1]), order=order)
 
 
-def _products(layers: list[np.ndarray], blocks: list[np.ndarray]) -> tuple:
-    """The product that maps rows to rows and its operands: `np.dot` on the
-    2-D `layers` when they are one block, the stacked `np.matmul` on their
-    `blocks` else. Both make one gemm call per 64-row block, so a row gets
-    the same bits either way; `np.dot` costs about 1 us less per call."""
-    return (np.dot, layers) if layers[0].shape[0] == _BLOCK else (np.matmul, blocks)
-
-
-def _forward(params: MlpParams, x: np.ndarray, acts: list[np.ndarray], blocks: list[np.ndarray],
-             tiles: list[np.ndarray]) -> np.ndarray:
-    """Write x into the first rows of acts[0], whose padding rows must be
-    zero, then every layer's output into the next of `acts`, padding rows
-    included; `blocks` are their block views (see `_Workspace`), and
-    `tiles` the biases as `_tiled` writes them, added block by block.
-    Returns the logits, the last layer's first n rows."""
-    np.copyto(acts[0][:x.shape[0]], x)
-    kind = params.config.activation
-    last = params.config.num_layers - 1
-    mul, ops = _products(acts, blocks)
-    for i, w in enumerate(params.weights):
-        mul(ops[i], w.data, out=ops[i + 1])
-        ops[i + 1] += tiles[i]
-        if i < last:
-            _activate(acts[i + 1], kind, out=acts[i + 1])
-    return acts[-1][:x.shape[0]]
+def _forward(params: MlpParams, x: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Write x, as many rows as `ws` has, into the first rows of its input,
+    whose padding rows must be zero, then every layer's output into the next
+    of its layer arrays, padding rows included, the biases added block by
+    block from its tiles. Returns the logits, the last layer's n-row view."""
+    ws.act_rows[0][...] = x
+    relu = params.config.activation == "relu"  # MlpConfig admits no other than tanh
+    mul, ops, tiles, zeros = ws.mul, ws.act_ops, ws.tiles_of(params), ws.zeros
+    hidden = len(zeros)
+    for i, w in enumerate(params._weight_arrays):
+        out = ops[i + 1]
+        mul(ops[i], w, out=out)
+        out += tiles[i]
+        if i < hidden:
+            if relu:
+                np.maximum(out, zeros[i], out=out)
+            else:
+                np.tanh(out, out=out)
+    return ws.act_rows[-1]
 
 
 class LossAndGrad(NamedTuple):
@@ -441,43 +454,44 @@ def mlp_loss_and_grad(
     """
     if ws is None:  # not a kept one: the results alias it
         ws = _Workspace.new(params.config.layer_sizes, lab.shape[0]).narrowed(lab)
-    logits = _forward(params, x, ws.acts, ws.act_blocks, ws.tiles_of(params))
-    n = x.shape[0]
-    np.copyto(ws.logp, logits)
-    logp = _log_softmax(ws.logp, alpha, ws.logp, ws.exps)
+    logits = _forward(params, x, ws)
+    n = lab.shape[0]
+    logp, exps = ws.logp, ws.exps
+    logp[...] = logits
+    _log_softmax(logp, alpha, logp, exps)
     losses = -logp.T.take(ws.flat)  # logp.T is C-contiguous: a flat take reads it in place
-    exps = ws.exps
     if n > _BLOCK and exps.flags.f_contiguous and np.count_nonzero(exps < 1.0) == exps.size - n:
         correct = exps.T.take(ws.flat) == 1.0
     else:
         correct = logits.argmax(axis=1) == lab
-    loss = None if weights is None else float((weights * losses).sum() / n)
+    loss = None if weights is None else float(np.add.reduce(weights * losses) / n)
     if not (want_input or want_params):
         return LossAndGrad(logits, losses, loss, None, None, correct)
 
-    g = np.exp(logp, out=ws.grads[-1][:n])
+    g = np.exp(logp, out=ws.grad_rows[-1])
     g -= ws.onehot  # exact off the label too: x - 0.0 is x
     if alpha != 1.0:
         g *= alpha
     if weights is not None:
         g *= (weights / n)[:, None]
-    kind = params.config.activation
-    mul, ops = _products(ws.grads, ws.grad_blocks)
+    relu = params.config.activation == "relu"
+    mul, ops, tw = ws.mul, ws.grad_ops, params.transposed_weights
     param_grad = np.empty(params.theta.size) if want_params else None
-    grad_views = _leaf_views(params.config.layer_sizes, param_grad) if want_params else None
-    for i in range(params.config.num_layers - 1, -1, -1):
+    grad_views = _leaf_views(ws.sizes, param_grad) if want_params else None
+    for i in range(len(tw) - 1, -1, -1):
         if want_params:
-            np.dot(ws.acts[i][:n].T, g, out=grad_views[2 * i])
-            g.sum(axis=0, out=grad_views[2 * i + 1])
+            np.dot(ws.act_rows[i].T, g, out=grad_views[2 * i])
+            np.add.reduce(g, axis=0, out=grad_views[2 * i + 1])
         if i == 0 and not want_input:
             break
-        mul(ops[i + 1], params.transposed_weights[i], out=ops[i])
-        g = ws.grads[i][:n]
+        mul(ops[i + 1], tw[i], out=ops[i])
+        g = ws.grad_rows[i]
         if i:
-            h = ws.acts[i][:n]  # the activation's output: relu > 0 exactly where its input is
-            if kind == "relu":
-                g *= h > 0.0
+            # On every row, padding included: the activation's output h, relu > 0 exactly where its input is.
+            h, gi = ws.acts[i], ws.grads[i]
+            if relu:
+                gi *= np.greater(h, ws.zeros[i - 1])
             else:
                 slope = h * h
-                g *= np.subtract(1.0, slope, out=slope)
+                gi *= np.subtract(1.0, slope, out=slope)
     return LossAndGrad(logits, losses, loss, g if want_input else None, param_grad, correct)

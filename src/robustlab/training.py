@@ -82,9 +82,9 @@ class WeightAssignment:
         w = np.asarray(self.omega, dtype=np.float64)
         if w.ndim != 1 or w.size == 0:
             raise ShapeError(f"weights must be a non-empty vector, got shape {w.shape}")
-        if not (np.isfinite(w).all() and w.min() >= 0):
+        if not (np.logical_and.reduce(np.isfinite(w)) and np.minimum.reduce(w) >= 0):
             raise ContractError("weights must be finite and non-negative")
-        if abs(w.mean() - 1.0) > 1e-10:
+        if abs(np.add.reduce(w) / w.size - 1.0) > 1e-10:
             raise ContractError(f"weight mean must be 1 within 1e-10, got {w.mean()!r}")
         w.setflags(write=False)
         object.__setattr__(self, "omega", w)
@@ -105,10 +105,10 @@ def compute_weights(kappa, steps: int, omega_lambda: float) -> WeightAssignment:
     if k.dtype.kind not in "iu":
         raise ContractError(f"kappa must be integer counts, got dtype {k.dtype}")
     check_at_least(steps, 1, "steps")
-    if k.min() < 0 or k.max() > steps:
+    if np.minimum.reduce(k) < 0 or np.maximum.reduce(k) > steps:
         raise ContractError(f"kappa values must lie in [0, {steps}], got range [{k.min()}, {k.max()}]")
     raw = _raw_weights(steps, float(omega_lambda)).take(k)
-    total = raw.sum()
+    total = np.add.reduce(raw)
     if total == 0.0:
         return WeightAssignment(np.ones(k.size))
     return WeightAssignment(raw * (k.size / total))

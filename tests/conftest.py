@@ -49,13 +49,18 @@ def analytic_grads(params: MlpParams, x: Tensor, y: np.ndarray, alpha: float):
 
 
 def assert_leaves_are_views_of_theta(params: MlpParams) -> None:
-    """Every leaf is a read-only view of `params.theta`, a read-only float64
-    vector that holds the leaves' bytes in leaves() order."""
+    """Every leaf is a read-only, C-contiguous float64 view of `params.theta`,
+    a read-only float64 vector that holds the leaves' bytes in leaves()
+    order, and the raw weight arrays the passes read are the weights' views
+    themselves."""
     theta = params.theta
     assert theta.dtype == np.float64 and theta.ndim == 1 and not theta.flags.writeable
     for t in params.leaves():
-        assert t.data.base is theta and not t.data.flags.writeable
+        a = t.data
+        assert a.base is theta and a.dtype == np.float64 and a.flags.c_contiguous and not a.flags.writeable
     assert theta.tobytes() == b"".join(t.data.tobytes() for t in params.leaves())
+    assert len(params._weight_arrays) == len(params.weights)
+    assert all(a is w.data for a, w in zip(params._weight_arrays, params.weights))
 
 
 def blocked_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -449,11 +449,11 @@ class TestPgdWorkspace:
         lab = rng.integers(0, classes, size=n)
         full = tensor._Workspace.for_batch(sizes, lab)
         for ws, m in ((full, n), (full.narrowed(lab[:(n + 1) // 2]), (n + 1) // 2)):
-            arrays = [(kind, i, a) for kind in ("acts", "grads", "act_blocks", "grad_blocks")
+            arrays = [(kind, i, a) for kind in ("acts", "grads", "act_ops", "grad_ops")
                       for i, a in enumerate(getattr(ws, kind))]
             arrays += [(name, 0, getattr(ws, name)) for name in ("logp", "exps", "onehot", "flat")]
             for (k, i, a), (l, j, b) in combinations(arrays, 2):
-                if not ((k, l) in {("acts", "act_blocks"), ("grads", "grad_blocks")} and i == j):
+                if not ((k, l) in {("acts", "act_ops"), ("grads", "grad_ops")} and i == j):
                     assert not np.shares_memory(a, b), (m, k, i, l, j)
             # The padding rows the passes never write stay zero.
             assert ws.acts[0].shape[0] == tensor._padded(m) and not ws.acts[0][m:].any()
@@ -586,6 +586,66 @@ class TestSettledRows:
             want, _ = full_batch_pgd(params, x0, y, cfg, box, 5, slack)
             assert_same_result(got, want)
             assert got.adversarial.data[0, 0] == 0.0 and np.signbit(got.adversarial.data[0, 0])
+
+    @pytest.mark.parametrize("n", [5, 64, 300])
+    def test_a_zero_gradient_takes_the_sign_fallback(self, monkeypatch, n):
+        # Every hidden unit is dead on rows with x0 < 0.5, whose input gradient is then exactly
+        # zero, and live on rows with x0 > 0.9: a batch of live rows steps by copysign alone, a
+        # mixed one by np.sign, and both keep the bits of the full-batch loop.
+        w0 = np.array([[10.0, 10.0, 10.0, 10.0], [1.0, -1.0, 2.0, -2.0]])
+        params = make_params(MlpConfig((2, 4, 3), activation="relu"),
+                             [w0, [[1.0, -1.0, 0.5], [-0.5, 2.0, 1.0], [1.5, 0.0, -1.0], [0.0, 1.0, -2.0]]],
+                             [np.full(4, -6.0), [0.1, 0.0, -0.1]])
+        rng = np.random.default_rng(n)
+        live = np.column_stack([rng.uniform(0.95, 1, size=n), rng.uniform(0, 1, size=n)])
+        mixed = live.copy()
+        mixed[::2, 0] = rng.uniform(0, 0.35, size=mixed[::2].shape[0])
+        y = rng.integers(0, 3, size=n)
+        cfg = AttackConfig(epsilon=0.05, steps=6, step_size=0.02, restarts=2, random_start=True)
+        calls = []
+
+        class Counted:
+            def __getattr__(self, name):
+                if name in ("sign", "copysign"):
+                    calls.append(name)
+                return getattr(np, name)
+
+        monkeypatch.setattr(attacks, "np", Counted())
+        for x0, fallback in ((live, False), (mixed, True)):
+            calls.clear()
+            got = pgd_attack(params, Tensor(x0), y, cfg, domain=DomainBox.unit(2), seed=3, friendly_slack=1)
+            # Once the dead rows settle and a larger batch gathers the live ones, copysign takes over.
+            assert ("sign" in calls) == fallback and ("copysign" in calls or fallback)
+            want, _ = full_batch_pgd(params, x0, y, cfg, DomainBox.unit(2), 3, 1)
+            assert_same_result(got, want)
+
+    def test_the_copysign_step_is_the_sign_step(self):
+        # On a gradient with no zero and no NaN, copysign(step, g) is sign(g) * step in every bit;
+        # the gate refuses a gradient holding either.
+        g = np.array([5e-324, -5e-324, 2.2e-308, -1e-300, 1.0, -3.5, 1.7e308, -1.7e308, np.inf, -np.inf])
+        for step in (0.0078, 0.03, 1e-300):
+            assert np.copysign(step, g).tobytes() == (np.sign(g) * step).tobytes()
+        assert np.minimum.reduce(np.absolute(g), axis=None) > 0.0
+        for bad in (0.0, -0.0, np.nan):
+            assert not np.minimum.reduce(np.absolute(np.append(g, bad)), axis=None) > 0.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_keep_better_copies_as_copyto_where_does(self, rng, d):
+        # The loss, record and bool arrays of `_Rows`, on a random mask with ties and +inf losses.
+        m = 200
+        rec = np.dtype(f"V{8 * d}")
+        best = attacks._Rows(rng.choice([0.5, 1.0, np.inf], size=m), attacks._records(rng.random((m, d)), rec),
+                             rng.random(m) < 0.5, None, None)
+        want = [a.copy() for a in best[:3]]
+        loss, correct = rng.choice([0.5, 1.0, 2.0, np.inf], size=m), rng.random(m) < 0.5
+        x = attacks._records(rng.random((m, d)), rec)
+        beats = np.empty(m, dtype=bool)
+        attacks._keep_better(best, loss, x, correct, beats)
+        assert beats.tobytes() == (loss > want[0]).tobytes() and 0 < beats.sum() < m
+        for a, new in zip(want, (loss, x, correct)):
+            np.copyto(a, new, where=beats)
+        for got, a in zip(best[:3], want):
+            assert got.tobytes() == a.tobytes()
 
     @pytest.mark.parametrize("n", [1, 20, 22, 32])
     def test_restarts_in_uneven_groups(self, monkeypatch, n):

@@ -64,6 +64,19 @@ class TestGenData:
             "error: noise sigma 1e+308 is too large: the noisy points overflow float64\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("radii, message", [
+        ("1:inf", "radii must be finite with 0 < inner < outer, got (1.0, inf)"),
+        ("1:1e308", "radii (1.0, 1e+308) with noise sigma 0.0 are too large: the noisy points overflow float64"),
+    ])
+    def test_radii_that_overflow_exit_2_with_one_line_naming_them(self, tmp_path, capsys, radii, message):
+        out = tmp_path / "r.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("gen-data", "--kind", "rings", "--radii", radii, "--noise", "0", "--n", "10",
+                       "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind", ["two-moons", "blobs", "rings"])
     def test_n_over_the_size_bound_exits_2_with_one_line(self, tmp_path, capsys, kind):
         out = tmp_path / "x.csv"

@@ -1,4 +1,5 @@
 """Synthetic generators: geometry, noise statistics, and CSV exchange."""
+import math
 import re
 import warnings
 
@@ -142,6 +143,19 @@ class TestRings:
     def test_radii_order_enforced(self):
         with pytest.raises(ParameterError):
             gen_rings(4, (1.0, 0.5), 0.0, seed=0)
+
+    @pytest.mark.parametrize("radii", [(1.0, math.inf), (math.inf, math.inf), (1.0, math.nan), (-math.inf, 1.0)])
+    def test_non_finite_radii_refused_by_name(self, radii):
+        with pytest.raises(ParameterError, match=r"radii must be finite with 0 < inner < outer, got \("):
+            gen_rings(10, radii, 0.0, seed=0)
+
+    def test_an_overflowing_ring_span_names_the_radii_and_the_noise(self):
+        with pytest.raises(ParameterError) as err:
+            gen_rings(10, (1.0, 1e308), 0.0, seed=0)
+        assert str(err.value) == "radii (1.0, 1e+308) with noise sigma 0.0 are too large: the noisy points overflow float64"
+        gen_rings(10, (1.0, 8e307), 0.0, seed=0)  # a span of at most 1.6e308 rescales
+        with pytest.raises(ParameterError, match=r"^noise sigma 1e\+308 is too large"):
+            gen_rings(10, (1.0, 8e307), 1e308, seed=0)  # the noise's doing, not the radii's
 
 
 class TestGeneratorContracts:

@@ -111,6 +111,47 @@ class TestActivation:
     def test_tanh_high_precision(self):
         assert abs(hidden_output("tanh", [0.5])[0] - TANH_HALF) < 1e-12
 
+    # Every kind of value a relu input can hold: signed zeros, infinities, NaN, denormals, normals.
+    SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1.0, -1.0,
+                        1.7e308, -1.7e308])
+
+    @pytest.mark.parametrize("n", [64, 4000], ids=["one-block", "63-blocks"])
+    @pytest.mark.parametrize("width", [1, 2, 7, 16, 33, 245])
+    def test_the_zero_operand_gives_the_bits_of_a_python_zero(self, rng, n, width):
+        # relu on the product's operand, as the forward pass runs it, and the reverse pass's mask on
+        # the 2-D layer array, each with the workspace's zero operand in place of 0.0.
+        ws = _Workspace.new((2, width, width, 3), n)
+        assert len(ws.zeros) == 2
+        for i, zero in enumerate(ws.zeros):
+            assert not zero.any() and not zero.flags.writeable
+            h = ws.acts[i + 1]
+            h[...] = rng.choice(self.SPECIAL, size=h.shape)
+            h.reshape(-1)[:self.SPECIAL.size] = self.SPECIAL
+            assert np.greater(h, zero).tobytes() == (h > 0.0).tobytes()
+            want = np.maximum(h, 0.0)
+            np.maximum(ws.act_ops[i + 1], zero, out=ws.act_ops[i + 1])
+            assert h.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 64, 65])
+    def test_a_pass_with_a_minus_zero_bias(self, rng, n):
+        # Unit 0's weights are zero and its bias -0.0, so its input is an exact zero on every row;
+        # the row x = (-0.0, 0.0) makes every unit's product zero. The pass, relu and its mask
+        # included, keeps the bits of the per-op formulas with np.maximum(h, 0.0) and h > 0.0.
+        config = MlpConfig((2, 3, 2), activation="relu")
+        params = make_params(config, [[[0.0, -1.0, 1.0], [-0.0, -2.0, 0.5]], [[1.0, -1.0], [0.5, 2.0], [-3.0, 1.0]]],
+                             [[-0.0, -0.0, 0.0], [-0.0, 0.0]])
+        x = rng.uniform(-1, 1, size=(n, 2))
+        x[0] = (-0.0, 0.0)
+        y = rng.integers(0, 2, size=n)
+        ws = _Workspace.new(config.layer_sizes, n)
+        logits = tensor._forward(params, x, ws)
+        pre = blocked_product(x, params.weights[0].data) + params.biases[0].data
+        assert not pre[:, 0].any() and not pre[0].any()
+        assert ws.act_rows[1].tobytes() == np.maximum(pre, 0.0).tobytes()
+        assert logits.tobytes() == (blocked_product(np.maximum(pre, 0.0), params.weights[1].data)
+                                    + params.biases[1].data).tobytes()
+        _assert_per_op_bits(params, x, y, 1.0)
+
 
 def head(z, alpha):
     """The loss head on logits z, as the fused pass runs it: `_log_softmax`
@@ -546,6 +587,43 @@ class TestReusedWorkspace:
         assert full.narrowed(y) is full
         self.assert_new_workspace_bits(params, full, x, y, alpha, w)
 
+    @staticmethod
+    def assert_plan(ws, n):
+        """The n-row views of `ws` are the first n rows of its own layer arrays, in memory and in value; its
+        product, operands and zero operands are those of its row count; its row index is 0..n-1."""
+        assert ws.sizes == tuple(a.shape[1] for a in ws.acts) and ws.rows.tobytes() == np.arange(n).tobytes()
+        one_block = ws.acts[0].shape[0] == 64
+        assert ws.mul is (np.dot if one_block else np.matmul)
+        for full, views, ops in ((ws.acts, ws.act_rows, ws.act_ops), (ws.grads, ws.grad_rows, ws.grad_ops)):
+            for a, v, op in zip(full, views, ops, strict=True):
+                assert v.shape == (n, a.shape[1]) and v.ctypes.data == a.ctypes.data and np.shares_memory(v, a)
+                assert v.tobytes() == a[:n].tobytes()
+                assert op is a if one_block else (op.shape == (a.shape[0] // 64, 64, a.shape[1])
+                                                  and op.ctypes.data == a.ctypes.data)
+        assert len(ws.zeros) == len(ws.sizes) - 2
+        for z, k in zip(ws.zeros, ws.sizes[1:-1]):
+            assert z.shape == ((64, k) if one_block else ()) and not z.any() and not z.flags.writeable
+
+    @pytest.mark.parametrize("n", [64, 67, 4000])
+    def test_each_workspace_plans_its_own_rows(self, rng, n):
+        # Taken, narrowed to fewer rows (67 -> 33 goes from two blocks to one), narrowed to as many,
+        # and given back and taken again: each plan holds after a pass in it.
+        params = random_params(rng, (2, 16, 16, 4), activation="relu")
+        sizes = params.config.layer_sizes
+
+        def after_pass(ws, m):
+            x, y, w = rng.uniform(0, 1, size=(m, 2)), rng.integers(0, 4, size=m), rng.uniform(0.1, 2, size=m)
+            ws = ws.narrowed(y)
+            mlp_loss_and_grad(params, x, y, 1.0, w, True, True, ws)
+            self.assert_plan(ws, m)
+            return ws
+
+        taken = after_pass(_Workspace.taken(sizes, n), n)
+        after_pass(taken, n // 2)
+        assert after_pass(taken, n) is taken
+        taken.give_back()
+        assert after_pass(_Workspace.taken(sizes, n), n) is taken
+
     def test_new_workspaces_only_for_new_shapes(self, rng, monkeypatch):
         made = []
         new = _Workspace.new.__func__
@@ -609,9 +687,9 @@ class TestUnwrittenEntries:
         def padding_is_zero(acts, grads, n):
             assert not acts[0][n:].any() and (grads is None or not grads[-1][n:].any())
 
-        def forward(params, x, acts, *args):
-            padding_is_zero(acts, None, x.shape[0])
-            return tensor_forward(params, x, acts, *args)
+        def forward(params, x, ws):
+            padding_is_zero(ws.acts, None, x.shape[0])
+            return tensor_forward(params, x, ws)
 
         def loss_and_grad(params, x, *args, **kwargs):
             step = tensor_loss_and_grad(params, x, *args, **kwargs)
